@@ -231,6 +231,32 @@ func (a *Adjacency) Contains(i int, p geom.Point) bool {
 	return true
 }
 
+// Settle walks from region i to a region whose cell contains p: while some
+// neighbor's site is nearer to p than the current site (by more than the
+// tolerance Contains allows), it steps to the nearest such neighbor. The
+// distance to p falls with every step, so the walk ends, and for p in Area
+// it ends on a region Contains accepts. Callers use it to repair a seed
+// located for a point on the table's border, where a D-tree descent is not
+// exact. An out-of-range i is returned unchanged.
+func (a *Adjacency) Settle(i int, p geom.Point) int {
+	if i < 0 || i >= a.N() {
+		return i
+	}
+	for {
+		next, own := i, p.Dist2(a.Sites[i])
+		best := own - geom.Eps
+		for _, j := range a.Neighbors(i) {
+			if d := p.Dist2(a.Sites[j]); d < best {
+				next, best = int(j), d
+			}
+		}
+		if next == i {
+			return i
+		}
+		i = next
+	}
+}
+
 // KNN returns the k regions whose sites are nearest to p, ordered by
 // (dist², region id), walking the adjacency graph best-first from seed. The
 // seed must be p's containing region for the expansion bound to be sound.

@@ -98,6 +98,41 @@ func TestAdjacencyContainsMatchesLocate(t *testing.T) {
 	}
 }
 
+// TestAdjacencySettle: from any start region, Settle must end on a region
+// containing the point — for interior points and for points on the area
+// border, where clients settle the seeds their clamped positions locate to.
+func TestAdjacencySettle(t *testing.T) {
+	sub, sites := testutil.RandomVoronoi(t, 80, 9203)
+	adj, err := BuildAdjacency(sub, sub.Area, sites)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(9204))
+	a := sub.Area
+	for trial := 0; trial < 200; trial++ {
+		p := geom.Pt(a.MinX+rng.Float64()*a.W(), a.MinY+rng.Float64()*a.H())
+		switch trial % 4 {
+		case 1:
+			p.X = a.MinX
+		case 2:
+			p.Y = a.MaxY
+		}
+		own := p.Dist2(sites[sub.Locate(p)])
+		for i := range sites {
+			got := adj.Settle(i, p)
+			if !adj.Contains(got, p) {
+				t.Fatalf("point %v: settled from %d on region %d, which does not contain it", p, i, got)
+			}
+			if d := p.Dist2(sites[got]); d > own+2*geom.Eps {
+				t.Fatalf("point %v: settled on region %d (dist² %v), nearest site is at dist² %v", p, got, d, own)
+			}
+		}
+	}
+	if got := adj.Settle(-1, geom.Pt(1, 1)); got != -1 {
+		t.Fatalf("out-of-range start settled to %d", got)
+	}
+}
+
 func TestAdjacencyKNNMatchesBrute(t *testing.T) {
 	sub, sites := testutil.RandomVoronoi(t, 70, 9301)
 	adj, err := BuildAdjacency(sub, sub.Area, sites)

@@ -368,6 +368,13 @@ func (s *Continuous) ensureDirectory(entry int) error {
 // probe, then either revalidate the cached seed against clamp(p, rect),
 // re-descend after a boundary crossing, or re-acquire the appendix after a
 // generation change (always in fresh mode).
+//
+// On every channel but the home one, clamp(p, rect) lies on the shard
+// rectangle's border, where the D-tree descent is not exact: it may land a
+// few cells away from the point, and a window walk flooding from such a
+// seed can miss the cells that meet its rectangle. Every located seed is
+// therefore settled on the region that contains the clamped point, by a
+// walk over the cached adjacency table that costs no tuning.
 func (s *Continuous) ensure(ch int, p geom.Point, out *ContCycle) (*contChan, error) {
 	cc := s.chans[ch]
 	if cc.stamp == s.stamp {
@@ -395,7 +402,7 @@ func (s *Continuous) ensure(ch int, p geom.Point, out *ContCycle) (*contChan, er
 	if err != nil {
 		return nil, err
 	}
-	cc.seed = seed
+	cc.seed = cc.adj.Settle(seed, q)
 	cc.crossed = true
 	return cc, nil
 }
@@ -427,11 +434,12 @@ func (s *Continuous) acquireChan(ch int, cli *stream.Client, cc *contChan, p geo
 	for i := 0; i < adj.N(); i++ {
 		cc.localOf[adj.GlobalID(i)] = i
 	}
-	seed, err := cli.LocateShifted(clampPoint(p, cc.rect), s.d+count, &cc.res)
+	q := clampPoint(p, cc.rect)
+	seed, err := cli.LocateShifted(q, s.d+count, &cc.res)
 	if err != nil {
 		return err
 	}
-	cc.seed = seed
+	cc.seed = adj.Settle(seed, q)
 	cc.gen, cc.genValid = cc.res.Generation, true
 	cc.refreshed = true
 	return nil

@@ -22,9 +22,9 @@ func benchProgram(b *testing.B, n, capacity int) *Program {
 // BenchmarkTransmitHotPath measures the per-frame cost of the transmit hot
 // path exactly as the live server runs it: no fault middleware, shared
 // server metrics attached — every frame outcome is counted. bytes/op is
-// the wire rate; allocs/op must be 0 (instrumentation is atomic adds into
-// pre-resolved counters; TestTransmitHotPathZeroAlloc enforces the same
-// contract as a hard test failure).
+// the wire rate; allocs/op must be 0 (the counts are published into
+// pre-resolved counters once per flush; TestTransmitHotPathZeroAlloc
+// enforces the same contract as a hard test failure).
 func BenchmarkTransmitHotPath(b *testing.B) {
 	prog := benchProgram(b, 200, 256)
 	m := NewMetrics()
@@ -41,7 +41,7 @@ func BenchmarkTransmitHotPath(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	bw.Flush() //nolint:errcheck
+	tx.flush(bw) //nolint:errcheck // publishes the pending counts
 	if got := m.FramesWritten.Load(); got != int64(b.N) {
 		b.Fatalf("metrics counted %d frames, wrote %d", got, b.N)
 	}
@@ -99,9 +99,8 @@ func BenchmarkTransmitPerfectChannel(b *testing.B) {
 	bw.Flush() //nolint:errcheck
 }
 
-// BenchmarkTransmitLossyChannel measures the copy-on-corrupt path: every
-// frame is copied into pooled scratch so the fault middleware can mutate
-// bytes without touching the shared rendered cycle.
+// BenchmarkTransmitLossyChannel measures the fault-channel path: the
+// middleware drops or corrupts frames in place in the write buffer.
 func BenchmarkTransmitLossyChannel(b *testing.B) {
 	prog := benchProgram(b, 200, 256)
 	spec := channel.Spec{Loss: 0.05, Burst: 4, Corrupt: 0.01, Seed: 1}

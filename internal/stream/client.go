@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 
 	"airindex/internal/core"
@@ -17,7 +18,9 @@ import (
 // queries with the paper's access protocol. "Dozing" over a byte stream
 // means reading a frame's header and discarding its payload unparsed; the
 // tuning counters track only fully parsed (downloaded) packets, mirroring
-// the paper's energy model.
+// the paper's energy model. Headers are parsed in place from the read
+// buffer, and a run of unwanted frames already buffered is dozed through
+// with one discard (skim), so dozing costs no allocation and no copy.
 //
 // The client survives unreliable channels: corruption is detected by the
 // frame checksum, loss by gaps in the strictly-increasing slot numbers,
@@ -160,9 +163,15 @@ func Dial(addr string, capacity int) (*Client, error) {
 	return c, nil
 }
 
+// rxBufSize is the client's read-buffer size: one read syscall per ~64 KB
+// of broadcast, and the span one skim can doze through.
+const rxBufSize = 64 << 10
+
 // NewClient wraps any frame stream (e.g. one end of net.Pipe in tests).
+// The read buffer holds at least one whole frame, so payloads can be
+// checked in place.
 func NewClient(r io.Reader, capacity int) *Client {
-	return &Client{r: bufio.NewReaderSize(r, 64<<10), capacity: capacity}
+	return &Client{r: bufio.NewReaderSize(r, max(rxBufSize, headerSize+capacity)), capacity: capacity}
 }
 
 // Close closes the underlying connection, if any.
@@ -175,12 +184,22 @@ func (c *Client) Close() error {
 
 // advance reads one frame; parseIf decides — from the header alone, as a
 // real receiver must — whether to download the payload or doze through it.
-// The payload is nil when dozed; corrupt reports a downloaded payload that
-// failed the checksum (the payload is withheld, the header — which the
-// channel never damages — is still returned). Slot gaps left by dropped
-// frames are tallied into res.LostSlots.
+// The payload is nil when dozed; a downloaded payload aliases the read
+// buffer and is valid only until the next read from the stream. corrupt
+// reports a downloaded payload that failed the checksum (the payload is
+// withheld, the header — which the channel never damages — is still
+// returned). Slot gaps left by dropped frames are tallied into
+// res.LostSlots. Whatever the outcome, advance consumes exactly the bytes
+// a copying reader would have: a whole frame, or a rejected header, or the
+// fragment the stream ended on.
 func (c *Client) advance(res *Result, parseIf func(Header) bool) (Header, []byte, bool, error) {
-	h, err := readHeader(c.r)
+	b, err := c.r.Peek(headerSize)
+	if err != nil {
+		c.r.Discard(len(b)) //nolint:errcheck // buffered bytes
+		return Header{}, nil, false, shortRead(len(b), err)
+	}
+	h, err := parseHeader(b)
+	c.r.Discard(headerSize) //nolint:errcheck // buffered bytes
 	if err != nil {
 		return Header{}, nil, false, err
 	}
@@ -213,9 +232,10 @@ func (c *Client) advance(res *Result, parseIf func(Header) bool) (Header, []byte
 		}
 		return h, nil, false, nil
 	}
-	payload := make([]byte, h.PayloadLen)
-	if _, err := io.ReadFull(c.r, payload); err != nil {
-		return Header{}, nil, false, err
+	payload, err := c.r.Peek(int(h.PayloadLen))
+	c.r.Discard(len(payload)) //nolint:errcheck // buffered bytes
+	if err != nil {
+		return Header{}, nil, false, shortRead(len(payload), err)
 	}
 	if Checksum(payload) != h.CRC {
 		if res != nil {
@@ -226,7 +246,54 @@ func (c *Client) advance(res *Result, parseIf func(Header) bool) (Header, []byte
 	return h, payload, false, nil
 }
 
-func parseAlways(Header) bool { return true }
+// shortRead turns the error of a Peek that returned only got bytes into
+// the one io.ReadFull reports for the same stream: io.EOF only when nothing
+// at all was left.
+func shortRead(got int, err error) error {
+	if err == io.EOF && got > 0 {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// skim dozes through the frames already whole in the read buffer that doze
+// accepts, at most limit of them, with one Discard for the lot. Each frame
+// gets every check and count advance gives a dozed frame — magic and
+// version, payload length, the generation pin, slot gaps into
+// res.LostSlots, res.DozedFrames and res.LastSlot — and skim stops, without
+// consuming it, at the first frame advance must handle instead: a bad
+// header, a foreign payload size, a new generation under a pinned epoch, a
+// frame doze rejects, or one not yet wholly buffered. It returns how many
+// frames it dozed.
+func (c *Client) skim(res *Result, limit int, doze func(Header) bool) int {
+	buf, _ := c.r.Peek(c.r.Buffered())
+	size := headerSize + c.capacity
+	cur, started := c.cur, c.started
+	n, off := 0, 0
+	for n < limit && len(buf)-off >= headerSize {
+		h, err := parseHeader(buf[off:])
+		if err != nil || int(h.PayloadLen) != c.capacity || len(buf)-off < size ||
+			(c.genPinned && h.Gen != c.expectGen) || !doze(h) {
+			break
+		}
+		if started && h.Slot > cur.Slot+1 {
+			res.LostSlots += int(h.Slot - cur.Slot - 1)
+		}
+		cur, started = h, true
+		off += size
+		n++
+	}
+	if n > 0 {
+		c.cur, c.started = cur, true
+		res.LastSlot = int(cur.Slot)
+		res.DozedFrames += n
+		c.r.Discard(off) //nolint:errcheck // buffered bytes
+	}
+	return n
+}
+
+func always(Header) bool { return true }
+func never(Header) bool  { return false }
 
 // seek dozes until the frame at the given absolute slot arrives and parses
 // it. Under loss the target frame may never arrive: the first header at a
@@ -235,7 +302,9 @@ func parseAlways(Header) bool { return true }
 // pointer. The slot the radio was awake for with nothing decodable to show
 // is charged to TuneRecover.
 func (c *Client) seek(target int, res *Result) (Header, []byte, bool, bool, error) {
+	before := func(h Header) bool { return int(h.Slot) < target }
 	for {
+		c.skim(res, math.MaxInt, before)
 		h, payload, corrupt, err := c.advance(res, func(h Header) bool { return int(h.Slot) == target })
 		if err != nil {
 			return Header{}, nil, false, false, err
@@ -330,7 +399,7 @@ func (c *Client) Probe(res *Result) error {
 		// within a session (epoch restarts, hops sharing the Result) append.
 		c.steps = c.steps[:0]
 	}
-	probe, _, _, err := c.advance(res, parseAlways)
+	probe, _, _, err := c.advance(res, always)
 	if err != nil {
 		return err
 	}
@@ -381,7 +450,8 @@ func (c *Client) fetchIndexPacket(res *Result, off int) ([]byte, error) {
 		}
 		res.TuneIndex++
 		c.step(obs.StepIndex, int(h.Slot), off)
-		return payload, nil
+		// The payload aliases the read buffer; callers keep index packets.
+		return append([]byte(nil), payload...), nil
 	}
 	return nil, fmt.Errorf("stream: index packet %d unreachable after %d attempts", off, maxIndexAttempts)
 }
@@ -415,11 +485,15 @@ func (c *Client) queryOnce(p geom.Point, res *Result, restart, skip int, resume 
 		// Backoff after an epoch restart: doze restart frames before
 		// re-probing, so consecutive restarts spread out instead of hammering
 		// the stream the instant each new generation appears.
-		for i := 0; i < restart; i++ {
-			if _, _, _, err := c.advance(res, func(Header) bool { return false }); err != nil {
+		for left := restart; left > 0; {
+			if left -= c.skim(res, left, always); left == 0 {
+				break
+			}
+			if _, _, _, err := c.advance(res, never); err != nil {
 				return err
 			}
 			res.DozedFrames++
+			left--
 		}
 		if err := c.Probe(res); err != nil {
 			return err
@@ -505,7 +579,12 @@ func (c *Client) fetchBucket(bucket int, res *Result) error {
 		attempts++
 		return attempts < maxBucketAttempts
 	}
+	unwanted := func(h Header) bool { return !wants(h) }
 	for {
+		if collected == 0 {
+			// Doze through everything buffered ahead of the bucket start.
+			c.skim(res, math.MaxInt, unwanted)
+		}
 		h, payload, corrupt, err := c.advance(res, wants)
 		if err != nil {
 			return err

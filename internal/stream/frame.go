@@ -115,25 +115,34 @@ func writeFrame(w io.Writer, h Header, payload []byte) error {
 	return err
 }
 
-// readHeader reads and validates a frame header.
+// readHeader reads and validates a frame header from any reader. The
+// client parses headers in place from its read buffer instead (parseHeader
+// over a Peek), so this copy-out form serves tests and tools.
 func readHeader(r io.Reader) (Header, error) {
 	var buf [headerSize]byte
 	if _, err := io.ReadFull(r, buf[:]); err != nil {
 		return Header{}, err
 	}
-	if binary.LittleEndian.Uint16(buf[0:]) != frameMagic {
+	return parseHeader(buf[:])
+}
+
+// parseHeader validates and decodes the frame header at the start of b,
+// which must hold at least headerSize bytes.
+func parseHeader(b []byte) (Header, error) {
+	b = b[:headerSize]
+	if binary.LittleEndian.Uint16(b[0:]) != frameMagic {
 		return Header{}, fmt.Errorf("stream: bad frame magic")
 	}
-	if buf[3] != frameVersion {
-		return Header{}, fmt.Errorf("stream: frame version %d, this client speaks %d", buf[3], frameVersion)
+	if b[3] != frameVersion {
+		return Header{}, fmt.Errorf("stream: frame version %d, this client speaks %d", b[3], frameVersion)
 	}
 	return Header{
-		Kind:       buf[2],
-		Slot:       binary.LittleEndian.Uint32(buf[4:]),
-		Seq:        binary.LittleEndian.Uint32(buf[8:]),
-		PayloadLen: binary.LittleEndian.Uint16(buf[12:]),
-		NextIndex:  uint32(binary.LittleEndian.Uint16(buf[14:])),
-		Gen:        binary.LittleEndian.Uint32(buf[16:]),
-		CRC:        binary.LittleEndian.Uint32(buf[20:]),
+		Kind:       b[2],
+		Slot:       binary.LittleEndian.Uint32(b[4:]),
+		Seq:        binary.LittleEndian.Uint32(b[8:]),
+		PayloadLen: binary.LittleEndian.Uint16(b[12:]),
+		NextIndex:  uint32(binary.LittleEndian.Uint16(b[14:])),
+		Gen:        binary.LittleEndian.Uint32(b[16:]),
+		CRC:        binary.LittleEndian.Uint32(b[20:]),
 	}, nil
 }

@@ -3,7 +3,8 @@ package stream
 import (
 	"bufio"
 	"encoding/binary"
-	"sync"
+	"fmt"
+	"io"
 
 	"airindex/internal/channel"
 )
@@ -13,7 +14,8 @@ import (
 // slot s % cycleLen. renderedCycle exploits that by rendering every frame
 // of one cycle exactly once — header template (slot field zero-adjusted at
 // transmit time), payload bytes, and payload CRC — so the per-frame work of
-// the serving hot path collapses to "patch 4 bytes, write two slices".
+// the serving hot path collapses to "copy the frame into the write buffer,
+// patch 8 bytes".
 // The table is immutable after renderCycle returns and is shared read-only
 // by every connection goroutine.
 
@@ -60,24 +62,17 @@ func renderCycle(p *Program) (*renderedCycle, error) {
 	return rc, nil
 }
 
-// framePool holds full-frame scratch buffers for the copy-on-corrupt path:
-// the fault middleware mutates frame bytes in place (bit corruption), so a
-// connection with a fault channel must copy the shared rendered frame into
-// private scratch before handing it over. Perfect-channel connections never
-// touch the pool.
-var framePool = sync.Pool{
-	New: func() any { return new([]byte) },
-}
-
 // transmitter is one connection's view of the rendered broadcast: the
-// shared frame table, the connection's optional fault channel, the metrics
-// sink frame outcomes are counted into, and a persistent header scratch so
-// the perfect-channel path allocates nothing per frame.
+// shared frame table, the connection's optional fault channel, and the
+// metrics sink frame outcomes are counted into. Frames and bytes written
+// since the last flush are held here and published to the metrics once per
+// flush (publish), not with two atomics per frame.
 type transmitter struct {
-	rc  *renderedCycle
-	ch  *channel.Channel
-	m   *Metrics
-	hdr [headerSize]byte
+	rc *renderedCycle
+	ch *channel.Channel
+	m  *Metrics
+
+	frames, bytes int64 // written to the buffer, not yet published
 }
 
 // transmitter builds the per-connection transmit state, rendering the
@@ -94,52 +89,83 @@ func (p *Program) transmitter(ch *channel.Channel, m *Metrics) (*transmitter, er
 	return &transmitter{rc: rc, ch: ch, m: m}, nil
 }
 
+// newTxWriter returns the write buffer a transmitter assembles frames in:
+// txBufSize, or one frame if that is larger.
+func newTxWriter(w io.Writer, p *Program) *bufio.Writer {
+	return bufio.NewWriterSize(w, max(txBufSize, headerSize+p.Capacity))
+}
+
+// retune points the transmitter at another program's rendered cycle, for a
+// hot swap mid-connection. The fault channel and the pending counts carry
+// over; the capacity, and so the frame size, is the same across a swap.
+func (t *transmitter) retune(p *Program) error {
+	rc, err := p.Rendered()
+	if err != nil {
+		return err
+	}
+	t.rc = rc
+	return nil
+}
+
+// publish adds the counts pending since the last publish to the metrics.
+func (t *transmitter) publish() {
+	if t.frames != 0 {
+		t.m.FramesWritten.Add(t.frames)
+		t.m.BytesWritten.Add(t.bytes)
+		t.frames, t.bytes = 0, 0
+	}
+}
+
+// flush writes the buffered frames out and publishes their counts, so the
+// wire counters are exact after every flush.
+func (t *transmitter) flush(w *bufio.Writer) error {
+	err := w.Flush()
+	t.publish()
+	return err
+}
+
 // transmitSlot writes the frame whose content sits at cycle position rel,
 // stamped with the absolute slot number abs and the program generation gen
 // (both header patches; the payload CRC is unaffected). abs and rel differ
 // once a hot swap has replaced the program mid-connection: slot numbering
 // runs on uninterrupted while content restarts at the new cycle's origin.
-// The perfect-channel path patches the connection's header scratch and
-// writes the shared payload without copying or allocating; the fault path
-// assembles the frame in pooled scratch (the middleware may flip payload
-// bits), forwards it through the channel, and writes it unless dropped. A
-// dropped frame writes nothing: its slot elapses silently and the next
-// frame's slot number reveals the gap to the receiver.
+//
+// The frame is assembled once, in place in w's free buffer space: header
+// template, payload, then the two patches. The bytes are the writer's own,
+// never the shared rendered cycle, so the fault middleware may flip payload
+// bits in them directly; a dropped frame is simply never committed, its
+// slot elapses silently and the next frame's slot number reveals the gap to
+// the receiver. Nothing is allocated per frame.
 func (t *transmitter) transmitSlot(w *bufio.Writer, abs, rel int, gen uint32) error {
 	f := &t.rc.frames[rel%len(t.rc.frames)]
-	if t.ch == nil {
-		copy(t.hdr[:], f.hdr[:])
-		binary.LittleEndian.PutUint32(t.hdr[4:], uint32(abs))
-		binary.LittleEndian.PutUint32(t.hdr[16:], gen)
-		if _, err := w.Write(t.hdr[:]); err != nil {
+	size := t.rc.frameSize
+	if w.Available() < size {
+		if err := t.flush(w); err != nil {
 			return err
 		}
-		if _, err := w.Write(f.payload); err != nil {
-			return err
+		if w.Available() < size {
+			return fmt.Errorf("stream: %d-byte frame exceeds the %d-byte write buffer", size, w.Size())
 		}
-		t.m.FramesWritten.Inc()
-		t.m.BytesWritten.Add(int64(headerSize + len(f.payload)))
-		return nil
 	}
-	bp := framePool.Get().(*[]byte)
-	buf := append((*bp)[:0], f.hdr[:]...)
-	buf = append(buf, f.payload...)
+	buf := w.AvailableBuffer()[:size]
+	copy(buf, f.hdr[:])
+	copy(buf[headerSize:], f.payload)
 	binary.LittleEndian.PutUint32(buf[4:], uint32(abs))
 	binary.LittleEndian.PutUint32(buf[16:], gen)
-	var err error
-	switch t.ch.TransmitFault(buf, headerSize) {
-	case channel.Drop:
-		t.m.FramesDropped.Inc()
-	case channel.Corrupt:
-		t.m.FramesCorrupted.Inc()
-		fallthrough
-	default:
-		if _, err = w.Write(buf); err == nil {
-			t.m.FramesWritten.Inc()
-			t.m.BytesWritten.Add(int64(len(buf)))
+	if t.ch != nil {
+		switch t.ch.TransmitFault(buf, headerSize) {
+		case channel.Drop:
+			t.m.FramesDropped.Inc()
+			return nil
+		case channel.Corrupt:
+			t.m.FramesCorrupted.Inc()
 		}
 	}
-	*bp = buf
-	framePool.Put(bp)
-	return err
+	// Commit the assembled bytes: Write copies buf onto itself.
+	if _, err := w.Write(buf); err != nil {
+		return err
+	}
+	t.frames++
+	t.bytes += int64(size)
+	return nil
 }

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -350,11 +349,12 @@ func (w *deadlineWriter) Write(p []byte) (int, error) {
 }
 
 // streamTo broadcasts frames to one connection until it errors or the
-// server stops. Frames come from the shared rendered cycle — the
-// perfect-channel path performs no per-frame allocation or copying beyond
-// the 24-byte header patch. Writes are buffered (one syscall per ~64 KB
-// instead of per frame); with real-time pacing every frame is flushed on
-// its slot tick.
+// server stops. Frames come from the shared rendered cycle and are
+// assembled once, in place in the connection's write buffer — the
+// perfect-channel path performs no per-frame allocation. Writes are
+// buffered (one syscall per ~64 KB instead of per frame); with real-time
+// pacing every frame is flushed on its slot tick. The wire counters are
+// published on every flush and on every exit.
 //
 // At every cycle boundary the goroutine checks for a swapped program and,
 // when draining, exits — so a graceful shutdown always completes the cycle
@@ -375,23 +375,23 @@ func (s *Server) streamTo(conn net.Conn) {
 	if err != nil {
 		return
 	}
+	defer tx.publish()
 	cycle := lp.prog.Sched.CycleLen()
 	// Content position is slot-contentBase: zero for a fresh connection
 	// (frame content at absolute slot s is s % cycle, as always), rebased
 	// to the swap slot when a new program takes over mid-connection.
 	contentBase := 0
-	bw := bufio.NewWriterSize(&deadlineWriter{conn: conn, timeout: s.WriteTimeout}, txBufSize)
+	bw := newTxWriter(&deadlineWriter{conn: conn, timeout: s.WriteTimeout}, lp.prog)
 	for !s.closed.Load() {
 		if (slot-contentBase)%cycle == 0 {
 			if s.draining.Load() {
 				break
 			}
 			if next := s.cur.Load(); next.gen != lp.gen {
-				ntx, terr := next.prog.transmitter(ch, s.metrics)
-				if terr != nil {
+				if err := tx.retune(next.prog); err != nil {
 					return
 				}
-				lp, tx = next, ntx
+				lp = next
 				cycle = lp.prog.Sched.CycleLen()
 				contentBase = slot
 			}
@@ -402,14 +402,14 @@ func (s *Server) streamTo(conn net.Conn) {
 		}
 		slot++
 		if s.SlotDuration > 0 {
-			if err := bw.Flush(); err != nil {
+			if err := tx.flush(bw); err != nil {
 				s.noteWriteError(conn, err)
 				return
 			}
 			time.Sleep(s.SlotDuration)
 		}
 	}
-	bw.Flush() //nolint:errcheck
+	tx.flush(bw) //nolint:errcheck
 }
 
 // noteWriteError classifies a failed connection write: a deadline
@@ -433,13 +433,15 @@ func (p *Program) Transmit(w io.Writer, startSlot int, ch *channel.Channel) erro
 
 // TransmitObserved is Transmit recording frame counters into m (nil
 // allocates a private, unread set), so listener-less experiments report
-// the same wire-side metrics a live server would.
+// the same wire-side metrics a live server would. The counters are
+// published per flush and are exact once it returns.
 func (p *Program) TransmitObserved(w io.Writer, startSlot int, ch *channel.Channel, m *Metrics) error {
 	tx, err := p.transmitter(ch, m)
 	if err != nil {
 		return err
 	}
-	bw := bufio.NewWriterSize(w, txBufSize)
+	defer tx.publish()
+	bw := newTxWriter(w, p)
 	for slot := startSlot; ; slot++ {
 		if err := tx.transmitSlot(bw, slot, slot, 1); err != nil {
 			return err

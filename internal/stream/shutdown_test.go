@@ -125,8 +125,11 @@ func TestShutdownForceClosesOnDeadline(t *testing.T) {
 	}
 	defer conn.Close()
 	// Never read: the server's writes back up and its goroutine blocks, so
-	// the drain can only finish by force.
-	time.Sleep(20 * time.Millisecond)
+	// the drain can only finish by force. The wire counters are published
+	// per flush, so once they stop growing the connection's writer is
+	// stuck on backpressure; a fixed sleep may not fill the socket buffers
+	// on a slow machine, and the drain would then reach a cycle boundary.
+	awaitWriteBackpressure(t, srv)
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	if err := srv.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
@@ -134,6 +137,24 @@ func TestShutdownForceClosesOnDeadline(t *testing.T) {
 	}
 	if err := waitServe(t, serveErr); !errors.Is(err, ErrServerClosed) {
 		t.Fatalf("Serve returned %v, want ErrServerClosed", err)
+	}
+}
+
+// awaitWriteBackpressure waits until the server's BytesWritten has held
+// still for a while after growing: every connection is blocked writing.
+func awaitWriteBackpressure(t *testing.T, srv *Server) {
+	t.Helper()
+	const still = 100 * time.Millisecond
+	deadline := time.Now().Add(30 * time.Second)
+	last, since := srv.Metrics().BytesWritten.Load(), time.Now()
+	for last == 0 || time.Since(since) < still {
+		if time.Now().After(deadline) {
+			t.Fatalf("server writes never stalled (%d bytes written)", last)
+		}
+		time.Sleep(5 * time.Millisecond)
+		if n := srv.Metrics().BytesWritten.Load(); n != last {
+			last, since = n, time.Now()
+		}
 	}
 }
 
