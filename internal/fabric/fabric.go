@@ -5,13 +5,11 @@ import (
 	"fmt"
 	"sync"
 
-	"airindex/internal/broadcast"
 	"airindex/internal/core"
 	"airindex/internal/geom"
 	"airindex/internal/region"
 	"airindex/internal/stream"
 	"airindex/internal/voronoi"
-	"airindex/internal/wire"
 )
 
 // sliverArea drops clip residue: a global cell whose intersection with a
@@ -31,28 +29,36 @@ type clippedRegion struct {
 	poly geom.Polygon
 }
 
-// clipShard cuts the global subdivision down to one shard rectangle,
-// returning the surviving pieces in global-id order. globalIDs maps region
-// index to global data-instance id; nil means the identity (region index
-// is the id). Cells straddling a shard boundary appear in every shard they
+// clipShard cuts the global cells (ids[i] owns polys[i]) down to one
+// shard rectangle, returning the surviving pieces in cell (global-id)
+// order. Cells straddling a shard boundary appear in every shard they
 // intersect — honest data replication, charged to each shard's cycle.
-func clipShard(sub *region.Subdivision, globalIDs []int, rect geom.Rect) []clippedRegion {
+func clipShard(ids []int, polys []geom.Polygon, rect geom.Rect) []clippedRegion {
 	var out []clippedRegion
-	for i, r := range sub.Regions {
-		if !r.Bounds().Intersects(rect) {
+	for i, poly := range polys {
+		if !poly.Bounds().Intersects(rect) {
 			continue
 		}
-		piece := geom.ClipRect(r.Poly, rect)
+		piece := geom.ClipRect(poly, rect)
 		if piece == nil || piece.Area() <= sliverArea {
 			continue
 		}
-		id := i
-		if globalIDs != nil {
-			id = globalIDs[i]
-		}
-		out = append(out, clippedRegion{id: id, poly: piece})
+		out = append(out, clippedRegion{id: ids[i], poly: piece})
 	}
 	return out
+}
+
+// globalCells lists a global subdivision's regions for clipShard.
+// globalIDs maps region index to global data-instance id; nil means the
+// identity (region index is the id).
+func globalCells(sub *region.Subdivision, globalIDs []int) ([]int, []geom.Polygon) {
+	if globalIDs == nil {
+		globalIDs = make([]int, sub.N())
+		for i := range globalIDs {
+			globalIDs[i] = i
+		}
+	}
+	return globalIDs, regionPolys(sub)
 }
 
 func equalClips(a, b []clippedRegion) bool {
@@ -104,9 +110,6 @@ type Fabric struct {
 
 // Options tunes the fabric build.
 type Options struct {
-	// M is the index copies per shard cycle; <= 0 picks each shard's
-	// optimal m independently.
-	M int
 	// BuildWorkers bounds the per-shard D-tree build parallelism; <= 0
 	// uses the core default.
 	BuildWorkers int
@@ -117,15 +120,15 @@ type Options struct {
 	// global data-instance ids, so hopping clients union per-shard answers
 	// and break kNN ties in the global numbering without bucket downloads.
 	Adjacency bool
-	// SiteOf resolves a global data-instance id to its site location while
-	// compiling adjacency tables. Build, NewSwapper and RestoreSnapshotDir
-	// fill it in from their site source when left nil.
-	SiteOf func(globalID int) (geom.Point, error)
 }
 
-// siteOfSlice is the SiteOf for identity-numbered site slices (Build,
+// siteOf resolves a global data-instance id to its site location while
+// compiling adjacency tables.
+type siteOf func(globalID int) (geom.Point, error)
+
+// siteOfSlice is the siteOf for identity-numbered site slices (Build,
 // RestoreSnapshotDir).
-func siteOfSlice(sites []geom.Point) func(int) (geom.Point, error) {
+func siteOfSlice(sites []geom.Point) siteOf {
 	return func(id int) (geom.Point, error) {
 		if id < 0 || id >= len(sites) {
 			return geom.Point{}, fmt.Errorf("fabric: global id %d outside %d sites", id, len(sites))
@@ -134,45 +137,29 @@ func siteOfSlice(sites []geom.Point) func(int) (geom.Point, error) {
 	}
 }
 
-// shardAdjacencyPackets attaches the shard's adjacency table to its arena
-// when the options ask for one (skipped when the arena already carries a
-// table, e.g. restored from a v2 snapshot) and returns the appendix packets
-// to splice between the directory and the tree — nil when the broadcast
-// carries no table.
-func shardAdjacencyPackets(flat *core.FlatPaged, sub *region.Subdivision, rect geom.Rect, ids []int, capacity int, opts Options) ([][]byte, error) {
-	if opts.Adjacency && flat.Flat.Adjacency() == nil {
-		if opts.SiteOf == nil {
-			return nil, fmt.Errorf("fabric: Options.Adjacency requires SiteOf")
-		}
-		sites := make([]geom.Point, len(ids))
-		for i, id := range ids {
-			p, err := opts.SiteOf(id)
-			if err != nil {
-				return nil, err
-			}
-			sites[i] = p
-		}
-		adj, err := core.BuildAdjacency(sub, rect, sites)
-		if err != nil {
-			return nil, err
-		}
-		gids := make([]int32, len(ids))
-		for i, id := range ids {
-			gids[i] = int32(id)
-		}
-		adj.IDs = gids
-		if err := adj.Validate(); err != nil {
-			return nil, err
-		}
-		if err := flat.Flat.SetAdjacency(adj); err != nil {
-			return nil, err
-		}
+// shardChannel describes channel ch to the stream compiler: its directory
+// copy, stamped with ch, leads every index copy, and the data packets and
+// the adjacency table carry global data-instance ids. sites resolves those
+// ids when the options ask for adjacency.
+func shardChannel(dir *Directory, ch int, rect geom.Rect, capacity int, opts Options, sites siteOf) (stream.Channel, error) {
+	if opts.Adjacency && sites == nil {
+		return stream.Channel{}, fmt.Errorf("fabric: Options.Adjacency needs the site locations")
 	}
-	adj := flat.Flat.Adjacency()
-	if adj == nil {
-		return nil, nil
+	prefix, err := dir.EncodePackets(capacity, ch)
+	if err != nil {
+		return stream.Channel{}, err
 	}
-	return adj.EncodePackets(capacity)
+	sc := stream.Channel{
+		Area:         rect,
+		Capacity:     capacity,
+		Prefix:       prefix,
+		Stamp:        func(ids []int) func(bucket, pkt int) []byte { return DataStamp(capacity, ids) },
+		BuildWorkers: opts.BuildWorkers,
+	}
+	if opts.Adjacency {
+		sc.SiteOf = sites
+	}
+	return sc, nil
 }
 
 // Build partitions the sites into S shards and compiles the whole fabric
@@ -180,9 +167,6 @@ func shardAdjacencyPackets(flat *core.FlatPaged, sub *region.Subdivision, rect g
 // program per shard. S = 1 degenerates to a single channel that still
 // carries a one-leaf directory.
 func Build(area geom.Rect, sites []geom.Point, S, capacity int, opts Options) (*Fabric, error) {
-	if opts.Adjacency && opts.SiteOf == nil {
-		opts.SiteOf = siteOfSlice(sites)
-	}
 	sub, err := voronoi.Subdivision(area, sites)
 	if err != nil {
 		return nil, err
@@ -191,13 +175,19 @@ func Build(area geom.Rect, sites []geom.Point, S, capacity int, opts Options) (*
 	if err != nil {
 		return nil, err
 	}
-	return FromSubdivision(sub, nil, dir, rects, capacity, opts)
+	return fromSubdivision(sub, nil, dir, rects, capacity, opts, siteOfSlice(sites))
 }
 
 // FromSubdivision compiles a fabric from an existing global subdivision
 // (the swapper's incremental snapshots enter here). globalIDs maps region
-// index to global data-instance id (nil = identity).
+// index to global data-instance id (nil = identity). A subdivision carries
+// no site locations, so Options.Adjacency is an error here; Build and
+// NewSwapper compile adjacency fabrics.
 func FromSubdivision(sub *region.Subdivision, globalIDs []int, dir *Directory, rects []geom.Rect, capacity int, opts Options) (*Fabric, error) {
+	return fromSubdivision(sub, globalIDs, dir, rects, capacity, opts, nil)
+}
+
+func fromSubdivision(sub *region.Subdivision, globalIDs []int, dir *Directory, rects []geom.Rect, capacity int, opts Options, sites siteOf) (*Fabric, error) {
 	if len(rects) != dir.S {
 		return nil, fmt.Errorf("fabric: %d rects for %d channels", len(rects), dir.S)
 	}
@@ -213,14 +203,14 @@ func FromSubdivision(sub *region.Subdivision, globalIDs []int, dir *Directory, r
 		Rects:      rects,
 		Shards:     make([]*Shard, dir.S),
 	}
+	ids, polys := globalCells(sub, globalIDs)
 	var wg sync.WaitGroup
 	errs := make([]error, dir.S)
 	for ch := 0; ch < dir.S; ch++ {
 		wg.Add(1)
 		go func(ch int) {
 			defer wg.Done()
-			clips := clipShard(sub, globalIDs, rects[ch])
-			f.Shards[ch], errs[ch] = compileShard(dir, ch, rects[ch], clips, capacity, opts)
+			f.Shards[ch], errs[ch] = compileShard(dir, ch, rects[ch], clipShard(ids, polys, rects[ch]), capacity, opts, sites)
 		}(ch)
 	}
 	wg.Wait()
@@ -232,16 +222,24 @@ func FromSubdivision(sub *region.Subdivision, globalIDs []int, dir *Directory, r
 	return f, nil
 }
 
+// splitClips returns the clips' global ids and polygons in clip order.
+func splitClips(clips []clippedRegion) (ids []int, polys []geom.Polygon) {
+	ids = make([]int, len(clips))
+	polys = make([]geom.Polygon, len(clips))
+	for i, c := range clips {
+		ids[i], polys[i] = c.id, c.poly
+	}
+	return ids, polys
+}
+
 // weldClips welds a shard's clipped pieces into its local subdivision and
 // extracts the bucket -> global-id mapping, shared by the from-scratch
 // compile and the snapshot restore.
 func weldClips(ch int, rect geom.Rect, clips []clippedRegion) (*region.Subdivision, []int, error) {
-	polys := make([]geom.Polygon, len(clips))
-	ids := make([]int, len(clips))
-	for i, c := range clips {
-		polys[i] = c.poly
-		ids[i] = c.id
+	if len(clips) == 0 {
+		return nil, nil, fmt.Errorf("fabric: shard %d covers no regions", ch)
 	}
+	ids, polys := splitClips(clips)
 	sub, err := region.New(rect, polys)
 	if err != nil {
 		return nil, nil, fmt.Errorf("fabric: shard %d subdivision: %w", ch, err)
@@ -252,79 +250,38 @@ func weldClips(ch int, rect geom.Rect, clips []clippedRegion) (*region.Subdivisi
 	return sub, ids, nil
 }
 
-// compileShard builds one channel's program: weld the clipped pieces into
-// a shard-local subdivision, build and page its D-tree, and prefix the
-// channel directory (stamped with this channel) to the index packets.
-func compileShard(dir *Directory, ch int, rect geom.Rect, clips []clippedRegion, capacity int, opts Options) (*Shard, error) {
-	if len(clips) == 0 {
-		return nil, fmt.Errorf("fabric: shard %d covers no regions", ch)
+// compileShard builds one channel's program from scratch: weld the clipped
+// pieces into a shard-local subdivision and compile it as a stream channel
+// led by the directory.
+func compileShard(dir *Directory, ch int, rect geom.Rect, clips []clippedRegion, capacity int, opts Options, sites siteOf) (*Shard, error) {
+	sc, err := shardChannel(dir, ch, rect, capacity, opts, sites)
+	if err != nil {
+		return nil, err
 	}
 	sub, ids, err := weldClips(ch, rect, clips)
 	if err != nil {
 		return nil, err
 	}
-	var buildOpts []core.BuildOption
-	if opts.BuildWorkers > 0 {
-		buildOpts = append(buildOpts, core.WithBuildWorkers(opts.BuildWorkers))
-	}
-	tree, err := core.Build(sub, buildOpts...)
+	cut, err := sc.Build(sub, ids)
 	if err != nil {
-		return nil, fmt.Errorf("fabric: shard %d tree: %w", ch, err)
+		return nil, fmt.Errorf("fabric: shard %d: %w", ch, err)
 	}
-	params := wire.DTreeParams(capacity)
-	paged, err := tree.Page(params)
-	if err != nil {
-		return nil, fmt.Errorf("fabric: shard %d paging: %w", ch, err)
-	}
-	flat := paged.Flatten()
-	adjPkts, err := shardAdjacencyPackets(flat, sub, rect, ids, capacity, opts)
-	if err != nil {
-		return nil, fmt.Errorf("fabric: shard %d adjacency: %w", ch, err)
-	}
-	treePkts, err := flat.EncodePackets()
-	if err != nil {
-		return nil, fmt.Errorf("fabric: shard %d encoding: %w", ch, err)
-	}
-	dirPkts, err := dir.EncodePackets(capacity, ch)
-	if err != nil {
-		return nil, err
-	}
-	indexPkts := make([][]byte, 0, len(dirPkts)+len(adjPkts)+len(treePkts))
-	indexPkts = append(indexPkts, dirPkts...)
-	indexPkts = append(indexPkts, adjPkts...)
-	indexPkts = append(indexPkts, treePkts...)
-	bucketPackets := params.DataBucketPackets()
-	if bucketPackets > stream.MaxBucketPackets {
-		return nil, fmt.Errorf("fabric: capacity %d needs %d packets per bucket, wire limit %d", capacity, bucketPackets, stream.MaxBucketPackets)
-	}
-	m := opts.M
-	if m <= 0 {
-		m = broadcast.OptimalM(len(indexPkts), sub.N()*bucketPackets)
-	}
-	sched, err := broadcast.NewSchedule(len(indexPkts), sub.N(), bucketPackets, m)
-	if err != nil {
-		return nil, fmt.Errorf("fabric: shard %d schedule: %w", ch, err)
-	}
-	prog := &stream.Program{
-		Capacity:     capacity,
-		IndexPackets: indexPkts,
-		Sched:        sched,
-		Data:         DataStamp(capacity, ids),
-	}
-	if err := prog.Validate(); err != nil {
-		return nil, err
-	}
+	return newShard(ch, rect, ids, clips, cut), nil
+}
+
+// newShard wraps one compiled generation of channel ch.
+func newShard(ch int, rect geom.Rect, ids []int, clips []clippedRegion, cut *stream.Cut) *Shard {
 	return &Shard{
 		Channel: ch,
 		Rect:    rect,
-		Sub:     sub,
+		Sub:     cut.Sub,
 		IDs:     ids,
-		Tree:    tree,
-		Paged:   paged,
-		Flat:    flat,
-		Prog:    prog,
+		Tree:    cut.Tree,
+		Paged:   cut.Paged,
+		Flat:    cut.Flat,
+		Prog:    cut.Prog,
 		clips:   clips,
-	}, nil
+	}
 }
 
 // Programs returns the per-channel programs (for stream.NewServer).

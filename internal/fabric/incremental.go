@@ -1,15 +1,10 @@
 package fabric
 
 import (
-	"fmt"
 	"sort"
 
-	"airindex/internal/broadcast"
-	"airindex/internal/core"
 	"airindex/internal/geom"
 	"airindex/internal/region"
-	"airindex/internal/stream"
-	"airindex/internal/wire"
 )
 
 // Incremental shard cuts. The naive reconfiguration loop re-snapshots the
@@ -21,238 +16,19 @@ import (
 //	maintainer batch delta -> per-cell dirty bounding boxes (old cell union
 //	new cell) prefilter the shards a batch can possibly touch -> patchClips
 //	re-clips only the changed cells against a touched shard's rectangle and
-//	splices the rest of the previous clip sequence -> each shard's retained
-//	region.Patcher + core.Incremental rebuild only the dirty subtrees and
-//	patch the flat arena, exactly like the single-channel stream pipeline.
+//	splices the rest of the previous clip sequence -> each touched shard's
+//	stream.Compiler — the very compiler the single channel runs — rebuilds
+//	only the dirty subtrees and patches the flat arena.
 //
 // Every product is pinned byte-identical to a from-scratch fabric build of
 // the same live set, and a shard none of the dirty boxes reach skips the
 // cut entirely — generation number, clips, program, and all.
-
-// shardCut reports how one shard's generation was produced.
-type shardCut struct {
-	Incremental bool // false: full shard rebuild (bootstrap, fallback, or large batch)
-	DirtyKeys   int  // canonical dirty regions handed to the shard's index rebuild
-	Spliced     int  // D-tree nodes copied from the shard's previous generation
-	Total       int  // D-tree nodes in the shard's new generation
-}
-
-// dirtyPermille returns the rebuilt-node fraction in permille (1000 for a
-// full rebuild), mirroring the single-channel cut metric.
-func (sc shardCut) dirtyPermille() int64 {
-	if !sc.Incremental || sc.Total == 0 {
-		return 1000
-	}
-	return int64((sc.Total - sc.Spliced) * 1000 / sc.Total)
-}
-
-// shardFullFraction is the dirty-region fraction above which a shard cut
-// falls back to a full rebuild, matching the stream compiler's threshold.
-const shardFullFraction = 0.25
-
-// shardCompiler carries one channel's compile state from generation to
-// generation: the shard-local welded tiling, the retained D-tree builder,
-// and the previous Shard (for arena patching and clip diffing). Not safe
-// for concurrent use; the Swapper runs at most one compile per channel at
-// a time.
-type shardCompiler struct {
-	dir      *Directory
-	ch       int
-	rect     geom.Rect
-	capacity int
-	opts     Options
-
-	patch *region.Patcher
-	inc   *core.Incremental
-	prev  *Shard
-}
-
-func newShardCompiler(dir *Directory, ch int, rect geom.Rect, capacity int, opts Options) *shardCompiler {
-	return &shardCompiler{dir: dir, ch: ch, rect: rect, capacity: capacity, opts: opts}
-}
-
-// reset drops all retained generation state; the next compile bootstraps.
-func (c *shardCompiler) reset() { c.patch, c.inc, c.prev = nil, nil, nil }
-
-func (c *shardCompiler) buildOpts() []core.BuildOption {
-	if c.opts.BuildWorkers > 0 {
-		return []core.BuildOption{core.WithBuildWorkers(c.opts.BuildWorkers)}
-	}
-	return nil
-}
-
-// finish pages, flattens (patching against the previous generation's arena
-// when one is retained), encodes, and assembles a built shard tree into a
-// publishable Shard, then retains it as the next compile's baseline.
-func (c *shardCompiler) finish(tree *core.Tree, sub *region.Subdivision, clips []clippedRegion) (*Shard, error) {
-	ids := make([]int, len(clips))
-	for i, cl := range clips {
-		ids[i] = cl.id
-	}
-	params := wire.DTreeParams(c.capacity)
-	paged, err := tree.Page(params)
-	if err != nil {
-		return nil, fmt.Errorf("fabric: shard %d paging: %w", c.ch, err)
-	}
-	var prevFlat *core.FlatPaged
-	if c.prev != nil {
-		prevFlat = c.prev.Flat
-	}
-	flat := paged.FlattenPatched(prevFlat)
-	adjPkts, err := shardAdjacencyPackets(flat, sub, c.rect, ids, c.capacity, c.opts)
-	if err != nil {
-		return nil, fmt.Errorf("fabric: shard %d adjacency: %w", c.ch, err)
-	}
-	treePkts, err := flat.EncodePackets()
-	if err != nil {
-		return nil, fmt.Errorf("fabric: shard %d encoding: %w", c.ch, err)
-	}
-	dirPkts, err := c.dir.EncodePackets(c.capacity, c.ch)
-	if err != nil {
-		return nil, err
-	}
-	indexPkts := make([][]byte, 0, len(dirPkts)+len(adjPkts)+len(treePkts))
-	indexPkts = append(indexPkts, dirPkts...)
-	indexPkts = append(indexPkts, adjPkts...)
-	indexPkts = append(indexPkts, treePkts...)
-	bucketPackets := params.DataBucketPackets()
-	if bucketPackets > stream.MaxBucketPackets {
-		return nil, fmt.Errorf("fabric: capacity %d needs %d packets per bucket, wire limit %d", c.capacity, bucketPackets, stream.MaxBucketPackets)
-	}
-	m := c.opts.M
-	if m <= 0 {
-		m = broadcast.OptimalM(len(indexPkts), sub.N()*bucketPackets)
-	}
-	sched, err := broadcast.NewSchedule(len(indexPkts), sub.N(), bucketPackets, m)
-	if err != nil {
-		return nil, fmt.Errorf("fabric: shard %d schedule: %w", c.ch, err)
-	}
-	prog := &stream.Program{
-		Capacity:     c.capacity,
-		IndexPackets: indexPkts,
-		Sched:        sched,
-		Data:         DataStamp(c.capacity, ids),
-	}
-	if err := prog.Validate(); err != nil {
-		return nil, err
-	}
-	sh := &Shard{
-		Channel: c.ch,
-		Rect:    c.rect,
-		Sub:     sub,
-		IDs:     ids,
-		Tree:    tree,
-		Paged:   paged,
-		Flat:    flat,
-		Prog:    prog,
-		clips:   clips,
-	}
-	c.prev = sh
-	return sh, nil
-}
-
-// full compiles the shard from scratch through a fresh Patcher bootstrap
-// (coordinate-identical to compileShard's region.New, and leaving the
-// compiler able to patch forward) and retains the generation state.
-func (c *shardCompiler) full(clips []clippedRegion) (*Shard, error) {
-	if len(clips) == 0 {
-		c.reset()
-		return nil, fmt.Errorf("fabric: shard %d covers no regions", c.ch)
-	}
-	keys := make([]int, len(clips))
-	polys := make([]geom.Polygon, len(clips))
-	for i, cl := range clips {
-		keys[i] = cl.id
-		polys[i] = cl.poly
-	}
-	c.reset()
-	c.patch = region.NewPatcher(c.rect)
-	sub, _, err := c.patch.Patch(keys, polys, keys, nil)
-	if err != nil {
-		c.reset()
-		return nil, fmt.Errorf("fabric: shard %d subdivision: %w", c.ch, err)
-	}
-	if err := sub.Validate(); err != nil {
-		c.reset()
-		return nil, fmt.Errorf("fabric: shard %d subdivision invalid: %w", c.ch, err)
-	}
-	c.inc = core.NewIncremental(c.buildOpts()...)
-	tree, err := c.inc.Full(sub)
-	if err != nil {
-		c.reset()
-		return nil, fmt.Errorf("fabric: shard %d tree: %w", c.ch, err)
-	}
-	sh, err := c.finish(tree, sub, clips)
-	if err != nil {
-		c.reset()
-		return nil, err
-	}
-	return sh, nil
-}
-
-// compile produces the shard's next generation: incrementally when retained
-// state exists and the clip delta is small, from scratch otherwise. Any
-// incremental-path error falls back to a full rebuild (byte-identical
-// either way).
-func (c *shardCompiler) compile(clips []clippedRegion, dirty, removed []int) (*Shard, shardCut, error) {
-	if c.patch == nil || c.inc == nil || c.prev == nil ||
-		float64(len(dirty)+len(removed)) > shardFullFraction*float64(len(clips)) {
-		sh, err := c.full(clips)
-		return sh, shardCut{DirtyKeys: len(dirty)}, err
-	}
-	sh, cut, err := c.incremental(clips, dirty, removed)
-	if err != nil {
-		sh, ferr := c.full(clips)
-		return sh, shardCut{DirtyKeys: len(dirty)}, ferr
-	}
-	return sh, cut, nil
-}
-
-func (c *shardCompiler) incremental(clips []clippedRegion, dirty, removed []int) (*Shard, shardCut, error) {
-	keys := make([]int, len(clips))
-	polys := make([]geom.Polygon, len(clips))
-	for i, cl := range clips {
-		keys[i] = cl.id
-		polys[i] = cl.poly
-	}
-	sub, canonDirty, err := c.patch.Patch(keys, polys, dirty, removed)
-	if err != nil {
-		return nil, shardCut{}, err
-	}
-	tree, delta, err := c.inc.Rebuild(sub, canonDirty)
-	if err != nil {
-		return nil, shardCut{}, err
-	}
-	sh, err := c.finish(tree, sub, clips)
-	if err != nil {
-		return nil, shardCut{}, err
-	}
-	cut := shardCut{Incremental: true, DirtyKeys: len(canonDirty), Spliced: delta.Spliced, Total: delta.Total}
-	return sh, cut, nil
-}
 
 // regionPolys extracts a subdivision's canonical polygons in region order.
 func regionPolys(sub *region.Subdivision) []geom.Polygon {
 	out := make([]geom.Polygon, len(sub.Regions))
 	for i, r := range sub.Regions {
 		out[i] = r.Poly
-	}
-	return out
-}
-
-// clipCells is clipShard over the canonical live cells in id order,
-// skipping the full-subdivision snapshot the naive loop paid for.
-func clipCells(ids []int, polys []geom.Polygon, rect geom.Rect) []clippedRegion {
-	var out []clippedRegion
-	for i, poly := range polys {
-		if !poly.Bounds().Intersects(rect) {
-			continue
-		}
-		piece := geom.ClipRect(poly, rect)
-		if piece == nil || piece.Area() <= sliverArea {
-			continue
-		}
-		out = append(out, clippedRegion{id: ids[i], poly: piece})
 	}
 	return out
 }

@@ -2,10 +2,12 @@ package fabric
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 
 	"airindex/internal/dataset"
+	"airindex/internal/geom"
 	"airindex/internal/stream"
 )
 
@@ -101,7 +103,7 @@ func TestSwapperIncrementalEveryGeneration(t *testing.T) {
 				if sw.Current(ch) != before[ch] {
 					t.Fatalf("batch %d: shard %d kept generation %d but replaced the published object", batch, ch, gens[ch])
 				}
-			} else if sw.comps[ch].prev != nil && sw.comps[ch].patch != nil {
+			} else if sw.comps[ch].Retained() {
 				incremental++
 			}
 		}
@@ -155,6 +157,101 @@ func TestSwapperReconcileAfterStale(t *testing.T) {
 		if _, _, err := sw.Apply(randomBatch(rng, sw, &ds, 1+rng.Intn(3))); err != nil {
 			t.Fatalf("post-reconcile batch %d: %v", batch, err)
 		}
+	}
+	requireShardsMatchFresh(t, "post-reconcile", sw)
+}
+
+// moveInside returns a move of the live site nearest rect's center a short
+// step further toward it: the site's cell has a piece inside rect before
+// and after, so the move is guaranteed to change that shard's clips.
+func moveInside(t *testing.T, sw *Swapper, rect geom.Rect) stream.SiteOp {
+	t.Helper()
+	c := geom.Pt((rect.MinX+rect.MaxX)/2, (rect.MinY+rect.MaxY)/2)
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	ids, sites := sw.maint.LiveSites()
+	best := -1
+	for i, p := range sites {
+		if rect.Contains(p) && (best < 0 || p.Dist2(c) < sites[best].Dist2(c)) {
+			best = i
+		}
+	}
+	if best < 0 {
+		t.Fatal("no live site inside the shard rectangle")
+	}
+	p := sites[best]
+	return stream.SiteOp{Kind: stream.OpMove, ID: ids[best], P: geom.Pt(p.X+(c.X-p.X)/2, p.Y+(c.Y-p.Y)/2+rect.H()/100)}
+}
+
+// TestSwapperCutFailureKeepsAir drives Apply's failed-cut branch for real:
+// one shard's compile fails inside a batch that changes it. No channel may
+// publish — every server keeps its generation and every shard its
+// published object — and Pending() turns true. An empty Apply then
+// reconciles to the from-scratch build, and incremental cuts resume.
+func TestSwapperCutFailureKeepsAir(t *testing.T) {
+	ds := dataset.Uniform(200, 81)
+	const (
+		capacity = 128
+		S        = 3
+	)
+	sw, err := NewSwapper(ds.Area, ds.Sites, S, capacity, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srvs := startFabricServers(t, sw.Programs(), func(ch int, srv *stream.Server) { sw.Bind(ch, srv) })
+	rng := rand.New(rand.NewSource(82))
+	if _, _, err := sw.Apply(randomBatch(rng, sw, &ds, 3)); err != nil {
+		t.Fatal(err)
+	}
+	before := make([]*ShardGeneration, S)
+	for ch := range before {
+		before[ch] = sw.Current(ch)
+		if got := srvs[ch].Generation(); got != before[ch].Gen {
+			t.Fatalf("shard %d: server at generation %d, swapper at %d", ch, got, before[ch].Gen)
+		}
+	}
+
+	injected := errors.New("injected shard cut failure")
+	sw.comps[0].FailNext(injected)
+	gens, ids, err := sw.Apply([]stream.SiteOp{moveInside(t, sw, sw.rects[0]), {Kind: stream.OpAdd, P: randomPoint(rng, ds.Area)}})
+	if !errors.Is(err, injected) {
+		t.Fatalf("Apply returned %v, want the injected failure", err)
+	}
+	if len(ids) != 2 {
+		t.Fatalf("failed Apply reported %d applied ops, want 2 (mutations stay)", len(ids))
+	}
+	if !sw.Pending() {
+		t.Fatal("Pending() false after a failed shard cut")
+	}
+	for ch := 0; ch < S; ch++ {
+		if gens[ch] != before[ch].Gen || srvs[ch].Generation() != before[ch].Gen {
+			t.Fatalf("shard %d: generation %d reported, %d on the air, want %d kept", ch, gens[ch], srvs[ch].Generation(), before[ch].Gen)
+		}
+		if sw.Current(ch) != before[ch] {
+			t.Fatalf("shard %d: failed batch replaced the published object", ch)
+		}
+	}
+
+	gens, ids, err = sw.Apply(nil)
+	if err != nil {
+		t.Fatalf("reconcile Apply: %v", err)
+	}
+	if len(ids) != 0 {
+		t.Fatalf("reconcile applied %d ops, want 0", len(ids))
+	}
+	if sw.Pending() {
+		t.Fatal("Pending() still true after the reconcile")
+	}
+	if gens[0] != before[0].Gen+1 || srvs[0].Generation() != gens[0] {
+		t.Fatalf("shard 0: reconcile published generation %d (%d on the air), want %d", gens[0], srvs[0].Generation(), before[0].Gen+1)
+	}
+	requireShardsMatchFresh(t, "reconcile", sw)
+
+	if _, _, err := sw.Apply([]stream.SiteOp{moveInside(t, sw, sw.rects[0])}); err != nil {
+		t.Fatal(err)
+	}
+	if p := srvs[0].Metrics().CutDirtyPermille.Load(); p >= 1000 {
+		t.Fatalf("post-reconcile cut rebuilt %d permille of shard 0, want an incremental cut", p)
 	}
 	requireShardsMatchFresh(t, "post-reconcile", sw)
 }

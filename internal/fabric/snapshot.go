@@ -6,10 +6,8 @@ import (
 	"path/filepath"
 	"sync"
 
-	"airindex/internal/broadcast"
 	"airindex/internal/core"
 	"airindex/internal/geom"
-	"airindex/internal/stream"
 	"airindex/internal/voronoi"
 )
 
@@ -52,9 +50,6 @@ func (f *Fabric) WriteSnapshotDir(dir string) error {
 // Restored shards carry no *core.Tree or *core.Paged — only the flat arena
 // that serving and packet encoding need.
 func RestoreSnapshotDir(area geom.Rect, sites []geom.Point, S int, dir string, opts Options) (*Fabric, error) {
-	if opts.Adjacency && opts.SiteOf == nil {
-		opts.SiteOf = siteOfSlice(sites)
-	}
 	sub, err := voronoi.Subdivision(area, sites)
 	if err != nil {
 		return nil, err
@@ -69,14 +64,15 @@ func RestoreSnapshotDir(area geom.Rect, sites []geom.Point, S int, dir string, o
 		Rects:  rects,
 		Shards: make([]*Shard, S),
 	}
+	ids, polys := globalCells(sub, nil)
 	var wg sync.WaitGroup
 	errs := make([]error, S)
 	for ch := 0; ch < S; ch++ {
 		wg.Add(1)
 		go func(ch int) {
 			defer wg.Done()
-			clips := clipShard(sub, nil, rects[ch])
-			f.Shards[ch], errs[ch] = restoreShard(d, ch, rects[ch], clips, SnapshotPath(dir, ch), opts)
+			clips := clipShard(ids, polys, rects[ch])
+			f.Shards[ch], errs[ch] = restoreShard(d, ch, rects[ch], clips, SnapshotPath(dir, ch), opts, siteOfSlice(sites))
 		}(ch)
 	}
 	wg.Wait()
@@ -98,59 +94,26 @@ func RestoreSnapshotDir(area geom.Rect, sites []geom.Point, S int, dir string, o
 // restoreShard is compileShard with the tree build and arena encode
 // replaced by a snapshot load: the clips still pin the shard's bucket
 // numbering and global ids, and welding them validates the loaded arena's
-// region count.
-func restoreShard(dir *Directory, ch int, rect geom.Rect, clips []clippedRegion, path string, opts Options) (*Shard, error) {
-	if len(clips) == 0 {
-		return nil, fmt.Errorf("fabric: shard %d covers no regions", ch)
+// region count. An arena restored from a v2 snapshot keeps its table.
+func restoreShard(dir *Directory, ch int, rect geom.Rect, clips []clippedRegion, path string, opts Options, sites siteOf) (*Shard, error) {
+	sub, ids, err := weldClips(ch, rect, clips)
+	if err != nil {
+		return nil, err
 	}
 	fp, err := core.LoadSnapshotFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("fabric: shard %d: %w", ch, err)
 	}
-	sub, ids, err := weldClips(ch, rect, clips)
-	if err != nil {
-		return nil, err
-	}
 	if err := fp.AttachSubdivision(sub); err != nil {
 		return nil, fmt.Errorf("fabric: shard %d snapshot does not match the clipped site set: %w", ch, err)
 	}
-	capacity := fp.Params.PacketCapacity
-	adjPkts, err := shardAdjacencyPackets(fp, sub, rect, ids, capacity, opts)
-	if err != nil {
-		return nil, fmt.Errorf("fabric: shard %d adjacency: %w", ch, err)
-	}
-	treePkts, err := fp.EncodePackets()
-	if err != nil {
-		return nil, fmt.Errorf("fabric: shard %d encoding: %w", ch, err)
-	}
-	dirPkts, err := dir.EncodePackets(capacity, ch)
+	sc, err := shardChannel(dir, ch, rect, fp.Params.PacketCapacity, opts, sites)
 	if err != nil {
 		return nil, err
 	}
-	indexPkts := make([][]byte, 0, len(dirPkts)+len(adjPkts)+len(treePkts))
-	indexPkts = append(indexPkts, dirPkts...)
-	indexPkts = append(indexPkts, adjPkts...)
-	indexPkts = append(indexPkts, treePkts...)
-	bucketPackets := fp.Params.DataBucketPackets()
-	if bucketPackets > stream.MaxBucketPackets {
-		return nil, fmt.Errorf("fabric: capacity %d needs %d packets per bucket, wire limit %d", capacity, bucketPackets, stream.MaxBucketPackets)
-	}
-	m := opts.M
-	if m <= 0 {
-		m = broadcast.OptimalM(len(indexPkts), sub.N()*bucketPackets)
-	}
-	sched, err := broadcast.NewSchedule(len(indexPkts), sub.N(), bucketPackets, m)
+	prog, err := sc.Program(sub, ids, fp)
 	if err != nil {
-		return nil, fmt.Errorf("fabric: shard %d schedule: %w", ch, err)
-	}
-	prog := &stream.Program{
-		Capacity:     capacity,
-		IndexPackets: indexPkts,
-		Sched:        sched,
-		Data:         DataStamp(capacity, ids),
-	}
-	if err := prog.Validate(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("fabric: shard %d: %w", ch, err)
 	}
 	return &Shard{
 		Channel: ch,

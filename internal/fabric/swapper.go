@@ -42,7 +42,7 @@ type Swapper struct {
 	cur   []*ShardGeneration
 	gens  []map[uint32]*ShardGeneration
 	srvs  []*stream.Server
-	comps []*shardCompiler
+	comps []*stream.Compiler
 	// gpatch maintains the canonical global subdivision across batches —
 	// shards clip the *welded* polygons (exactly what a from-scratch
 	// Snapshot + clipShard sees), not the maintainer's raw cells, whose
@@ -66,12 +66,6 @@ func NewSwapper(area geom.Rect, sites []geom.Point, S, capacity int, opts Option
 	if err != nil {
 		return nil, err
 	}
-	if opts.Adjacency && opts.SiteOf == nil {
-		// Resolve against the live maintainer: compiles run strictly after a
-		// batch's mutations, so the lookup sees exactly the generation's
-		// sites. Reads are lock-free and the Apply path serializes writers.
-		opts.SiteOf = maint.Site
-	}
 	dir, rects, _, err := Partition(area, sites, S)
 	if err != nil {
 		return nil, err
@@ -85,11 +79,19 @@ func NewSwapper(area geom.Rect, sites []geom.Point, S, capacity int, opts Option
 		cur:      make([]*ShardGeneration, S),
 		gens:     make([]map[uint32]*ShardGeneration, S),
 		srvs:     make([]*stream.Server, S),
-		comps:    make([]*shardCompiler, S),
+		comps:    make([]*stream.Compiler, S),
 		bounds:   make(map[int]geom.Rect, len(sites)),
 	}
 	for ch := 0; ch < S; ch++ {
-		sw.comps[ch] = newShardCompiler(dir, ch, rects[ch], capacity, opts)
+		// Adjacency sites resolve against the live maintainer: compiles run
+		// strictly after a batch's mutations, so the lookup sees exactly the
+		// generation's sites. Reads are lock-free and the Apply path
+		// serializes writers.
+		sc, err := shardChannel(dir, ch, rects[ch], capacity, opts, maint.Site)
+		if err != nil {
+			return nil, err
+		}
+		sw.comps[ch] = stream.NewCompiler(sc)
 	}
 	ids, polys := maint.LiveCells()
 	sw.gpatch = region.NewPatcher(area)
@@ -110,7 +112,7 @@ func NewSwapper(area geom.Rect, sites []geom.Point, S, capacity int, opts Option
 		wg.Add(1)
 		go func(ch int) {
 			defer wg.Done()
-			sh, err := sw.comps[ch].full(clipCells(ids, canon, rects[ch]))
+			sh, _, err := sw.cut(ch, clipShard(ids, canon, rects[ch]), nil, nil)
 			if err != nil {
 				errs[ch] = err
 				return
@@ -197,6 +199,17 @@ func (sw *Swapper) Pending() bool {
 	return sw.stale
 }
 
+// cut compiles channel ch's next generation from its new clip sequence and
+// the shard-local dirty and removed global ids.
+func (sw *Swapper) cut(ch int, clips []clippedRegion, dirty, removed []int) (*Shard, stream.CutStats, error) {
+	ids, polys := splitClips(clips)
+	c, err := sw.comps[ch].Compile(ids, polys, dirty, removed)
+	if err != nil {
+		return nil, stream.CutStats{}, fmt.Errorf("fabric: shard %d: %w", ch, err)
+	}
+	return newShard(ch, sw.rects[ch], ids, clips, c), c.Stats, nil
+}
+
 // pendingShard is one shard the batch actually changed, with its new clip
 // sequence and the shard-local dirty/removed key sets.
 type pendingShard struct {
@@ -204,7 +217,6 @@ type pendingShard struct {
 	clips   []clippedRegion
 	dirty   []int
 	removed []int
-	full    bool // reconcile path: force a full rebuild
 }
 
 // collectChanges turns the batch's canonical dirty and removed id sets
@@ -265,12 +277,12 @@ func (sw *Swapper) pendingIncremental(changes []*cellChange) []pendingShard {
 func (sw *Swapper) pendingReconcile(liveIDs []int, canon []geom.Polygon) []pendingShard {
 	var pending []pendingShard
 	for ch := range sw.cur {
-		sw.comps[ch].reset()
-		clips := clipCells(liveIDs, canon, sw.rects[ch])
+		sw.comps[ch].Reset()
+		clips := clipShard(liveIDs, canon, sw.rects[ch])
 		if equalClips(clips, sw.cur[ch].Shard.clips) {
 			continue
 		}
-		pending = append(pending, pendingShard{ch: ch, clips: clips, full: true})
+		pending = append(pending, pendingShard{ch: ch, clips: clips})
 	}
 	return pending
 }
@@ -293,26 +305,7 @@ func (sw *Swapper) Apply(ops []stream.SiteOp) (gens []uint32, ids []int, err err
 	start := time.Now()
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
-	sw.maint.BeginBatch()
-	ids = make([]int, 0, len(ops))
-	var opErr error
-	for _, op := range ops {
-		var id int
-		switch op.Kind {
-		case stream.OpAdd:
-			id, opErr = sw.maint.Add(op.P)
-		case stream.OpRemove:
-			id, opErr = op.ID, sw.maint.Remove(op.ID)
-		case stream.OpMove:
-			id, opErr = sw.maint.Move(op.ID, op.P)
-		default:
-			opErr = fmt.Errorf("fabric: unknown site op kind %d", op.Kind)
-		}
-		if opErr != nil {
-			break
-		}
-		ids = append(ids, id)
-	}
+	ids, opErr := stream.ApplyOps(sw.maint, ops)
 	gens = make([]uint32, len(sw.cur))
 	for ch, g := range sw.cur {
 		gens[ch] = g.Gen
@@ -367,7 +360,7 @@ func (sw *Swapper) Apply(ops []stream.SiteOp) (gens []uint32, ids []int, err err
 	type rebuilt struct {
 		ch      int
 		shard   *Shard
-		cut     shardCut
+		cut     stream.CutStats
 		buildNS int64
 		err     error
 	}
@@ -378,14 +371,7 @@ func (sw *Swapper) Apply(ops []stream.SiteOp) (gens []uint32, ids []int, err err
 		go func(i int, ps pendingShard) {
 			defer wg.Done()
 			buildStart := time.Now()
-			var sh *Shard
-			var cut shardCut
-			var err error
-			if ps.full {
-				sh, err = sw.comps[ps.ch].full(ps.clips)
-			} else {
-				sh, cut, err = sw.comps[ps.ch].compile(ps.clips, ps.dirty, ps.removed)
-			}
+			sh, cut, err := sw.cut(ps.ch, ps.clips, ps.dirty, ps.removed)
 			results[i] = rebuilt{ch: ps.ch, shard: sh, cut: cut, buildNS: time.Since(buildStart).Nanoseconds(), err: err}
 		}(i, ps)
 	}
@@ -412,7 +398,7 @@ func (sw *Swapper) Apply(ops []stream.SiteOp) (gens []uint32, ids []int, err err
 			m := srv.Metrics()
 			m.SwapLatencyNS.Observe(time.Since(start).Nanoseconds())
 			m.CutBuildNS.Observe(r.buildNS)
-			m.CutDirtyPermille.Set(r.cut.dirtyPermille())
+			m.CutDirtyPermille.Set(r.cut.DirtyPermille())
 		}
 		gens[r.ch] = next
 	}

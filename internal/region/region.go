@@ -183,17 +183,21 @@ func (s *Subdivision) MaxKey() int { return int(s.maxKey) }
 // nbrKey; twin is for validators and the baseline index builders.
 func (s *Subdivision) ensureTwin() {
 	s.twinOnce.Do(func() {
-		if s.twin != nil {
-			return
+		if s.twin == nil {
+			s.twin = s.edgeOwners()
 		}
-		twin := make(map[[2]int]int, len(s.Verts)*3)
-		for i, ring := range s.rings {
-			for j := range ring {
-				twin[[2]int{ring[j], ring[(j+1)%len(ring)]}] = i
-			}
-		}
-		s.twin = twin
 	})
+}
+
+// edgeOwners builds the directed-edge ownership map from the rings.
+func (s *Subdivision) edgeOwners() map[[2]int]int {
+	twin := make(map[[2]int]int, len(s.Verts)*3)
+	for i, ring := range s.rings {
+		for j := range ring {
+			twin[[2]int{ring[j], ring[(j+1)%len(ring)]}] = i
+		}
+	}
+	return twin
 }
 
 // N returns the number of regions.
@@ -241,7 +245,9 @@ func (s *Subdivision) Locate(p geom.Point) int {
 // interior edge is shared by exactly two regions with opposite orientation,
 // and all rings are counter-clockwise.
 func (s *Subdivision) Validate() error {
-	s.ensureTwin()
+	// A transient map, not ensureTwin: caching it would pin the map to
+	// every patched subdivision a compile validates, which defer it.
+	twin := s.edgeOwners()
 	var sum float64
 	for i := range s.Regions {
 		a := s.Regions[i].Poly.SignedArea()
@@ -254,8 +260,8 @@ func (s *Subdivision) Validate() error {
 	if rel := math.Abs(sum-total) / total; rel > 1e-6 {
 		return fmt.Errorf("regions cover %.9g of service area %.9g (relative gap %.3g)", sum, total, rel)
 	}
-	for e, owner := range s.twin {
-		if _, ok := s.twin[[2]int{e[1], e[0]}]; ok {
+	for e, owner := range twin {
+		if _, ok := twin[[2]int{e[1], e[0]}]; ok {
 			continue // interior edge with a twin
 		}
 		// Boundary edge: both endpoints must lie on the service-area border.

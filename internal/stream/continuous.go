@@ -34,11 +34,6 @@ type Continuous struct {
 	mode ContinuousMode
 	q    ContinuousQuery
 
-	// Skip is the number of foreign packets before the adjacency appendix in
-	// every index copy (a fabric channel's directory). Set before the first
-	// Step; zero on a single channel.
-	Skip int
-
 	// Metrics, when set, accumulates the revalidation-vs-redescent counters
 	// and per-cycle cost distributions. Optional; may be shared.
 	Metrics *ContinuousMetrics
@@ -186,7 +181,7 @@ func (s *Continuous) stepOnce(p geom.Point, out *CycleOutcome, res *Result) erro
 	} else {
 		// Crossed a region boundary: the index descent re-runs over the
 		// live stream, but the appendix and untouched buckets stay cached.
-		bucket, err := s.c.LocateShifted(p, s.Skip+s.adjPkts, res)
+		bucket, err := s.c.LocateShifted(p, s.adjPkts, res)
 		if err != nil {
 			return err
 		}
@@ -200,15 +195,15 @@ func (s *Continuous) stepOnce(p geom.Point, out *CycleOutcome, res *Result) erro
 // descend the index for p, then resolve the standing query.
 func (s *Continuous) acquire(p geom.Point, out *CycleOutcome, res *Result) error {
 	s.invalidate()
-	head, err := s.c.FetchIndexPackets(res, s.Skip, s.Skip+1)
+	head, err := s.c.FetchIndexPackets(res, 0, 1)
 	if err != nil {
 		return err
 	}
 	count, err := core.AdjacencyPacketCount(head[0])
 	if err != nil {
-		return fmt.Errorf("stream: broadcast carries no adjacency appendix at offset %d: %w", s.Skip, err)
+		return fmt.Errorf("stream: broadcast carries no adjacency appendix: %w", err)
 	}
-	rest, err := s.c.FetchIndexPackets(res, s.Skip+1, s.Skip+count)
+	rest, err := s.c.FetchIndexPackets(res, 1, count)
 	if err != nil {
 		return err
 	}
@@ -216,7 +211,7 @@ func (s *Continuous) acquire(p geom.Point, out *CycleOutcome, res *Result) error
 	if err != nil {
 		return err
 	}
-	bucket, err := s.c.LocateShifted(p, s.Skip+count, res)
+	bucket, err := s.c.LocateShifted(p, count, res)
 	if err != nil {
 		return err
 	}

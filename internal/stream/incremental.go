@@ -8,7 +8,6 @@ import (
 	"airindex/internal/core"
 	"airindex/internal/geom"
 	"airindex/internal/region"
-	"airindex/internal/voronoi"
 	"airindex/internal/wire"
 )
 
@@ -17,29 +16,132 @@ import (
 // a batch of a few site ops re-derives almost all of that from the previous
 // generation instead:
 //
-//	maintainer dirty cells -> region.Patcher (reweld only the touched
-//	neighborhood) -> core.Incremental (rebuild only dirty subtrees, splice
-//	the rest) -> FlattenPatched (bulk-copy clean arena ranges) ->
-//	renderPatched (reuse unchanged frames of the previous cycle).
+//	dirty cells -> region.Patcher (reweld only the touched neighborhood) ->
+//	core.Incremental (rebuild only dirty subtrees, splice the rest) ->
+//	FlattenPatched (bulk-copy clean arena ranges) -> adjacency -> Assemble
+//	-> renderPatched (reuse unchanged frames of the previous cycle).
 //
 // Every stage is pinned byte-identical to its from-scratch counterpart, so
-// an incremental cut broadcasts exactly the bytes a cold rebuild would.
+// an incremental cut broadcasts exactly the bytes a cold rebuild would. The
+// same Compiler drives the single channel (keys are site ids) and every
+// fabric shard (keys are global data-instance ids of the clipped cells).
 
-// cutStats reports how one generation cut was produced.
-type cutStats struct {
+// Channel describes one (1, m) broadcast channel: what every generation
+// compiled for it shares. A single channel leaves Prefix and Stamp nil; a
+// fabric shard sets them to its directory and its global-id stamp.
+type Channel struct {
+	// Area is the channel's service rectangle: the outer boundary of its
+	// tiling and the area of its adjacency table.
+	Area     geom.Rect
+	Capacity int
+	// M is the index copies per cycle; <= 0 picks the optimal m.
+	M int
+	// Prefix leads every index copy, ahead of the appendix and the tree.
+	Prefix [][]byte
+	// Stamp, when set, builds a generation's data generator from its
+	// region -> key mapping; the keys are then global data-instance ids,
+	// which the adjacency table carries too. Nil broadcasts BucketStamp
+	// payloads, whose frames a cut reuses across generations.
+	Stamp func(keys []int) func(bucket, pkt int) []byte
+	// SiteOf, when set, makes every generation carry the region-adjacency
+	// table (continuous queries), resolving a region's key to its site.
+	SiteOf func(key int) (geom.Point, error)
+	// BuildWorkers bounds the D-tree build parallelism; <= 0 uses the core
+	// default.
+	BuildWorkers int
+}
+
+// Cut is one compiled generation of a channel. Region i of Sub is the
+// i-th key the generation was compiled from.
+type Cut struct {
+	Sub   *region.Subdivision
+	Tree  *core.Tree
+	Paged *core.Paged
+	Flat  *core.FlatPaged
+	Prog  *Program
+	Stats CutStats
+}
+
+// CutStats reports how one generation cut was produced.
+type CutStats struct {
 	Incremental bool // false: full rebuild (bootstrap, fallback, or large batch)
 	DirtyKeys   int  // canonical dirty regions handed to the index rebuild
 	Spliced     int  // D-tree nodes copied from the previous generation
 	Total       int  // D-tree nodes in the new generation
 }
 
-// dirtyPermille returns the rebuilt-node fraction in permille (1000 for a
+// DirtyPermille returns the rebuilt-node fraction in permille (1000 for a
 // full rebuild).
-func (cs cutStats) dirtyPermille() int64 {
+func (cs CutStats) DirtyPermille() int64 {
 	if !cs.Incremental || cs.Total == 0 {
 		return 1000
 	}
 	return int64((cs.Total - cs.Spliced) * 1000 / cs.Total)
+}
+
+// Program attaches the adjacency table the channel asks for to fp — unless
+// fp already carries one, as a restored snapshot does — and assembles the
+// channel's program. keys maps region index to key.
+func (ch *Channel) Program(sub *region.Subdivision, keys []int, fp *core.FlatPaged) (*Program, error) {
+	if ch.SiteOf != nil && fp.Flat.Adjacency() == nil {
+		sites := make([]geom.Point, len(keys))
+		for i, key := range keys {
+			var err error
+			if sites[i], err = ch.SiteOf(key); err != nil {
+				return nil, err
+			}
+		}
+		adj, err := core.BuildAdjacency(sub, ch.Area, sites)
+		if err != nil {
+			return nil, err
+		}
+		if ch.Stamp != nil {
+			adj.IDs = make([]int32, len(keys))
+			for i, key := range keys {
+				adj.IDs[i] = int32(key)
+			}
+		}
+		if err := adj.Validate(); err != nil {
+			return nil, err
+		}
+		if err := fp.Flat.SetAdjacency(adj); err != nil {
+			return nil, err
+		}
+	}
+	if ch.Stamp != nil {
+		return Assemble(ch.Prefix, fp, ch.M, ch.Stamp(keys))
+	}
+	prog, err := Assemble(ch.Prefix, fp, ch.M, BucketStamp(fp.Params.PacketCapacity))
+	if err != nil {
+		return nil, err
+	}
+	prog.stamped = true
+	return prog, nil
+}
+
+// Build compiles a subdivision from scratch — build, page, flatten,
+// assemble — without retaining anything for later cuts.
+func (ch *Channel) Build(sub *region.Subdivision, keys []int) (*Cut, error) {
+	tree, err := core.Build(sub, core.WithBuildWorkers(ch.BuildWorkers))
+	if err != nil {
+		return nil, err
+	}
+	return ch.finish(sub, keys, tree, nil)
+}
+
+// finish pages and flattens a built tree, patching against prev's arena
+// when given, and assembles the channel's program around it.
+func (ch *Channel) finish(sub *region.Subdivision, keys []int, tree *core.Tree, prev *core.FlatPaged) (*Cut, error) {
+	paged, err := tree.Page(wire.DTreeParams(ch.Capacity))
+	if err != nil {
+		return nil, err
+	}
+	fp := paged.FlattenPatched(prev)
+	prog, err := ch.Program(sub, keys, fp)
+	if err != nil {
+		return nil, err
+	}
+	return &Cut{Sub: sub, Tree: tree, Paged: paged, Flat: fp, Prog: prog}, nil
 }
 
 // incrFullFraction is the dirty-region fraction above which a cut falls
@@ -47,15 +149,11 @@ func (cs cutStats) dirtyPermille() int64 {
 // pure overhead on top of an almost-complete partition search.
 const incrFullFraction = 0.25
 
-// incrCompiler carries the compile pipeline state one generation hands the
-// next. Not safe for concurrent use; the Swapper serializes Apply batches.
-type incrCompiler struct {
-	capacity int
-	m        int
-	// adjacency makes every compiled arena carry the region-adjacency table
-	// (continuous queries): each cut rebuilds it from the fresh subdivision
-	// and the appendix rides ahead of the tree in every index copy.
-	adjacency bool
+// Compiler carries one channel's compile pipeline state from generation to
+// generation. Not safe for concurrent use; callers serialize the cuts of a
+// channel.
+type Compiler struct {
+	ch Channel
 
 	patch *region.Patcher
 	inc   *core.Incremental
@@ -68,134 +166,111 @@ type incrCompiler struct {
 	failNext error
 }
 
-func newIncrCompiler(capacity, m int) *incrCompiler {
-	return &incrCompiler{capacity: capacity, m: m}
+// NewCompiler returns a compiler for the channel; its first cut bootstraps.
+func NewCompiler(ch Channel) *Compiler { return &Compiler{ch: ch} }
+
+// Reset drops all retained generation state; the next cut bootstraps.
+func (c *Compiler) Reset() { c.patch, c.inc, c.prog, c.flat = nil, nil, nil, nil }
+
+// Retained reports whether the compiler holds a generation the next cut
+// can patch against.
+func (c *Compiler) Retained() bool { return c.prog != nil }
+
+// FailNext makes the next Compile fail with err without touching the
+// retained state, so tests can drive a caller's cut-failure recovery.
+func (c *Compiler) FailNext(err error) { c.failNext = err }
+
+// Compile produces the channel's next generation from its live regions
+// (keys[i] owns polys[i]) and the batch's dirty and removed keys:
+// incrementally when a generation is retained and the batch is small
+// enough, from scratch otherwise. Any incremental-path error falls back to
+// a full rebuild (the outputs are byte-identical either way). A failed
+// full rebuild leaves nothing retained; the caller's error path owns any
+// other cleanup.
+func (c *Compiler) Compile(keys []int, polys []geom.Polygon, dirty, removed []int) (*Cut, error) {
+	if err := c.failNext; err != nil {
+		c.failNext = nil
+		return nil, err
+	}
+	if len(keys) == 0 {
+		return nil, fmt.Errorf("stream: no live regions to compile")
+	}
+	if c.prog != nil && float64(len(dirty)+len(removed)) <= incrFullFraction*float64(len(keys)) {
+		if cut, err := c.incremental(keys, polys, dirty, removed); err == nil {
+			return cut, nil
+		}
+	}
+	cut, err := c.full(keys, polys)
+	if err != nil {
+		c.Reset()
+		return nil, err
+	}
+	cut.Stats.DirtyKeys = len(dirty)
+	return cut, nil
 }
 
-// reset drops all retained generation state; the next compile bootstraps.
-func (c *incrCompiler) reset() {
-	c.patch, c.inc, c.prog, c.flat = nil, nil, nil, nil
-}
-
-// finish pages, flattens, assembles, and renders a built tree, patching
-// against the previous generation's arena and frame table when present.
-// ids maps region index -> stable site id (the Generation.IDs order), used
-// to look the sites up when the arena carries an adjacency table.
-func (c *incrCompiler) finish(tree *core.Tree, maint *voronoi.Maintainer, sub *region.Subdivision, ids []int) (*Program, *core.FlatPaged, error) {
-	paged, err := tree.Page(wire.DTreeParams(c.capacity))
+// full compiles the regions from scratch through a fresh Patcher bootstrap
+// (coordinate-identical to region.New, and leaving the compiler able to
+// patch forward) and retains the generation state.
+func (c *Compiler) full(keys []int, polys []geom.Polygon) (*Cut, error) {
+	c.Reset()
+	c.patch = region.NewPatcher(c.ch.Area)
+	sub, _, err := c.patch.Patch(keys, polys, keys, nil)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	fp := paged.FlattenPatched(c.flat)
-	if c.adjacency {
-		sites := make([]geom.Point, len(ids))
-		for i, id := range ids {
-			if sites[i], err = maint.Site(id); err != nil {
-				return nil, nil, err
-			}
-		}
-		adj, err := core.BuildAdjacency(sub, maint.Area(), sites)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := fp.Flat.SetAdjacency(adj); err != nil {
-			return nil, nil, err
-		}
+	if err := sub.Validate(); err != nil {
+		return nil, err
 	}
-	prog, err := ProgramFromFlat(fp, c.m)
-	if err != nil {
-		return nil, nil, err
-	}
-	if c.prog != nil {
-		rc, err := renderPatched(prog, c.prog)
-		if err != nil {
-			return nil, nil, err
-		}
-		prog.setRendered(rc)
-	}
-	if _, err := prog.Rendered(); err != nil {
-		return nil, nil, err
-	}
-	c.prog, c.flat = prog, fp
-	return prog, fp, nil
-}
-
-// full compiles the current diagram from scratch (through a fresh Patcher
-// bootstrap, so subsequent batches can patch forward) and retains the
-// generation state. Any failure resets the retained state entirely: a
-// partially bootstrapped patcher paired with a stale incremental rebuilder
-// must never survive into the next compile, where the incremental path
-// would patch against a base that no generation ever had.
-func (c *incrCompiler) full(maint *voronoi.Maintainer) (*region.Subdivision, []int, *Program, *core.FlatPaged, error) {
-	ids, polys := maint.LiveCells()
-	if len(ids) == 0 {
-		return nil, nil, nil, nil, fmt.Errorf("stream: no live sites")
-	}
-	c.reset()
-	c.patch = region.NewPatcher(maint.Area())
-	sub, _, err := c.patch.Patch(ids, polys, ids, nil)
-	if err != nil {
-		c.reset()
-		return nil, nil, nil, nil, err
-	}
-	c.inc = core.NewIncremental()
+	c.inc = core.NewIncremental(core.WithBuildWorkers(c.ch.BuildWorkers))
 	tree, err := c.inc.Full(sub)
 	if err != nil {
-		c.reset()
-		return nil, nil, nil, nil, err
+		return nil, err
 	}
-	prog, fp, err := c.finish(tree, maint, sub, ids)
-	if err != nil {
-		c.reset()
-		return nil, nil, nil, nil, err
-	}
-	return sub, ids, prog, fp, nil
+	return c.finish(sub, keys, tree)
 }
 
-// compile produces the next generation from the maintainer's batch delta,
-// incrementally when the retained state allows it and the batch is small
-// enough, from scratch otherwise. Any incremental-path error falls back to
-// a full rebuild (the outputs are byte-identical either way).
-func (c *incrCompiler) compile(maint *voronoi.Maintainer, dirty, removed []int) (*region.Subdivision, []int, *Program, *core.FlatPaged, cutStats, error) {
-	if err := c.failNext; err != nil {
-		// Deliberately leaves the retained state untouched: the Swapper's
-		// error path owns the cleanup, and the tests pin that it happens.
-		c.failNext = nil
-		return nil, nil, nil, nil, cutStats{DirtyKeys: len(dirty)}, err
-	}
-	n := maint.Len()
-	if c.patch == nil || c.inc == nil ||
-		float64(len(dirty)+len(removed)) > incrFullFraction*float64(n) {
-		sub, ids, prog, fp, err := c.full(maint)
-		return sub, ids, prog, fp, cutStats{DirtyKeys: len(dirty)}, err
-	}
-	sub, ids, prog, fp, st, err := c.incremental(maint, dirty, removed)
+func (c *Compiler) incremental(keys []int, polys []geom.Polygon, dirty, removed []int) (*Cut, error) {
+	sub, canonDirty, err := c.patch.Patch(keys, polys, dirty, removed)
 	if err != nil {
-		sub, ids, prog, fp, ferr := c.full(maint)
-		return sub, ids, prog, fp, cutStats{DirtyKeys: len(dirty)}, ferr
-	}
-	return sub, ids, prog, fp, st, nil
-}
-
-func (c *incrCompiler) incremental(maint *voronoi.Maintainer, dirty, removed []int) (*region.Subdivision, []int, *Program, *core.FlatPaged, cutStats, error) {
-	ids, polys := maint.LiveCells()
-	if len(ids) == 0 {
-		return nil, nil, nil, nil, cutStats{}, fmt.Errorf("stream: no live sites")
-	}
-	sub, canonDirty, err := c.patch.Patch(ids, polys, dirty, removed)
-	if err != nil {
-		return nil, nil, nil, nil, cutStats{}, err
+		return nil, err
 	}
 	tree, delta, err := c.inc.Rebuild(sub, canonDirty)
 	if err != nil {
-		return nil, nil, nil, nil, cutStats{}, err
+		return nil, err
 	}
-	prog, fp, err := c.finish(tree, maint, sub, ids)
+	cut, err := c.finish(sub, keys, tree)
 	if err != nil {
-		return nil, nil, nil, nil, cutStats{}, err
+		return nil, err
 	}
-	st := cutStats{Incremental: true, DirtyKeys: len(canonDirty), Spliced: delta.Spliced, Total: delta.Total}
-	return sub, ids, prog, fp, st, nil
+	cut.Stats = CutStats{Incremental: true, DirtyKeys: len(canonDirty), Spliced: delta.Spliced, Total: delta.Total}
+	return cut, nil
+}
+
+// finish completes a built tree against the retained generation — arena
+// patch-in-place and frame reuse — and retains it as the next cut's base.
+// A stamped program is rendered here, reusing the previous cycle's frames;
+// any other program's data frames depend on the generation's keys, so it
+// renders in full when it is published (Server.Swap).
+func (c *Compiler) finish(sub *region.Subdivision, keys []int, tree *core.Tree) (*Cut, error) {
+	cut, err := c.ch.finish(sub, keys, tree, c.flat)
+	if err != nil {
+		return nil, err
+	}
+	if cut.Prog.stamped {
+		if c.prog != nil {
+			rc, err := renderPatched(cut.Prog, c.prog)
+			if err != nil {
+				return nil, err
+			}
+			cut.Prog.setRendered(rc)
+		}
+		if _, err := cut.Prog.Rendered(); err != nil {
+			return nil, err
+		}
+	}
+	c.prog, c.flat = cut.Prog, cut.Flat
+	return cut, nil
 }
 
 // renderPatched builds the rendered cycle for p by copying the previous

@@ -127,7 +127,7 @@ func BenchmarkFromScratchCut(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				prog, _, err := CompileDTree(sub, 256, sw.m)
+				prog, _, err := CompileDTree(sub, 256, sw.comp.ch.M)
 				if err != nil {
 					b.Fatal(err)
 				}

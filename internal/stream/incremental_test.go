@@ -108,7 +108,7 @@ func TestIncrementalCutMatchesFromScratch(t *testing.T) {
 			t.Fatalf("step %d: %v", step, err)
 		}
 		g := sw.Current()
-		want, wantFP, err := CompileDTree(g.Sub, capacity, sw.m)
+		want, wantFP, err := CompileDTree(g.Sub, capacity, sw.comp.ch.M)
 		if err != nil {
 			t.Fatalf("step %d: scratch compile: %v", step, err)
 		}
@@ -160,7 +160,7 @@ func TestSwapperLongHorizonIncrementalIdentity(t *testing.T) {
 			}
 			continue
 		}
-		want, wantFP, err := CompileDTree(g.Sub, capacity, sw.m)
+		want, wantFP, err := CompileDTree(g.Sub, capacity, sw.comp.ch.M)
 		if err != nil {
 			t.Fatalf("after %d ops: scratch compile: %v", applied, err)
 		}

@@ -7,7 +7,6 @@ import (
 	"airindex/internal/broadcast"
 	"airindex/internal/core"
 	"airindex/internal/region"
-	"airindex/internal/wire"
 )
 
 // CompileDTree builds, pages, flattens and encodes the D-tree for a
@@ -16,20 +15,11 @@ import (
 // over it allocation-free, and its snapshot restores the identical program
 // without re-running construction (ProgramFromSnapshot).
 func CompileDTree(sub *region.Subdivision, capacity, m int) (*Program, *core.FlatPaged, error) {
-	tree, err := core.Build(sub)
+	cut, err := (&Channel{Area: sub.Area, Capacity: capacity, M: m}).Build(sub, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	paged, err := tree.Page(wire.DTreeParams(capacity))
-	if err != nil {
-		return nil, nil, err
-	}
-	fp := paged.Flatten()
-	prog, err := ProgramFromFlat(fp, m)
-	if err != nil {
-		return nil, nil, err
-	}
-	return prog, fp, nil
+	return cut.Prog, cut.Flat, nil
 }
 
 // NewDTreeProgram assembles a complete broadcast program for a subdivision:
@@ -41,30 +31,38 @@ func NewDTreeProgram(sub *region.Subdivision, capacity, m int) (*Program, error)
 	return prog, err
 }
 
-// ProgramFromFlat assembles a broadcast program from a flat paged index —
-// the shared tail of a fresh compile and a snapshot restore, so both paths
-// put byte-identical cycles on the air.
-//
-// When the arena carries a region-adjacency table (continuous queries), its
-// self-describing appendix packets are prefixed to every index copy: packet
-// 0 names the appendix length, the tree root follows right behind, and a
-// point-query client skips the appendix with QueryShifted. Arenas without a
-// table produce the exact packets they always did.
+// ProgramFromFlat assembles a single-channel broadcast program from a flat
+// paged index — the shared tail of a fresh compile and a snapshot restore,
+// so both paths put byte-identical cycles on the air. Its data packets carry
+// BucketStamp payloads.
 func ProgramFromFlat(fp *core.FlatPaged, m int) (*Program, error) {
-	packets, err := fp.EncodePackets()
+	return (&Channel{M: m}).Program(nil, nil, fp)
+}
+
+// Assemble lays out one (1, m) broadcast channel over a flat paged index.
+// Every index copy is [prefix][adjacency appendix][tree]: prefix is whatever
+// the caller carries ahead of the index (a fabric channel's directory; nil
+// on a single channel), and the appendix is present when the arena carries
+// a region-adjacency table — its packet 0 names the appendix length and the
+// tree root follows right behind, so a point-query client skips it with
+// QueryShifted. data generates the bucket payloads. m <= 0 picks the
+// optimal number of index copies per cycle.
+func Assemble(prefix [][]byte, fp *core.FlatPaged, m int, data func(bucket, pkt int) []byte) (*Program, error) {
+	tree, err := fp.EncodePackets()
 	if err != nil {
 		return nil, err
 	}
-	if len(packets) == 0 {
+	if len(tree) == 0 {
 		return nil, fmt.Errorf("stream: subdivision of %d regions produced an empty index", fp.Flat.N)
 	}
+	var appendix [][]byte
 	if adj := fp.Flat.Adjacency(); adj != nil {
-		adjPkts, err := adj.EncodePackets(fp.Params.PacketCapacity)
-		if err != nil {
+		if appendix, err = adj.EncodePackets(fp.Params.PacketCapacity); err != nil {
 			return nil, err
 		}
-		packets = append(adjPkts, packets...)
 	}
+	packets := make([][]byte, 0, len(prefix)+len(appendix)+len(tree))
+	packets = append(append(append(packets, prefix...), appendix...), tree...)
 	params := fp.Params
 	capacity := params.PacketCapacity
 	bucketPackets := params.DataBucketPackets()
@@ -79,13 +77,16 @@ func ProgramFromFlat(fp *core.FlatPaged, m int) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Program{
+	prog := &Program{
 		Capacity:     capacity,
 		IndexPackets: packets,
 		Sched:        sched,
-		Data:         BucketStamp(capacity),
-		stamped:      true,
-	}, nil
+		Data:         data,
+	}
+	if err := prog.Validate(); err != nil {
+		return nil, err
+	}
+	return prog, nil
 }
 
 // ProgramFromSnapshot restores a broadcast program from a flat-index

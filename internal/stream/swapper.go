@@ -32,14 +32,42 @@ type SiteOp struct {
 	P    geom.Point // Add, Move: the (new) location
 }
 
+// ApplyOps opens a new dirty-batch window on maint (BeginBatch) and applies
+// ops in order, stopping at the first that fails. It returns the batch
+// position -> resulting site id mapping for the prefix that applied: a new
+// id for Add, the site's stable id echoed for Remove and Move.
+func ApplyOps(maint *voronoi.Maintainer, ops []SiteOp) ([]int, error) {
+	maint.BeginBatch()
+	ids := make([]int, 0, len(ops))
+	for _, op := range ops {
+		var id int
+		var err error
+		switch op.Kind {
+		case OpAdd:
+			id, err = maint.Add(op.P)
+		case OpRemove:
+			id, err = op.ID, maint.Remove(op.ID)
+		case OpMove:
+			id, err = maint.Move(op.ID, op.P)
+		default:
+			err = fmt.Errorf("stream: unknown site op kind %d", op.Kind)
+		}
+		if err != nil {
+			return ids, err
+		}
+		ids = append(ids, id)
+	}
+	return ids, nil
+}
+
 // Generation is one published broadcast program together with the ground
 // truth it was built from, kept so verifiers can check a query answer
 // against the exact program its generation stamp names — even after later
 // swaps replaced it on the air.
 type Generation struct {
-	Gen  uint32
-	Sub  *region.Subdivision // the subdivision the program indexes
-	IDs  []int               // region index -> stable site id
+	Gen uint32
+	Sub *region.Subdivision // the subdivision the program indexes
+	IDs []int               // region index -> stable site id
 	// Sites maps region index -> site location at this generation: the
 	// ground truth continuous-query verifiers score window/kNN answers
 	// against after the maintainer has moved on.
@@ -54,12 +82,9 @@ type Generation struct {
 // Swapper drives live reconfiguration end to end. All methods are safe for
 // concurrent use; Apply batches serialize against each other.
 type Swapper struct {
-	capacity int
-	m        int
-
 	mu    sync.Mutex
 	maint *voronoi.Maintainer
-	comp  *incrCompiler
+	comp  *Compiler
 	gens  map[uint32]*Generation
 	cur   *Generation
 	srv   *Server // nil until Bind
@@ -92,23 +117,20 @@ func newSwapper(area geom.Rect, sites []geom.Point, capacity, m int, adjacency b
 	if err != nil {
 		return nil, err
 	}
-	comp := newIncrCompiler(capacity, m)
-	comp.adjacency = adjacency
+	ch := Channel{Area: maint.Area(), Capacity: capacity, M: m}
+	if adjacency {
+		ch.SiteOf = maint.Site
+	}
 	sw := &Swapper{
-		capacity: capacity, m: m,
 		maint: maint,
-		comp:  comp,
+		comp:  NewCompiler(ch),
 		gens:  make(map[uint32]*Generation),
 	}
-	sub, ids, prog, flat, err := sw.comp.full(maint)
+	g, _, err := sw.buildLocked(1, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	sites, serr := sw.sitesLocked(ids)
-	if serr != nil {
-		return nil, serr
-	}
-	sw.remember(&Generation{Gen: 1, Sub: sub, IDs: ids, Sites: sites, Prog: prog, Flat: flat})
+	sw.remember(g)
 	return sw, nil
 }
 
@@ -129,16 +151,17 @@ func (sw *Swapper) sitesLocked(ids []int) ([]geom.Point, error) {
 // buildLocked compiles the next program from the maintainer's batch delta —
 // incrementally against the previous generation when the batch is small,
 // from scratch otherwise (byte-identical either way); the caller holds mu.
-func (sw *Swapper) buildLocked(gen uint32, dirty, removed []int) (*Generation, cutStats, error) {
-	sub, ids, prog, flat, st, err := sw.comp.compile(sw.maint, dirty, removed)
+func (sw *Swapper) buildLocked(gen uint32, dirty, removed []int) (*Generation, CutStats, error) {
+	ids, polys := sw.maint.LiveCells()
+	cut, err := sw.comp.Compile(ids, polys, dirty, removed)
 	if err != nil {
-		return nil, st, err
+		return nil, CutStats{}, err
 	}
 	sites, err := sw.sitesLocked(ids)
 	if err != nil {
-		return nil, st, err
+		return nil, cut.Stats, err
 	}
-	return &Generation{Gen: gen, Sub: sub, IDs: ids, Sites: sites, Prog: prog, Flat: flat}, st, nil
+	return &Generation{Gen: gen, Sub: cut.Sub, IDs: ids, Sites: sites, Prog: cut.Prog, Flat: cut.Flat}, cut.Stats, nil
 }
 
 func (sw *Swapper) remember(g *Generation) {
@@ -205,7 +228,7 @@ func (sw *Swapper) Pending() bool {
 // maintainer's site mutations stay — they are valid after every op — and
 // pending records that the air now trails them. Caller holds mu.
 func (sw *Swapper) abortCut() {
-	sw.comp.reset()
+	sw.comp.Reset()
 	sw.maint.BeginBatch()
 	sw.pending = true
 }
@@ -234,26 +257,7 @@ func (sw *Swapper) Apply(ops []SiteOp) (gen uint32, ids []int, err error) {
 	start := time.Now()
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
-	sw.maint.BeginBatch()
-	ids = make([]int, 0, len(ops))
-	var opErr error
-	for _, op := range ops {
-		var id int
-		switch op.Kind {
-		case OpAdd:
-			id, opErr = sw.maint.Add(op.P)
-		case OpRemove:
-			id, opErr = op.ID, sw.maint.Remove(op.ID)
-		case OpMove:
-			id, opErr = sw.maint.Move(op.ID, op.P)
-		default:
-			opErr = fmt.Errorf("stream: unknown site op kind %d", op.Kind)
-		}
-		if opErr != nil {
-			break
-		}
-		ids = append(ids, id)
-	}
+	ids, opErr := ApplyOps(sw.maint, ops)
 	if len(ids) == 0 && opErr != nil && !sw.pending {
 		// Nothing changed; keep the current generation on the air.
 		return sw.cur.Gen, nil, opErr
@@ -290,7 +294,7 @@ func (sw *Swapper) Apply(ops []SiteOp) (gen uint32, ids []int, err error) {
 		m := sw.srv.Metrics()
 		m.SwapLatencyNS.Observe(time.Since(start).Nanoseconds())
 		m.CutBuildNS.Observe(buildNS)
-		m.CutDirtyPermille.Set(st.dirtyPermille())
+		m.CutDirtyPermille.Set(st.DirtyPermille())
 	}
 	sw.pending = false
 	return next, ids, opErr
