@@ -92,6 +92,7 @@ import (
 	"airindex/internal/channel"
 	"airindex/internal/core"
 	"airindex/internal/dataset"
+	"airindex/internal/experiment"
 	"airindex/internal/fabric"
 	"airindex/internal/geom"
 	"airindex/internal/ingest"
@@ -782,7 +783,7 @@ func runChurn(sw *stream.Swapper, every time.Duration, opsPerBatch, n0 int, seed
 			return
 		case <-t.C:
 		}
-		gen, applied, err := sw.Apply(churnBatch(sw.LiveSiteIDs(), rng, opsPerBatch, n0))
+		gen, applied, err := sw.Apply(experiment.ChurnBatch(sw.LiveSiteIDs(), rng, opsPerBatch, n0))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "broadcastd: churn:", err)
 			continue
@@ -804,48 +805,13 @@ func runFabricChurn(sw *fabric.Swapper, every time.Duration, opsPerBatch, n0 int
 			return
 		case <-t.C:
 		}
-		gens, applied, err := sw.Apply(churnBatch(sw.LiveSiteIDs(), rng, opsPerBatch, n0))
+		gens, applied, err := sw.Apply(experiment.ChurnBatch(sw.LiveSiteIDs(), rng, opsPerBatch, n0))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "broadcastd: churn:", err)
 			continue
 		}
 		fmt.Printf("broadcastd: shard generations %v on the air (%d site ops, %d live sites)\n", gens, len(applied), sw.Len())
 	}
-}
-
-// churnBatch composes one random add/remove/move batch that keeps the live
-// population hovering around n0.
-func churnBatch(ids []int, rng *rand.Rand, opsPerBatch, n0 int) []stream.SiteOp {
-	ops := make([]stream.SiteOp, 0, opsPerBatch)
-	for len(ops) < opsPerBatch {
-		p := geom.Pt(
-			dataset.Area.MinX+rng.Float64()*dataset.Area.W(),
-			dataset.Area.MinY+rng.Float64()*dataset.Area.H(),
-		)
-		switch k := rng.Intn(3); {
-		case k == 0 || len(ids) <= n0/2:
-			ops = append(ops, stream.SiteOp{Kind: stream.OpAdd, P: p})
-		case k == 1 && len(ids) > n0/2:
-			j := ids[rng.Intn(len(ids))]
-			ops = append(ops, stream.SiteOp{Kind: stream.OpRemove, ID: j})
-			ids = dropID(ids, j)
-		default:
-			j := ids[rng.Intn(len(ids))]
-			ops = append(ops, stream.SiteOp{Kind: stream.OpMove, ID: j, P: p})
-			ids = dropID(ids, j)
-		}
-	}
-	return ops
-}
-
-func dropID(ids []int, id int) []int {
-	out := make([]int, 0, len(ids))
-	for _, j := range ids {
-		if j != id {
-			out = append(out, j)
-		}
-	}
-	return out
 }
 
 // fileExists reports whether path names an existing file, deciding between

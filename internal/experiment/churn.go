@@ -58,10 +58,11 @@ type ChurnPoint struct {
 // cell of `queries` queries).
 func ChurnLevels() []int { return []int{0, 8, 32, 128} }
 
-// churnBatch assembles one random add/remove/move batch that keeps the
-// live population hovering around n0.
-func churnBatch(sw *stream.Swapper, rng *rand.Rand, n0, size int) []stream.SiteOp {
-	ids := sw.LiveSiteIDs()
+// ChurnBatch assembles one random add/remove/move batch of size ops over
+// the live site ids that keeps the population hovering around n0. Sites
+// land uniformly in dataset.Area; the draw order is fixed, so one seed
+// replays the same batches.
+func ChurnBatch(ids []int, rng *rand.Rand, size, n0 int) []stream.SiteOp {
 	ops := make([]stream.SiteOp, 0, size)
 	for len(ops) < size {
 		randomPt := geom.Pt(
@@ -154,7 +155,7 @@ func runChurnCell(ds dataset.Dataset, capacity, churnOps, queries int, seed int6
 		defer close(driverDone)
 		drng := rand.New(rand.NewSource(seed + int64(churnOps)*31 + 1))
 		for n := range batches {
-			if _, _, err := sw.Apply(churnBatch(sw, drng, ds.N(), n)); err != nil {
+			if _, _, err := sw.Apply(ChurnBatch(sw.LiveSiteIDs(), drng, n, ds.N())); err != nil {
 				driverDone <- err
 				return
 			}

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"airindex/internal/dataset"
+	"airindex/internal/fabric"
 	"airindex/internal/stream"
 )
 
@@ -45,8 +46,10 @@ type ContinuousPoint struct {
 }
 
 // RunContinuous measures one fleet over a live single-channel adjacency
-// broadcast. churnOps site operations are spread across the run and applied
-// between cycles; model is "waypoint" or "commuter".
+// broadcast, each session a fabric.Continuous over a one-channel client (the
+// broadcast carries no directory). churnOps site operations are spread
+// across the run and applied between cycles; model is "waypoint" or
+// "commuter".
 func RunContinuous(ds dataset.Dataset, capacity int, model string, clients, cycles, churnOps int, q stream.ContinuousQuery, seed int64) (ContinuousPoint, error) {
 	if clients <= 0 {
 		clients = 1
@@ -91,26 +94,20 @@ func RunContinuous(ds dataset.Dataset, capacity int, model string, clients, cycl
 	applied := 0
 	totalSteps := clients * cycles
 	step := 0
+	addrs := []string{srv.Addr().String()}
 	for ci, traj := range fleet {
-		incCli, err := stream.Dial(srv.Addr().String(), capacity)
-		if err != nil {
-			return pt, err
-		}
-		freshCli, err := stream.Dial(srv.Addr().String(), capacity)
-		if err != nil {
-			incCli.Close()
-			return pt, err
-		}
-		inc := stream.NewContinuous(incCli, stream.ModeIncremental, q)
+		incCli := fabric.NewClient(addrs, capacity)
+		freshCli := fabric.NewClient(addrs, capacity)
+		inc := fabric.NewContinuous(incCli, stream.ModeIncremental, q)
 		inc.Metrics = im
-		fresh := stream.NewContinuous(freshCli, stream.ModeFresh, q)
+		fresh := fabric.NewContinuous(freshCli, stream.ModeFresh, q)
 		fresh.Metrics = fm
 		for cyc := 0; cyc < cycles; cyc++ {
 			// Pace the churn budget evenly across the whole run, applied
 			// between cycles so each generation's ground truth stays pinned
 			// while a cycle is in flight.
 			for churnOps > 0 && applied*totalSteps < churnOps*step {
-				batch := churnBatch(sw, drng, ds.N(), 1)
+				batch := ChurnBatch(sw.LiveSiteIDs(), drng, 1, ds.N())
 				if _, _, err := sw.Apply(batch); err != nil {
 					incCli.Close()
 					freshCli.Close()
@@ -133,11 +130,11 @@ func RunContinuous(ds dataset.Dataset, capacity int, model string, clients, cycl
 				freshCli.Close()
 				return pt, fmt.Errorf("client %d cycle %d fresh: %w", ci, cyc, err)
 			}
-			if oi.Generation == of.Generation {
+			if oi.Res.Generation == of.Res.Generation {
 				if oi.Region != of.Region || !sameI32(oi.Window, of.Window) || !sameI32(oi.KNN, of.KNN) {
 					incCli.Close()
 					freshCli.Close()
-					return pt, fmt.Errorf("client %d cycle %d: incremental and fresh answers diverge under generation %d", ci, cyc, oi.Generation)
+					return pt, fmt.Errorf("client %d cycle %d: incremental and fresh answers diverge under generation %d", ci, cyc, oi.Res.Generation)
 				}
 			}
 			incTune += float64(oi.Res.TotalTuning())

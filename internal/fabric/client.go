@@ -172,6 +172,9 @@ func (c *Client) QueryFrom(p geom.Point, entry int) (Result, error) {
 			return fres, err
 		}
 		dir, err := DecodeDirectory(pkts)
+		if err == nil {
+			err = c.checkDirectory(dir)
+		}
 		if err != nil {
 			c.mergeLeg(&fres, &leg, leg.TuneIndex)
 			return fres, err
@@ -272,6 +275,16 @@ func (c *Client) QueryFrom(p geom.Point, entry int) (Result, error) {
 		return fres, nil
 	}
 	return fres, fmt.Errorf("fabric: routing abandoned after %d directory restarts (fabric reconfiguring faster than queries complete)", maxRouteAttempts)
+}
+
+// checkDirectory rejects a directory that routes over a different number
+// of channels than the client can tune to: its routes would name channels
+// the client does not hold, or leave some of its channels unreachable.
+func (c *Client) checkDirectory(dir *Directory) error {
+	if dir.S != len(c.clients) {
+		return fmt.Errorf("fabric: directory announces %d channels, client holds %d", dir.S, len(c.clients))
+	}
+	return nil
 }
 
 // retryRouting folds a failed directory phase into the accumulated result

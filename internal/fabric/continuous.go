@@ -25,7 +25,9 @@ import (
 // channel only when its validation fails or its generation moved. The
 // channel directory is read off the air once — the partition is fixed for a
 // fabric's lifetime — and shard rectangles are learned from the first
-// adjacency fetch on each channel (one full sweep on the first cycle).
+// adjacency fetch on each channel (one full sweep on the first cycle). A
+// plain single channel is the degenerate case: one cache line and no
+// directory, which the session learns from the air (see ensureDirectory).
 //
 // Cross-shard answers compose from per-shard walks. A window walk runs on
 // every channel whose rectangle meets the window, seeded at the region
@@ -53,8 +55,7 @@ type Continuous struct {
 	q    stream.ContinuousQuery
 
 	// Metrics, when set, accumulates cycle-level revalidation-vs-redescent
-	// counters and per-cycle cost distributions (shared with the
-	// single-channel session's metric set).
+	// counters and per-cycle cost distributions. Optional; may be shared.
 	Metrics *stream.ContinuousMetrics
 
 	cycle  int
@@ -120,7 +121,8 @@ type ContCycle struct {
 
 	// Res sums the per-channel legs: latency adds each leg's slot span,
 	// tuning counters add across channels, with directory packets charged
-	// as index tuning. Res.Generation echoes the home channel's.
+	// as index tuning. Res.Generation echoes the home channel's; on a
+	// single channel Res.Latency spans FirstSlot..LastSlot.
 	Res stream.Result
 }
 
@@ -199,7 +201,7 @@ func (s *Continuous) Step(p geom.Point) (ContCycle, error) {
 func (s *Continuous) stepOnce(p geom.Point, out *ContCycle) (int, error) {
 	entry := s.fc.entry
 	if s.dir == nil {
-		if err := s.ensureDirectory(entry); err != nil {
+		if err := s.ensureDirectory(entry, p, out); err != nil {
 			return entry, err
 		}
 	}
@@ -330,8 +332,13 @@ func (s *Continuous) stepOnce(p geom.Point, out *ContCycle) (int, error) {
 }
 
 // ensureDirectory reads the replicated channel directory once, off the
-// entry channel, as its own accounted leg.
-func (s *Continuous) ensureDirectory(entry int) error {
+// entry channel, as its own accounted leg. A lone channel may carry no
+// directory: when packet 0 of its index copy is not a directory head, the
+// route is a single leaf to channel 0, d is 0, and the leg just opened
+// becomes channel 0's own — its acquisition resumes from the packet already
+// read, so the single channel pays no extra probe. A client holding more
+// than one channel cannot route without a directory and gets the error.
+func (s *Continuous) ensureDirectory(entry int, p geom.Point, out *ContCycle) error {
 	cli, err := s.fc.client(entry)
 	if err != nil {
 		return err
@@ -347,7 +354,16 @@ func (s *Continuous) ensureDirectory(entry int) error {
 	}
 	d, err := DirectoryPacketCount(pkts[0])
 	if err != nil {
-		return err
+		if len(s.chans) != 1 {
+			return err
+		}
+		s.dir, s.d = &Directory{S: 1, Nodes: []DirNode{{Axis: axisLeaf}}}, 0
+		cc := s.chans[0]
+		cc.stamp, cc.res = s.stamp, s.dirLeg
+		cc.refreshed, cc.crossed = false, false
+		s.dirStamp = 0 // the leg is folded as channel 0's, not twice
+		out.Gens[0] = cc.res.Generation
+		return s.acquireChan(0, cli, cc, p, pkts[0])
 	}
 	if d > 1 {
 		rest, err := cli.FetchIndexPackets(&s.dirLeg, 1, d)
@@ -358,6 +374,9 @@ func (s *Continuous) ensureDirectory(entry int) error {
 	}
 	dir, err := DecodeDirectory(pkts)
 	if err != nil {
+		return err
+	}
+	if err := s.fc.checkDirectory(dir); err != nil {
 		return err
 	}
 	s.dir, s.d = dir, len(pkts)
@@ -392,7 +411,7 @@ func (s *Continuous) ensure(ch int, p geom.Point, out *ContCycle) (*contChan, er
 	}
 	out.Gens[ch] = cc.res.Generation
 	if s.mode == stream.ModeFresh || !cc.genValid || cc.res.Generation != cc.gen {
-		return cc, s.acquireChan(ch, cli, cc, p)
+		return cc, s.acquireChan(ch, cli, cc, p, nil)
 	}
 	q := clampPoint(p, cc.rect)
 	if cc.adj.Contains(cc.seed, q) {
@@ -409,22 +428,26 @@ func (s *Continuous) ensure(ch int, p geom.Point, out *ContCycle) (*contChan, er
 
 // acquireChan performs one channel's full tune-in: the self-describing
 // adjacency appendix behind the directory, then the index descent for the
-// clamped position.
-func (s *Continuous) acquireChan(ch int, cli *stream.Client, cc *contChan, p geom.Point) error {
+// clamped position. head, when not nil, is the appendix's first packet,
+// already read in this leg.
+func (s *Continuous) acquireChan(ch int, cli *stream.Client, cc *contChan, p geom.Point, head []byte) error {
 	cc.invalidate()
-	head, err := cli.FetchIndexPackets(&cc.res, s.d, s.d+1)
-	if err != nil {
-		return err
+	if head == nil {
+		pkts, err := cli.FetchIndexPackets(&cc.res, s.d, s.d+1)
+		if err != nil {
+			return err
+		}
+		head = pkts[0]
 	}
-	count, err := core.AdjacencyPacketCount(head[0])
+	count, err := core.AdjacencyPacketCount(head)
 	if err != nil {
-		return fmt.Errorf("fabric: channel %d carries no adjacency appendix behind the directory: %w", ch, err)
+		return fmt.Errorf("fabric: channel %d carries no adjacency appendix: %w", ch, err)
 	}
 	rest, err := cli.FetchIndexPackets(&cc.res, s.d+1, s.d+count)
 	if err != nil {
 		return err
 	}
-	adj, err := core.DecodeAdjacency(append(head, rest...))
+	adj, err := core.DecodeAdjacency(append([][]byte{head}, rest...))
 	if err != nil {
 		return err
 	}
@@ -547,9 +570,17 @@ func (s *Continuous) ownerOf(gid int32, home int) (int, int) {
 }
 
 // foldLegs sums every leg opened this attempt into the cycle total; each
-// leg's latency is the slot span its channel was actually tuned.
+// leg's latency is the slot span its channel was actually tuned, and
+// FirstSlot/LastSlot bracket every leg on the shared slot clock.
 func (s *Continuous) foldLegs(total *stream.Result) {
 	fold := func(r *stream.Result) {
+		if r.TuneProbe > 0 {
+			if total.TuneProbe == 0 || r.FirstSlot < total.FirstSlot {
+				total.FirstSlot = r.FirstSlot
+			}
+			total.LastSlot = max(total.LastSlot, r.LastSlot)
+			total.Latency += float64(r.LastSlot + 1 - r.FirstSlot)
+		}
 		total.TuneProbe += r.TuneProbe
 		total.TuneIndex += r.TuneIndex
 		total.TuneData += r.TuneData
@@ -559,9 +590,6 @@ func (s *Continuous) foldLegs(total *stream.Result) {
 		total.CorruptFrames += r.CorruptFrames
 		total.Recoveries += r.Recoveries
 		total.EpochRestarts += r.EpochRestarts
-		if r.TuneProbe > 0 {
-			total.Latency += float64(r.LastSlot + 1 - r.FirstSlot)
-		}
 	}
 	if s.dirStamp == s.stamp {
 		fold(&s.dirLeg)

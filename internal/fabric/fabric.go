@@ -116,9 +116,9 @@ type Options struct {
 	// Adjacency attaches a region-adjacency table to every shard arena and
 	// splices its self-describing appendix between the directory and the
 	// tree in every index copy, making each channel a continuous-query
-	// medium (stream.Continuous, fabric.Continuous). The table carries the
-	// global data-instance ids, so hopping clients union per-shard answers
-	// and break kNN ties in the global numbering without bucket downloads.
+	// medium (fabric.Continuous). The table carries the global
+	// data-instance ids, so hopping clients union per-shard answers and
+	// break kNN ties in the global numbering without bucket downloads.
 	Adjacency bool
 }
 

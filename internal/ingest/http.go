@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 )
@@ -18,9 +19,12 @@ const maxBodyBytes = 1 << 20
 //	{"op":"add","id":-1,"x":120.5,"y":340.25}
 //	{"op":"move","id":17,"x":99.0,"y":12.5}
 //	{"op":"remove","id":17}
+//
+// Move and remove must carry "id": a missing field would otherwise decode
+// to id 0 and touch live site 0. Add may omit it.
 type wireOp struct {
 	Op string  `json:"op"`
-	ID int64   `json:"id,omitempty"`
+	ID *int64  `json:"id"`
 	X  float64 `json:"x,omitempty"`
 	Y  float64 `json:"y,omitempty"`
 }
@@ -30,18 +34,53 @@ type wireBatch struct {
 }
 
 func (w wireOp) toOp() (Op, error) {
+	var id int64
+	if w.ID != nil {
+		id = *w.ID
+	} else if w.Op == "move" || w.Op == "remove" {
+		return Op{}, fmt.Errorf("%s must carry the id of its site", w.Op)
+	}
 	switch w.Op {
 	case "add":
-		if w.ID > 0 {
-			return Op{}, fmt.Errorf("add must not carry a positive id (got %d); use a negative provisional handle or omit it", w.ID)
+		if id > 0 {
+			return Op{}, fmt.Errorf("add must not carry a positive id (got %d); use a negative provisional handle or omit it", id)
 		}
-		return Op{Kind: OpAdd, ID: w.ID, X: w.X, Y: w.Y}, nil
+		return Op{Kind: OpAdd, ID: id, X: w.X, Y: w.Y}, nil
 	case "move":
-		return Op{Kind: OpMove, ID: w.ID, X: w.X, Y: w.Y}, nil
+		return Op{Kind: OpMove, ID: id, X: w.X, Y: w.Y}, nil
 	case "remove":
-		return Op{Kind: OpRemove, ID: w.ID}, nil
+		return Op{Kind: OpRemove, ID: id}, nil
 	}
 	return Op{}, fmt.Errorf("unknown op %q (want add, move or remove)", w.Op)
+}
+
+// errEmptyBatch rejects a well-formed batch that carries no operations.
+var errEmptyBatch = errors.New("empty batch")
+
+// decodeBatch reads one request body: a single JSON batch with no unknown
+// fields and nothing after it, holding at least one valid operation.
+func decodeBatch(r io.Reader) ([]Op, error) {
+	var batch wireBatch
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&batch); err != nil {
+		return nil, fmt.Errorf("bad batch: %v", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("bad batch: trailing data after the batch")
+	}
+	if len(batch.Ops) == 0 {
+		return nil, errEmptyBatch
+	}
+	ops := make([]Op, 0, len(batch.Ops))
+	for i, wo := range batch.Ops {
+		op, err := wo.toOp()
+		if err != nil {
+			return nil, fmt.Errorf("op %d: %v", i, err)
+		}
+		ops = append(ops, op)
+	}
+	return ops, nil
 }
 
 // NewHandler serves the pipeline over HTTP: POST a JSON batch, get 202
@@ -61,27 +100,13 @@ func NewHandler(p *Pipeline) http.Handler {
 			httpError(w, http.StatusMethodNotAllowed, "POST a JSON op batch")
 			return
 		}
-		var batch wireBatch
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&batch); err != nil {
-			p.m.InvalidOps.Inc()
-			httpError(w, http.StatusBadRequest, "bad batch: %v", err)
-			return
-		}
-		if len(batch.Ops) == 0 {
-			httpError(w, http.StatusBadRequest, "empty batch")
-			return
-		}
-		ops := make([]Op, 0, len(batch.Ops))
-		for i, wo := range batch.Ops {
-			op, err := wo.toOp()
-			if err != nil {
+		ops, err := decodeBatch(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		if err != nil {
+			if err != errEmptyBatch {
 				p.m.InvalidOps.Inc()
-				httpError(w, http.StatusBadRequest, "op %d: %v", i, err)
-				return
 			}
-			ops = append(ops, op)
+			httpError(w, http.StatusBadRequest, "%v", err)
+			return
 		}
 		switch err := p.Enqueue(ops...); {
 		case err == nil:

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -135,6 +136,91 @@ func TestHandlerRejectsMalformedBatches(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /ingest = %d, want 405", resp.StatusCode)
 	}
+}
+
+// TestHandlerRejectsMissingIDAndTrailingData: a move or remove without an
+// "id" must not decode to id 0 and touch live site 0, and bytes after the
+// batch (a second concatenated batch) must not be dropped behind a 202.
+func TestHandlerRejectsMissingIDAndTrailingData(t *testing.T) {
+	p := Start(newFakeSink(), fastConfig())
+	defer p.Close(nil)
+	ts := httptest.NewServer(NewHandler(p))
+	defer ts.Close()
+
+	for _, tc := range []struct {
+		name, body string
+		want       int
+	}{
+		{"move without id", `{"ops":[{"op":"move","x":1,"y":1}]}`, http.StatusBadRequest},
+		{"remove without id", `{"ops":[{"op":"remove"}]}`, http.StatusBadRequest},
+		{"second batch", `{"ops":[{"op":"add","x":1,"y":1}]}{"ops":[{"op":"remove","id":0}]}`, http.StatusBadRequest},
+		{"trailing garbage", `{"ops":[{"op":"add","x":1,"y":1}]} x`, http.StatusBadRequest},
+		{"move of site 0", `{"ops":[{"op":"move","id":0,"x":1,"y":1}]}`, http.StatusAccepted},
+		{"trailing whitespace", "{\"ops\":[{\"op\":\"add\",\"x\":1,\"y\":1}]}\n", http.StatusAccepted},
+	} {
+		if got := postBatch(t, ts.URL, tc.body).StatusCode; got != tc.want {
+			t.Errorf("%s: status = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
+// FuzzIngestBatch: the body decoder never panics, and every batch it
+// accepts is non-empty, of known kinds, with non-positive add ids and an
+// explicit id on every move and remove.
+func FuzzIngestBatch(f *testing.F) {
+	for _, seed := range []string{
+		`{"ops":[{"op":"add","id":-1,"x":120.5,"y":340.25}]}`,
+		`{"ops":[{"op":"move","id":17,"x":99,"y":12.5},{"op":"remove","id":17}]}`,
+		`{"ops":[{"op":"add","x":1,"y":1}]}{"ops":[]}`,
+		`{"ops":[{"op":"move","x":1}]}`,
+		`{"ops":[]}`,
+		`{"ops":null}`,
+		`[]`,
+		`{"OPS":[{"Op":"remove","ID":3}]}`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		ops, err := decodeBatch(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		if len(ops) == 0 {
+			t.Fatalf("accepted an empty batch from %q", body)
+		}
+		for i, op := range ops {
+			switch op.Kind {
+			case OpAdd:
+				if op.ID > 0 {
+					t.Fatalf("op %d: add with positive id %d from %q", i, op.ID, body)
+				}
+			case OpMove, OpRemove:
+			default:
+				t.Fatalf("op %d: unknown kind %d from %q", i, op.Kind, body)
+			}
+		}
+		// Every accepted move and remove named its site in the body (field
+		// names match case-insensitively, as the decoder matches them).
+		var raw struct {
+			Ops []map[string]json.RawMessage `json:"ops"`
+		}
+		if err := json.Unmarshal(body, &raw); err != nil {
+			t.Fatalf("accepted body %q is not a JSON batch: %v", body, err)
+		}
+		for i, op := range ops {
+			if op.Kind == OpAdd {
+				continue
+			}
+			named := false
+			for k := range raw.Ops[i] {
+				named = named || strings.EqualFold(k, "id")
+			}
+			if !named {
+				t.Fatalf("op %d: kind %d accepted without an id from %q", i, op.Kind, body)
+			}
+		}
+	})
 }
 
 func TestHandlerClosedPipeline(t *testing.T) {

@@ -106,7 +106,7 @@ func NewSwapper(area geom.Rect, sites []geom.Point, capacity, m int) (*Swapper, 
 // NewSwapperWithAdjacency is NewSwapper for a continuous-query broadcast:
 // every published generation's arena carries the region-adjacency table, so
 // each cycle leads with the self-describing appendix that moving clients
-// cache and revalidate against (stream.Continuous). Point-query clients use
+// cache and revalidate against (fabric.Continuous). Point-query clients use
 // QueryShifted past the appendix.
 func NewSwapperWithAdjacency(area geom.Rect, sites []geom.Point, capacity, m int) (*Swapper, error) {
 	return newSwapper(area, sites, capacity, m, true)
