@@ -1,8 +1,9 @@
 package stream
 
 import (
-	"bufio"
+	"bytes"
 	"io"
+	"math"
 	"testing"
 
 	"airindex/internal/channel"
@@ -19,115 +20,184 @@ func benchProgram(b *testing.B, n, capacity int) *Program {
 	return prog
 }
 
-// BenchmarkTransmitHotPath measures the per-frame cost of the transmit hot
-// path exactly as the live server runs it: no fault middleware, shared
-// server metrics attached — every frame outcome is counted. bytes/op is
-// the wire rate; allocs/op must be 0 (the counts are published into
-// pre-resolved counters once per flush; TestTransmitHotPathZeroAlloc
-// enforces the same contract as a hard test failure).
-func BenchmarkTransmitHotPath(b *testing.B) {
-	prog := benchProgram(b, 200, 256)
-	m := NewMetrics()
-	tx, err := prog.transmitter(nil, m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bw := bufio.NewWriterSize(io.Discard, txBufSize)
-	b.SetBytes(int64(headerSize + prog.Capacity))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tx.transmitSlot(bw, i, i, 1); err != nil {
+// transmitSizes are the programs the transmit benchmarks run: a 200-site
+// cycle whose rendered slabs fit in L2, and a 10k-site one at 128 B — the
+// live benchmark's broadcast, ~16 MB of slabs — where the cost of reading
+// the rendered cycle from memory shows.
+var transmitSizes = []struct {
+	label           string
+	sites, capacity int
+}{
+	{"sites=200/capacity=256", 200, 256},
+	{"sites=10k/capacity=128", 10_000, 128},
+}
+
+// transmitFrames drives tx through exactly n frames from slot 0.
+func transmitFrames(b *testing.B, tx *transmitter, n int) {
+	for slot := 0; slot < n; {
+		k, err := tx.transmitRun(slot, slot, n-slot, 1)
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
-	tx.flush(bw) //nolint:errcheck // publishes the pending counts
-	if got := m.FramesWritten.Load(); got != int64(b.N) {
-		b.Fatalf("metrics counted %d frames, wrote %d", got, b.N)
+		slot += k
 	}
 }
 
+// BenchmarkTransmitHotPath measures the per-frame cost of the transmit hot
+// path exactly as the live server runs it: no fault middleware, shared
+// server metrics attached — every frame outcome is counted. ns/op is per
+// frame and bytes/op the wire rate; allocs/op must be 0 (the counts are
+// published into pre-resolved counters once per flush;
+// TestTransmitHotPathZeroAlloc enforces the same contract as a hard test
+// failure).
+func BenchmarkTransmitHotPath(b *testing.B) {
+	for _, size := range transmitSizes {
+		b.Run(size.label, func(b *testing.B) {
+			prog := benchProgram(b, size.sites, size.capacity)
+			m := NewMetrics()
+			tx, err := prog.transmitter(io.Discard, nil, m)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(headerSize + prog.Capacity))
+			b.ReportAllocs()
+			b.ResetTimer()
+			transmitFrames(b, tx, b.N)
+			tx.flush() //nolint:errcheck // publishes the pending counts
+			if got := m.FramesWritten.Load(); got != int64(b.N) {
+				b.Fatalf("metrics counted %d frames, wrote %d", got, b.N)
+			}
+		})
+	}
+}
+
+// requireZeroAllocTransmit runs whole transmit runs of prog through ch
+// (nil: perfect channel) with metrics attached, and fails unless they
+// allocate nothing and every frame outcome was counted.
+func requireZeroAllocTransmit(t *testing.T, prog *Program, ch *channel.Channel) *Metrics {
+	t.Helper()
+	m := NewMetrics()
+	tx, err := prog.transmitter(io.Discard, ch, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slot := 0
+	allocs := testing.AllocsPerRun(2000, func() {
+		n, err := tx.transmitRun(slot, slot, math.MaxInt, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slot += n
+	})
+	if allocs != 0 {
+		t.Fatalf("transmit hot path allocates %.1f times per run, want 0", allocs)
+	}
+	tx.flush() //nolint:errcheck // publishes the pending counts
+	if m.FramesWritten.Load() == 0 || m.BytesWritten.Load() == 0 {
+		t.Fatal("metrics did not count the transmitted frames")
+	}
+	return m
+}
+
 // TestTransmitHotPathZeroAlloc pins the zero-allocation contract of the
-// instrumented transmit path: with metrics enabled, transmitting a frame
-// on the perfect-channel path allocates nothing.
+// instrumented transmit path: with metrics enabled, transmitting on the
+// perfect-channel path allocates nothing.
 func TestTransmitHotPathZeroAlloc(t *testing.T) {
 	sub, _ := testutil.RandomVoronoi(t, 200, 1403)
 	prog, err := NewDTreeProgram(sub, 256, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewMetrics()
-	tx, err := prog.transmitter(nil, m)
+	requireZeroAllocTransmit(t, prog, nil)
+}
+
+// TestTransmitLossyZeroAlloc pins the same contract on the fault-channel
+// path: under Gilbert–Elliott loss plus bit corruption, where every frame
+// is copied, stamped and judged on its own in the write buffer, transmit
+// still allocates nothing, and drops and corruptions are counted.
+func TestTransmitLossyZeroAlloc(t *testing.T) {
+	sub, _ := testutil.RandomVoronoi(t, 200, 1403)
+	prog, err := NewDTreeProgram(sub, 256, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bw := bufio.NewWriterSize(io.Discard, txBufSize)
-	slot := 0
-	allocs := testing.AllocsPerRun(2000, func() {
-		if err := tx.transmitSlot(bw, slot, slot, 1); err != nil {
-			t.Fatal(err)
-		}
-		slot++
-	})
-	if allocs != 0 {
-		t.Fatalf("instrumented transmit hot path allocates %.1f times per frame, want 0", allocs)
-	}
-	if m.FramesWritten.Load() == 0 || m.BytesWritten.Load() == 0 {
-		t.Fatal("metrics did not count the transmitted frames")
+	spec := channel.Spec{Loss: 0.08, Burst: 4, Corrupt: 0.03, Seed: 5}
+	m := requireZeroAllocTransmit(t, prog, spec.Factory(&channel.Stats{})())
+	if m.FramesDropped.Load() == 0 || m.FramesCorrupted.Load() == 0 {
+		t.Fatalf("channel dropped %d and corrupted %d frames; the test needs both",
+			m.FramesDropped.Load(), m.FramesCorrupted.Load())
 	}
 }
 
 // BenchmarkTransmitPerfectChannel measures the per-frame cost of the
-// transmit hot path with no fault middleware — the path every connection
-// of the live server runs for every slot. bytes/op is the wire rate;
-// allocs/op is the regression guard (0 with the rendered-cycle cache).
+// transmit hot path with no fault middleware and no metrics attached.
+// bytes/op is the wire rate; allocs/op is the regression guard (0).
 func BenchmarkTransmitPerfectChannel(b *testing.B) {
 	prog := benchProgram(b, 200, 256)
-	tx, err := prog.transmitter(nil, nil)
+	tx, err := prog.transmitter(io.Discard, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	bw := bufio.NewWriterSize(io.Discard, txBufSize)
 	b.SetBytes(int64(headerSize + prog.Capacity))
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tx.transmitSlot(bw, i, i, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-	bw.Flush() //nolint:errcheck
+	transmitFrames(b, tx, b.N)
+	tx.flush() //nolint:errcheck
 }
 
-// BenchmarkTransmitLossyChannel measures the fault-channel path: the
-// middleware drops or corrupts frames in place in the write buffer.
+// BenchmarkTransmitLossyChannel measures the fault-channel path: each
+// frame is copied and stamped on its own, and the middleware drops or
+// corrupts it in place in the write buffer.
 func BenchmarkTransmitLossyChannel(b *testing.B) {
 	prog := benchProgram(b, 200, 256)
 	spec := channel.Spec{Loss: 0.05, Burst: 4, Corrupt: 0.01, Seed: 1}
 	stats := &channel.Stats{}
-	tx, err := prog.transmitter(spec.Factory(stats)(), nil)
+	tx, err := prog.transmitter(io.Discard, spec.Factory(stats)(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	bw := bufio.NewWriterSize(io.Discard, txBufSize)
 	b.SetBytes(int64(headerSize + prog.Capacity))
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tx.transmitSlot(bw, i, i, 1); err != nil {
-			b.Fatal(err)
+	transmitFrames(b, tx, b.N)
+	tx.flush() //nolint:errcheck
+}
+
+// BenchmarkClientDoze measures the receive path's per-frame doze cost:
+// seek through a recorded perfect-channel stream of the 10k-site, 128 B
+// broadcast, where every frame but the target is dozed in place. ns/op is
+// per dozed frame; allocs/op must be 0 (TestClientDozeZeroAlloc).
+func BenchmarkClientDoze(b *testing.B) {
+	const capacity = 128
+	prog := benchProgram(b, 10_000, capacity)
+	frame := headerSize + capacity
+	const frames = 1 << 16
+	stream := recordTransmit(b, prog, 0, channel.Spec{}, frames*frame)
+	rdr := bytes.NewReader(stream)
+	c := NewClient(rdr, capacity)
+	var res Result
+	b.SetBytes(int64(frame))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done := 0; done < b.N; {
+		n := min(b.N-done, frames-1)
+		rdr.Reset(stream)
+		c.r.Reset(rdr)
+		c.started = false
+		if _, _, _, ok, err := c.seek(n, &res); err != nil || !ok {
+			b.Fatalf("seek %d: ok %v, err %v", n, ok, err)
 		}
+		done += n
 	}
-	bw.Flush() //nolint:errcheck
 }
 
 // BenchmarkRenderCycle measures the one-time cost of rendering a full
-// broadcast cycle (the table the zero-allocation path serves from).
+// broadcast cycle (the slabs the zero-allocation path serves from).
 func BenchmarkRenderCycle(b *testing.B) {
 	prog := benchProgram(b, 200, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rc, err := renderCycle(prog)
+		rc, err := renderCycle(prog, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

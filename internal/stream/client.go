@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -41,6 +42,7 @@ type Client struct {
 	Traces  *obs.TraceLog
 
 	cur     Header // last frame's header
+	slot    int    // cur.Slot unwrapped: serial-number arithmetic across 2^32
 	started bool
 	steps   []obs.TraceStep // current query's trace, reused across queries
 
@@ -182,8 +184,29 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// advance reads one frame; parseIf decides — from the header alone, as a
-// real receiver must — whether to download the payload or doze through it.
+// unwrap maps a frame's 32-bit slot field to the absolute slot it stands
+// for: the slot numbering is strictly increasing on the air but the field
+// wraps every 2^32 slots (minutes at full speed), so each slot is taken as
+// the nearest one to the previous frame's (RFC 1982 serial-number
+// arithmetic). Every slot the client compares, subtracts or reports is an
+// unwrapped one.
+func (c *Client) unwrap(field uint32) int {
+	if !c.started {
+		return int(field)
+	}
+	return unwrapSlot(c.slot, c.cur.Slot, field)
+}
+
+// unwrapSlot returns the slot the field stands for, given the previous
+// frame's unwrapped slot and its field: the previous slot plus the field
+// difference read as a signed 32-bit number.
+func unwrapSlot(prev int, prevField, field uint32) int {
+	return prev + int(int32(field-prevField))
+}
+
+// advance reads one frame; parseIf decides — from the header and its
+// unwrapped slot alone, as a real receiver must — whether to download the
+// payload or doze through it.
 // The payload is nil when dozed; a downloaded payload aliases the read
 // buffer and is valid only until the next read from the stream. corrupt
 // reports a downloaded payload that failed the checksum (the payload is
@@ -192,7 +215,7 @@ func (c *Client) Close() error {
 // res.LostSlots. Whatever the outcome, advance consumes exactly the bytes
 // a copying reader would have: a whole frame, or a rejected header, or the
 // fragment the stream ended on.
-func (c *Client) advance(res *Result, parseIf func(Header) bool) (Header, []byte, bool, error) {
+func (c *Client) advance(res *Result, parseIf func(h Header, slot int) bool) (Header, []byte, bool, error) {
 	b, err := c.r.Peek(headerSize)
 	if err != nil {
 		c.r.Discard(len(b)) //nolint:errcheck // buffered bytes
@@ -206,12 +229,13 @@ func (c *Client) advance(res *Result, parseIf func(Header) bool) (Header, []byte
 	if int(h.PayloadLen) != c.capacity {
 		return Header{}, nil, false, fmt.Errorf("stream: frame payload %d, expected capacity %d", h.PayloadLen, c.capacity)
 	}
-	if c.started && h.Slot > c.cur.Slot+1 && res != nil {
-		res.LostSlots += int(h.Slot - c.cur.Slot - 1)
+	slot := c.unwrap(h.Slot)
+	if c.started && slot > c.slot+1 && res != nil {
+		res.LostSlots += slot - c.slot - 1
 	}
-	c.cur, c.started = h, true
+	c.cur, c.slot, c.started = h, slot, true
 	if res != nil {
-		res.LastSlot = int(h.Slot)
+		res.LastSlot = slot
 	}
 	if c.genPinned && h.Gen != c.expectGen {
 		// The broadcast was hot-swapped under the query. Discard the
@@ -226,7 +250,7 @@ func (c *Client) advance(res *Result, parseIf func(Header) bool) (Header, []byte
 		}
 		return h, nil, false, ErrStaleGeneration
 	}
-	if !parseIf(h) {
+	if !parseIf(h, slot) {
 		if _, err := c.r.Discard(int(h.PayloadLen)); err != nil {
 			return Header{}, nil, false, err
 		}
@@ -256,44 +280,81 @@ func shortRead(got int, err error) error {
 	return err
 }
 
-// skim dozes through the frames already whole in the read buffer that doze
-// accepts, at most limit of them, with one Discard for the lot. Each frame
-// gets every check and count advance gives a dozed frame — magic and
-// version, payload length, the generation pin, slot gaps into
-// res.LostSlots, res.DozedFrames and res.LastSlot — and skim stops, without
-// consuming it, at the first frame advance must handle instead: a bad
-// header, a foreign payload size, a new generation under a pinned epoch, a
-// frame doze rejects, or one not yet wholly buffered. It returns how many
-// frames it dozed.
-func (c *Client) skim(res *Result, limit int, doze func(Header) bool) int {
+// dozeRule says which frames a protocol step may doze through without
+// looking at more than the header.
+type dozeRule struct {
+	kind   dozeKind
+	target int // dozeBefore: the first slot not dozed
+	bucket int // dozeToBucket: the bucket whose first packet ends the doze
+}
+
+type dozeKind uint8
+
+const (
+	dozeAll      dozeKind = iota // any frame (the epoch backoff)
+	dozeBefore                   // frames before slot target (seek)
+	dozeToBucket                 // all but bucket's first packet (fetchBucket)
+)
+
+// dozes applies the rule to the whole frame f at the unwrapped slot.
+func (r dozeRule) dozes(f []byte, slot int) bool {
+	switch r.kind {
+	case dozeBefore:
+		return slot < r.target
+	case dozeToBucket:
+		seq := binary.LittleEndian.Uint32(f[8:])
+		return f[2] != KindData || int(seq>>8) != r.bucket || seq&0xff != 0
+	}
+	return true
+}
+
+// skim dozes through the frames already whole in the read buffer that the
+// rule lets it doze, at most limit of them, with one Discard for the lot.
+// The headers are checked in place: each frame gets every check and count
+// advance gives a dozed frame — magic and version, payload length, the
+// generation pin, slot gaps into res.LostSlots, res.DozedFrames and
+// res.LastSlot — and only the last dozed header is decoded, into c.cur.
+// skim stops, without consuming it, at the first frame advance must handle
+// instead: a bad header, a foreign payload size, a new generation under a
+// pinned epoch, a frame the rule keeps, or one not yet wholly buffered. It
+// returns how many frames it dozed.
+func (c *Client) skim(res *Result, limit int, rule dozeRule) int {
 	buf, _ := c.r.Peek(c.r.Buffered())
 	size := headerSize + c.capacity
-	cur, started := c.cur, c.started
+	field, slot, started := c.cur.Slot, c.slot, c.started
 	n, off := 0, 0
-	for n < limit && len(buf)-off >= headerSize {
-		h, err := parseHeader(buf[off:])
-		if err != nil || int(h.PayloadLen) != c.capacity || len(buf)-off < size ||
-			(c.genPinned && h.Gen != c.expectGen) || !doze(h) {
+	for ; n < limit && len(buf)-off >= size; n, off = n+1, off+size {
+		f := buf[off : off+size]
+		if binary.LittleEndian.Uint16(f[0:]) != frameMagic || f[3] != frameVersion ||
+			int(binary.LittleEndian.Uint16(f[12:])) != c.capacity ||
+			(c.genPinned && binary.LittleEndian.Uint32(f[16:]) != c.expectGen) {
 			break
 		}
-		if started && h.Slot > cur.Slot+1 {
-			res.LostSlots += int(h.Slot - cur.Slot - 1)
+		next := binary.LittleEndian.Uint32(f[4:])
+		at := int(next)
+		if started {
+			at = unwrapSlot(slot, field, next)
 		}
-		cur, started = h, true
-		off += size
-		n++
+		if !rule.dozes(f, at) {
+			break
+		}
+		if started && at > slot+1 {
+			res.LostSlots += at - slot - 1
+		}
+		field, slot, started = next, at, true
 	}
 	if n > 0 {
-		c.cur, c.started = cur, true
-		res.LastSlot = int(cur.Slot)
+		c.cur, _ = parseHeader(buf[off-size:]) // checked above
+		c.slot, c.started = slot, true
+		res.LastSlot = slot
 		res.DozedFrames += n
 		c.r.Discard(off) //nolint:errcheck // buffered bytes
 	}
 	return n
 }
 
-func always(Header) bool { return true }
-func never(Header) bool  { return false }
+func always(Header, int) bool { return true }
+func never(Header, int) bool  { return false }
 
 // seek dozes until the frame at the given absolute slot arrives and parses
 // it. Under loss the target frame may never arrive: the first header at a
@@ -302,18 +363,17 @@ func never(Header) bool  { return false }
 // pointer. The slot the radio was awake for with nothing decodable to show
 // is charged to TuneRecover.
 func (c *Client) seek(target int, res *Result) (Header, []byte, bool, bool, error) {
-	before := func(h Header) bool { return int(h.Slot) < target }
 	for {
-		c.skim(res, math.MaxInt, before)
-		h, payload, corrupt, err := c.advance(res, func(h Header) bool { return int(h.Slot) == target })
+		c.skim(res, math.MaxInt, dozeRule{kind: dozeBefore, target: target})
+		h, payload, corrupt, err := c.advance(res, func(_ Header, slot int) bool { return slot == target })
 		if err != nil {
 			return Header{}, nil, false, false, err
 		}
-		if int(h.Slot) < target {
+		if c.slot < target {
 			res.DozedFrames++
 			continue
 		}
-		if int(h.Slot) > target {
+		if c.slot > target {
 			res.DozedFrames++
 			res.TuneRecover++
 			return h, nil, false, false, nil
@@ -407,10 +467,10 @@ func (c *Client) Probe(res *Result) error {
 	res.Generation = probe.Gen
 	res.TuneProbe++
 	if res.TuneProbe == 1 {
-		res.FirstSlot = int(probe.Slot)
+		res.FirstSlot = c.slot
 	}
-	c.step(obs.StepProbe, int(probe.Slot), int(probe.NextIndex))
-	c.idxBase = int(probe.Slot) + int(probe.NextIndex)
+	c.step(obs.StepProbe, c.slot, int(probe.NextIndex))
+	c.idxBase = c.slot + int(probe.NextIndex)
 	return nil
 }
 
@@ -421,9 +481,9 @@ func (c *Client) Probe(res *Result) error {
 func (c *Client) fetchIndexPacket(res *Result, off int) ([]byte, error) {
 	for attempt := 0; attempt < maxIndexAttempts; attempt++ {
 		target := c.idxBase + off
-		if int(c.cur.Slot) >= target {
+		if c.slot >= target {
 			// Passed: jump to the copy after the current frame.
-			c.idxBase = int(c.cur.Slot) + int(c.cur.NextIndex)
+			c.idxBase = c.slot + int(c.cur.NextIndex)
 			target = c.idxBase + off
 		}
 		h, payload, corrupt, ok, err := c.seek(target, res)
@@ -434,8 +494,8 @@ func (c *Client) fetchIndexPacket(res *Result, off int) ([]byte, error) {
 			// The target frame was dropped on the air: resync at the
 			// next index copy the later frame points to.
 			res.Recoveries++
-			c.step(obs.StepRecover, int(h.Slot), res.Recoveries)
-			c.idxBase = int(h.Slot) + int(h.NextIndex)
+			c.step(obs.StepRecover, c.slot, res.Recoveries)
+			c.idxBase = c.slot + int(h.NextIndex)
 			continue
 		}
 		if corrupt || h.Kind != KindIndex || int(h.Seq) != off {
@@ -444,12 +504,12 @@ func (c *Client) fetchIndexPacket(res *Result, off int) ([]byte, error) {
 			// Pay the wasted download and resync at the next copy.
 			res.TuneRecover++
 			res.Recoveries++
-			c.step(obs.StepRecover, int(h.Slot), res.Recoveries)
-			c.idxBase = int(h.Slot) + int(h.NextIndex)
+			c.step(obs.StepRecover, c.slot, res.Recoveries)
+			c.idxBase = c.slot + int(h.NextIndex)
 			continue
 		}
 		res.TuneIndex++
-		c.step(obs.StepIndex, int(h.Slot), off)
+		c.step(obs.StepIndex, c.slot, off)
 		// The payload aliases the read buffer; callers keep index packets.
 		return append([]byte(nil), payload...), nil
 	}
@@ -486,7 +546,7 @@ func (c *Client) queryOnce(p geom.Point, res *Result, restart, skip int, resume 
 		// re-probing, so consecutive restarts spread out instead of hammering
 		// the stream the instant each new generation appears.
 		for left := restart; left > 0; {
-			if left -= c.skim(res, left, always); left == 0 {
+			if left -= c.skim(res, left, dozeRule{kind: dozeAll}); left == 0 {
 				break
 			}
 			if _, _, _, err := c.advance(res, never); err != nil {
@@ -565,7 +625,7 @@ func (c *Client) FetchBucket(bucket int, res *Result) ([]byte, error) {
 func (c *Client) fetchBucket(bucket int, res *Result) error {
 	expect := wire.DTreeParams(c.capacity).DataBucketPackets()
 	collected, attempts := 0, 0
-	wants := func(h Header) bool {
+	wants := func(h Header, _ int) bool {
 		return h.Kind == KindData && h.Bucket() == bucket &&
 			(collected > 0 || h.BucketPacket() == 0)
 	}
@@ -579,11 +639,10 @@ func (c *Client) fetchBucket(bucket int, res *Result) error {
 		attempts++
 		return attempts < maxBucketAttempts
 	}
-	unwanted := func(h Header) bool { return !wants(h) }
 	for {
 		if collected == 0 {
 			// Doze through everything buffered ahead of the bucket start.
-			c.skim(res, math.MaxInt, unwanted)
+			c.skim(res, math.MaxInt, dozeRule{kind: dozeToBucket, bucket: bucket})
 		}
 		h, payload, corrupt, err := c.advance(res, wants)
 		if err != nil {
@@ -619,19 +678,19 @@ func (c *Client) fetchBucket(bucket int, res *Result) error {
 				// The mismatch was the bucket starting over (a whole cycle
 				// of losses): the downloaded packet begins a fresh run.
 				res.TuneData++
-				c.step(obs.StepData, int(h.Slot), 0)
+				c.step(obs.StepData, c.slot, 0)
 				res.Data = append(res.Data, payload...)
 				collected = 1
 			}
 			continue
 		}
 		res.TuneData++
-		c.step(obs.StepData, int(h.Slot), h.BucketPacket())
+		c.step(obs.StepData, c.slot, h.BucketPacket())
 		res.Data = append(res.Data, payload...)
 		collected++
 		if collected == expect {
-			res.Latency = float64(int(h.Slot) + 1 - res.FirstSlot)
-			c.step(obs.StepAnswer, int(h.Slot), bucket)
+			res.Latency = float64(c.slot + 1 - res.FirstSlot)
+			c.step(obs.StepAnswer, c.slot, bucket)
 			return nil
 		}
 	}

@@ -1,8 +1,6 @@
 package stream
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
 
 	"airindex/internal/core"
@@ -19,7 +17,7 @@ import (
 //	dirty cells -> region.Patcher (reweld only the touched neighborhood) ->
 //	core.Incremental (rebuild only dirty subtrees, splice the rest) ->
 //	FlattenPatched (bulk-copy clean arena ranges) -> adjacency -> Assemble
-//	-> renderPatched (reuse unchanged frames of the previous cycle).
+//	-> renderPatched (share the previous cycle's data slabs).
 //
 // Every stage is pinned byte-identical to its from-scratch counterpart, so
 // an incremental cut broadcasts exactly the bytes a cold rebuild would. The
@@ -41,7 +39,7 @@ type Channel struct {
 	// Stamp, when set, builds a generation's data generator from its
 	// region -> key mapping; the keys are then global data-instance ids,
 	// which the adjacency table carries too. Nil broadcasts BucketStamp
-	// payloads, whose frames a cut reuses across generations.
+	// payloads, whose data slabs a cut shares across generations.
 	Stamp func(keys []int) func(bucket, pkt int) []byte
 	// SiteOf, when set, makes every generation carry the region-adjacency
 	// table (continuous queries), resolving a region's key to its site.
@@ -248,10 +246,10 @@ func (c *Compiler) incremental(keys []int, polys []geom.Polygon, dirty, removed 
 }
 
 // finish completes a built tree against the retained generation — arena
-// patch-in-place and frame reuse — and retains it as the next cut's base.
-// A stamped program is rendered here, reusing the previous cycle's frames;
-// any other program's data frames depend on the generation's keys, so it
-// renders in full when it is published (Server.Swap).
+// patch-in-place and data-slab sharing — and retains it as the next cut's
+// base. A stamped program is rendered here, sharing the previous cycle's
+// data slabs; any other program's data frames depend on the generation's
+// keys, so it renders in full when it is published (Server.Swap).
 func (c *Compiler) finish(sub *region.Subdivision, keys []int, tree *core.Tree) (*Cut, error) {
 	cut, err := c.ch.finish(sub, keys, tree, c.flat)
 	if err != nil {
@@ -273,119 +271,25 @@ func (c *Compiler) finish(sub *region.Subdivision, keys []int, tree *core.Tree) 
 	return cut, nil
 }
 
-// renderPatched builds the rendered cycle for p by copying the previous
-// generation's frame table and re-rendering only the slots whose bytes
-// changed. Valid when both programs carry the canonical stamped data
-// generator, so a data payload — and its CRC — is a pure function of
-// (bucket, packet) and never of the generation. Index frames are compared
-// packet by packet (the flat-arena patch leaves most of them byte-equal).
-// The schedule may drift by whole index packets between generations (the
-// encoded tree grows or shrinks past a packet boundary): every frame then
-// shifts position, but only two header fields depend on position — the
-// slot, which transmitSlot overwrites anyway, and the next-index delta —
-// so a reused frame costs a 24-byte header rewrite, not a payload marshal.
-// Anything else (capacity, bucket geometry, or replication changes) falls
-// back to a full render. Byte identity with renderCycle is pinned by
-// TestRenderPatchedMatchesRenderCycle.
+// renderPatched renders p's cycle against the previous generation's. When
+// both programs carry the canonical stamped data generator — so a data
+// payload, and its CRC, is a pure function of (bucket, packet) and never of
+// the generation — and keep the capacity, the bucket count, the packets per
+// bucket and the number of index copies, every data segment is
+// byte-identical to the previous generation's: a data frame's next-index
+// delta is its distance to the end of its segment, and transmit stamps the
+// slot. The new cycle then shares the previous data slabs by reference and
+// renders only its m index copies, whether the schedule kept its alignment
+// or drifted by whole index packets (the encoded tree grew or shrank past a
+// packet boundary). Anything else falls back to a full render. Byte
+// identity with renderCycle is pinned by TestRenderPatchedMatchesRenderCycle.
 func renderPatched(p, prev *Program) (*renderedCycle, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	prevRC := prev.rendered
-	if prevRC == nil || !p.stamped || !prev.stamped ||
+	if prev.rendered == nil || !p.stamped || !prev.stamped ||
 		p.Capacity != prev.Capacity ||
 		p.Sched.M != prev.Sched.M ||
 		p.Sched.NumBuckets != prev.Sched.NumBuckets ||
 		p.Sched.BucketPackets != prev.Sched.BucketPackets {
-		return renderCycle(p)
+		return renderCycle(p, nil)
 	}
-	if p.Sched.IndexPackets == prev.Sched.IndexPackets {
-		// Aligned schedules: every position keeps its meaning, so start from
-		// a verbatim copy and re-render only the index packets whose bytes
-		// changed. Copying the frames moves the header arrays by value (each
-		// generation owns its headers — transmit-time patching never crosses
-		// generations) and shares the immutable payload slices.
-		rc := &renderedCycle{
-			frames:    make([]renderedFrame, prevRC.cycleLen()),
-			frameSize: prevRC.frameSize,
-		}
-		copy(rc.frames, prevRC.frames)
-		for off := 0; off < p.Sched.IndexPackets; off++ {
-			if bytes.Equal(p.IndexPackets[off], prev.IndexPackets[off]) {
-				continue
-			}
-			for j := 0; j < p.Sched.M; j++ {
-				pos := p.Sched.IndexStartOf(j) + off
-				h, payload := p.frameAt(pos)
-				h.CRC = Checksum(payload)
-				buf, err := marshalFrame(h, payload)
-				if err != nil {
-					return nil, err
-				}
-				f := &rc.frames[pos]
-				copy(f.hdr[:], buf[:headerSize])
-				f.payload = buf[headerSize:]
-			}
-		}
-		return rc, nil
-	}
-
-	// Drifted schedules: walk the new cycle, pull each frame's payload (and
-	// CRC) from the position the same content held in the previous cycle,
-	// and rewrite the two position-dependent header fields in place.
-	cycle := p.Sched.CycleLen()
-	rc := &renderedCycle{
-		frames:    make([]renderedFrame, cycle),
-		frameSize: prevRC.frameSize,
-	}
-	reuse := func(pos, prevPos int) error {
-		next := p.Sched.NextIndexStart(float64(pos) + 1e-9)
-		if next == pos {
-			next = p.Sched.NextIndexStart(float64(pos) + 1)
-		}
-		delta := next - pos
-		if delta > 0xffff {
-			return fmt.Errorf("stream: next-index delta %d exceeds 16 bits", delta)
-		}
-		f := &rc.frames[pos]
-		*f = prevRC.frames[prevPos]
-		binary.LittleEndian.PutUint32(f.hdr[4:], uint32(pos))
-		binary.LittleEndian.PutUint16(f.hdr[14:], uint16(delta))
-		return nil
-	}
-	render := func(pos int) error {
-		h, payload := p.frameAt(pos)
-		h.CRC = Checksum(payload)
-		buf, err := marshalFrame(h, payload)
-		if err != nil {
-			return err
-		}
-		f := &rc.frames[pos]
-		copy(f.hdr[:], buf[:headerSize])
-		f.payload = buf[headerSize:]
-		return nil
-	}
-	for j := 0; j < p.Sched.M; j++ {
-		start := p.Sched.IndexStartOf(j)
-		for off := 0; off < p.Sched.IndexPackets; off++ {
-			pos := start + off
-			if off < prev.Sched.IndexPackets && bytes.Equal(p.IndexPackets[off], prev.IndexPackets[off]) {
-				if err := reuse(pos, prev.Sched.IndexStartOf(0)+off); err != nil {
-					return nil, err
-				}
-			} else if err := render(pos); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for b := 0; b < p.Sched.NumBuckets; b++ {
-		start := p.Sched.BucketStart(b)
-		prevStart := prev.Sched.BucketStart(b)
-		for pkt := 0; pkt < p.Sched.BucketPackets; pkt++ {
-			if err := reuse(start+pkt, prevStart+pkt); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return rc, nil
+	return renderCycle(p, prev.rendered)
 }

@@ -15,7 +15,8 @@ import (
 // refClient is the frame-by-frame receive path the Client had before its
 // skim loop, kept verbatim as a test oracle: every frame goes through
 // readHeader (a copying read) and advance, payloads are freshly allocated,
-// and nothing is dozed in bulk. The identity and fuzz tests run it beside
+// and nothing is dozed in bulk. Its one change since is slot unwrapping
+// (unwrap), which the Client gained at the same time. The identity and fuzz tests run it beside
 // the Client over the same bytes and require identical Results, errors and
 // stream positions. Metrics and traces are left out: they do not feed the
 // Result.
@@ -24,6 +25,7 @@ type refClient struct {
 	capacity int
 
 	cur     Header
+	slot    int // cur.Slot unwrapped, as Client.unwrap does
 	started bool
 
 	expectGen uint32
@@ -41,13 +43,22 @@ func newRefClient(r io.Reader, capacity int) *refClient {
 func (c *refClient) step(string, int, int)             {}
 func (c *refClient) finish(geom.Point, *Result, error) {}
 
+// unwrap is Client.unwrap: RFC 1982 serial-number arithmetic against the
+// previous frame's slot.
+func (c *refClient) unwrap(field uint32) int {
+	if !c.started {
+		return int(field)
+	}
+	return c.slot + int(int32(field-c.cur.Slot)) // as unwrapSlot
+}
+
 // advance reads one frame; parseIf decides — from the header alone, as a
 // real receiver must — whether to download the payload or doze through it.
 // The payload is nil when dozed; corrupt reports a downloaded payload that
 // failed the checksum (the payload is withheld, the header — which the
 // channel never damages — is still returned). Slot gaps left by dropped
 // frames are tallied into res.LostSlots.
-func (c *refClient) advance(res *Result, parseIf func(Header) bool) (Header, []byte, bool, error) {
+func (c *refClient) advance(res *Result, parseIf func(h Header, slot int) bool) (Header, []byte, bool, error) {
 	h, err := readHeader(c.r)
 	if err != nil {
 		return Header{}, nil, false, err
@@ -55,12 +66,13 @@ func (c *refClient) advance(res *Result, parseIf func(Header) bool) (Header, []b
 	if int(h.PayloadLen) != c.capacity {
 		return Header{}, nil, false, fmt.Errorf("stream: frame payload %d, expected capacity %d", h.PayloadLen, c.capacity)
 	}
-	if c.started && h.Slot > c.cur.Slot+1 && res != nil {
-		res.LostSlots += int(h.Slot - c.cur.Slot - 1)
+	slot := c.unwrap(h.Slot)
+	if c.started && slot > c.slot+1 && res != nil {
+		res.LostSlots += slot - c.slot - 1
 	}
-	c.cur, c.started = h, true
+	c.cur, c.slot, c.started = h, slot, true
 	if res != nil {
-		res.LastSlot = int(h.Slot)
+		res.LastSlot = slot
 	}
 	if c.genPinned && h.Gen != c.expectGen {
 		// The broadcast was hot-swapped under the query. Discard the
@@ -75,7 +87,7 @@ func (c *refClient) advance(res *Result, parseIf func(Header) bool) (Header, []b
 		}
 		return h, nil, false, ErrStaleGeneration
 	}
-	if !parseIf(h) {
+	if !parseIf(h, slot) {
 		if _, err := c.r.Discard(int(h.PayloadLen)); err != nil {
 			return Header{}, nil, false, err
 		}
@@ -94,7 +106,7 @@ func (c *refClient) advance(res *Result, parseIf func(Header) bool) (Header, []b
 	return h, payload, false, nil
 }
 
-func parseAlways(Header) bool { return true }
+func parseAlways(Header, int) bool { return true }
 
 // seek dozes until the frame at the given absolute slot arrives and parses
 // it. Under loss the target frame may never arrive: the first header at a
@@ -104,15 +116,15 @@ func parseAlways(Header) bool { return true }
 // is charged to TuneRecover.
 func (c *refClient) seek(target int, res *Result) (Header, []byte, bool, bool, error) {
 	for {
-		h, payload, corrupt, err := c.advance(res, func(h Header) bool { return int(h.Slot) == target })
+		h, payload, corrupt, err := c.advance(res, func(_ Header, slot int) bool { return slot == target })
 		if err != nil {
 			return Header{}, nil, false, false, err
 		}
-		if int(h.Slot) < target {
+		if c.slot < target {
 			res.DozedFrames++
 			continue
 		}
-		if int(h.Slot) > target {
+		if c.slot > target {
 			res.DozedFrames++
 			res.TuneRecover++
 			return h, nil, false, false, nil
@@ -172,10 +184,10 @@ func (c *refClient) Probe(res *Result) error {
 	res.Generation = probe.Gen
 	res.TuneProbe++
 	if res.TuneProbe == 1 {
-		res.FirstSlot = int(probe.Slot)
+		res.FirstSlot = c.slot
 	}
-	c.step(obs.StepProbe, int(probe.Slot), int(probe.NextIndex))
-	c.idxBase = int(probe.Slot) + int(probe.NextIndex)
+	c.step(obs.StepProbe, c.slot, int(probe.NextIndex))
+	c.idxBase = c.slot + int(probe.NextIndex)
 	return nil
 }
 
@@ -183,9 +195,9 @@ func (c *refClient) Probe(res *Result) error {
 func (c *refClient) fetchIndexPacket(res *Result, off int) ([]byte, error) {
 	for attempt := 0; attempt < maxIndexAttempts; attempt++ {
 		target := c.idxBase + off
-		if int(c.cur.Slot) >= target {
+		if c.slot >= target {
 			// Passed: jump to the copy after the current frame.
-			c.idxBase = int(c.cur.Slot) + int(c.cur.NextIndex)
+			c.idxBase = c.slot + int(c.cur.NextIndex)
 			target = c.idxBase + off
 		}
 		h, payload, corrupt, ok, err := c.seek(target, res)
@@ -196,8 +208,8 @@ func (c *refClient) fetchIndexPacket(res *Result, off int) ([]byte, error) {
 			// The target frame was dropped on the air: resync at the
 			// next index copy the later frame points to.
 			res.Recoveries++
-			c.step(obs.StepRecover, int(h.Slot), res.Recoveries)
-			c.idxBase = int(h.Slot) + int(h.NextIndex)
+			c.step(obs.StepRecover, c.slot, res.Recoveries)
+			c.idxBase = c.slot + int(h.NextIndex)
 			continue
 		}
 		if corrupt || h.Kind != KindIndex || int(h.Seq) != off {
@@ -206,12 +218,12 @@ func (c *refClient) fetchIndexPacket(res *Result, off int) ([]byte, error) {
 			// Pay the wasted download and resync at the next copy.
 			res.TuneRecover++
 			res.Recoveries++
-			c.step(obs.StepRecover, int(h.Slot), res.Recoveries)
-			c.idxBase = int(h.Slot) + int(h.NextIndex)
+			c.step(obs.StepRecover, c.slot, res.Recoveries)
+			c.idxBase = c.slot + int(h.NextIndex)
 			continue
 		}
 		res.TuneIndex++
-		c.step(obs.StepIndex, int(h.Slot), off)
+		c.step(obs.StepIndex, c.slot, off)
 		return payload, nil
 	}
 	return nil, fmt.Errorf("stream: index packet %d unreachable after %d attempts", off, maxIndexAttempts)
@@ -240,7 +252,7 @@ func (c *refClient) queryOnce(p geom.Point, res *Result, restart, skip int, resu
 		// re-probing, so consecutive restarts spread out instead of hammering
 		// the stream the instant each new generation appears.
 		for i := 0; i < restart; i++ {
-			if _, _, _, err := c.advance(res, func(Header) bool { return false }); err != nil {
+			if _, _, _, err := c.advance(res, func(Header, int) bool { return false }); err != nil {
 				return err
 			}
 			res.DozedFrames++
@@ -302,7 +314,7 @@ func (c *refClient) FetchBucket(bucket int, res *Result) ([]byte, error) {
 func (c *refClient) fetchBucket(bucket int, res *Result) error {
 	expect := wire.DTreeParams(c.capacity).DataBucketPackets()
 	collected, attempts := 0, 0
-	wants := func(h Header) bool {
+	wants := func(h Header, _ int) bool {
 		return h.Kind == KindData && h.Bucket() == bucket &&
 			(collected > 0 || h.BucketPacket() == 0)
 	}
@@ -351,19 +363,19 @@ func (c *refClient) fetchBucket(bucket int, res *Result) error {
 				// The mismatch was the bucket starting over (a whole cycle
 				// of losses): the downloaded packet begins a fresh run.
 				res.TuneData++
-				c.step(obs.StepData, int(h.Slot), 0)
+				c.step(obs.StepData, c.slot, 0)
 				res.Data = append(res.Data, payload...)
 				collected = 1
 			}
 			continue
 		}
 		res.TuneData++
-		c.step(obs.StepData, int(h.Slot), h.BucketPacket())
+		c.step(obs.StepData, c.slot, h.BucketPacket())
 		res.Data = append(res.Data, payload...)
 		collected++
 		if collected == expect {
-			res.Latency = float64(int(h.Slot) + 1 - res.FirstSlot)
-			c.step(obs.StepAnswer, int(h.Slot), bucket)
+			res.Latency = float64(c.slot + 1 - res.FirstSlot)
+			c.step(obs.StepAnswer, c.slot, bucket)
 			return nil
 		}
 	}

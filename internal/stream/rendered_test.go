@@ -1,71 +1,264 @@
 package stream
 
 import (
-	"bufio"
 	"bytes"
 	"io"
+	"math"
+	"math/rand"
+	"net"
 	"testing"
+	"time"
 
+	"airindex/internal/channel"
 	"airindex/internal/testutil"
 )
 
-// legacyTransmitSlot is the pre-rendered-cycle transmit path (render the
-// frame from scratch, stamp the checksum, marshal, write), kept here as the
-// reference the optimized path must match byte for byte.
-func legacyTransmitSlot(w io.Writer, p *Program, slot int) error {
-	h, payload := p.frameAt(slot)
-	h.Gen = 1 // the transmit path stamps the generation; gen 1 = fresh server
+// frame returns the rendered bytes of cycle position pos: header and
+// payload, CRC stamped, slot and generation fields zero.
+func (rc *renderedCycle) frame(pos int) []byte {
+	i := rc.spanAt(pos)
+	off := (pos - rc.starts[i]) * rc.frameSize
+	return rc.slabs[i][off : off+rc.frameSize : off+rc.frameSize]
+}
+
+// frameAt renders the frame broadcast at cycle position slot % cycle from
+// scratch — the per-frame render the slabs replaced, kept as the oracle.
+func (p *Program) frameAt(slot int) (Header, []byte) {
+	cycle := p.Sched.CycleLen()
+	pos := slot % cycle
+	next := p.Sched.NextIndexStart(float64(pos) + 1e-9)
+	// Delta from this slot to the next index copy (strictly ahead).
+	if next == pos {
+		next = p.Sched.NextIndexStart(float64(pos) + 1)
+	}
+	h := Header{Slot: uint32(slot), NextIndex: uint32(next - pos), PayloadLen: uint16(p.Capacity)}
+
+	// Which region of the cycle is pos in?
+	idxStart := -1
+	for j := 0; j < p.Sched.M; j++ {
+		s := p.Sched.IndexStartOf(j)
+		if pos >= s && pos < s+p.Sched.IndexPackets {
+			idxStart = s
+			break
+		}
+	}
+	if idxStart >= 0 {
+		off := pos - idxStart
+		h.Kind = KindIndex
+		h.Seq = uint32(off)
+		return h, p.IndexPackets[off]
+	}
+	bucket, pkt := p.Sched.BucketAt(pos)
+	h.Kind = KindData
+	h.Seq = DataSeq(bucket, pkt)
+	payload := make([]byte, p.Capacity)
+	if p.Data != nil {
+		copy(payload, p.Data(bucket, pkt))
+	}
+	return h, payload
+}
+
+// legacyTransmitSlot is the frame-at-a-time transmit path the slabs
+// replaced (render the frame from scratch, stamp the checksum, marshal,
+// pass it through the fault channel, write), kept here as the reference
+// the bulk path must match byte for byte: the content of cycle position
+// rel, stamped with the absolute slot abs and the generation gen. ch may
+// be nil (perfect channel).
+func legacyTransmitSlot(w io.Writer, p *Program, abs, rel int, gen uint32, ch *channel.Channel) error {
+	h, payload := p.frameAt(rel)
+	h.Slot = uint32(abs)
+	h.Gen = gen
 	h.CRC = Checksum(payload)
 	buf, err := marshalFrame(h, payload)
 	if err != nil {
 		return err
 	}
+	if ch != nil && !ch.Transmit(buf, headerSize) {
+		return nil
+	}
 	_, err = w.Write(buf)
 	return err
 }
 
-// TestRenderedCycleMatchesFrameAt pins the wire format: the rendered-cycle
-// transmit path must emit exactly the bytes the per-frame path emitted,
-// across more than one full cycle (absolute slot numbers beyond the cycle
-// length exercise the slot patching).
+// legacyRecord is recordSwaps on the legacy path: n bytes of progs[0] from
+// startSlot under generation 1, each later program taking over at the next
+// cycle boundary under the next generation, through the fault channel spec
+// describes.
+func legacyRecord(tb testing.TB, progs []*Program, startSlot int, spec channel.Spec, n int) []byte {
+	tb.Helper()
+	var ch *channel.Channel
+	if spec.Enabled() {
+		ch = spec.Factory(&channel.Stats{})()
+	}
+	var out bytes.Buffer
+	cur, contentBase := 0, 0
+	for slot := startSlot; out.Len() < n; slot++ {
+		if (slot-contentBase)%progs[cur].Sched.CycleLen() == 0 && slot > startSlot && cur+1 < len(progs) {
+			cur++
+			contentBase = slot
+		}
+		if err := legacyTransmitSlot(&out, progs[cur], slot, slot-contentBase, uint32(cur+1), ch); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return out.Bytes()[:n]
+}
+
+// requireSameBytes fails at the first byte where got and want differ.
+func requireSameBytes(tb testing.TB, label string, got, want []byte, frame int) {
+	tb.Helper()
+	if bytes.Equal(got, want) {
+		return
+	}
+	for i := range min(len(got), len(want)) {
+		if got[i] != want[i] {
+			tb.Fatalf("%s: first divergence at byte %d (frame %d, offset %d): got %#x want %#x",
+				label, i, i/frame, i%frame, got[i], want[i])
+		}
+	}
+	tb.Fatalf("%s: length mismatch: got %d want %d", label, len(got), len(want))
+}
+
+// TestRenderedCycleMatchesFrameAt pins the wire format: every rendered
+// frame, read through the frame accessor, is the per-frame render with its
+// slot and generation fields zero, and the slab transmit path emits exactly
+// the bytes the per-frame path emitted across more than one full cycle
+// (absolute slot numbers beyond the cycle length exercise the stamping).
 func TestRenderedCycleMatchesFrameAt(t *testing.T) {
 	sub, _ := testutil.RandomVoronoi(t, 40, 283)
 	prog, err := NewDTreeProgram(sub, 128, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx, err := prog.transmitter(nil, nil)
+	rc, err := prog.Rendered()
 	if err != nil {
 		t.Fatal(err)
 	}
 	cycle := prog.Sched.CycleLen()
+	frame := headerSize + prog.Capacity
+	for pos := 0; pos < cycle; pos++ {
+		var want bytes.Buffer
+		if err := legacyTransmitSlot(&want, prog, 0, pos, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+		requireSameBytes(t, "frame accessor", rc.frame(pos), want.Bytes(), frame)
+	}
+
 	slots := 2*cycle + 7
+	got := recordTransmit(t, prog, 0, channel.Spec{}, slots*frame)
+	want := legacyRecord(t, []*Program{prog}, 0, channel.Spec{}, slots*frame)
+	requireSameBytes(t, "transmit", got, want, frame)
+}
 
-	var got bytes.Buffer
-	bw := bufio.NewWriterSize(&got, txBufSize)
-	for s := 0; s < slots; s++ {
-		if err := tx.transmitSlot(bw, s, s, 1); err != nil {
-			t.Fatal(err)
-		}
+// churnedPrograms cuts a swapper through move-only batches until it has
+// published both a generation whose schedule kept its alignment and one
+// whose schedule drifted, each sharing the data slabs of the generation
+// before it; it returns the programs from generation 1 on.
+func churnedPrograms(tb testing.TB, capacity int) []*Program {
+	tb.Helper()
+	sw, err := NewSwapper(testArea, testutil.RandomSites(testArea, 120, 8401), capacity, 0)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	bw.Flush() //nolint:errcheck
-
-	var want bytes.Buffer
-	for s := 0; s < slots; s++ {
-		if err := legacyTransmitSlot(&want, prog, s); err != nil {
-			t.Fatal(err)
+	progs := []*Program{sw.Program()}
+	rng := rand.New(rand.NewSource(8402))
+	aligned, drifted := false, false
+	for step := 0; step < 60 && !(aligned && drifted); step++ {
+		if _, _, err := sw.Apply(moveOps(rng, sw, 1+rng.Intn(3))); err != nil {
+			tb.Fatal(err)
 		}
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		for i := range want.Bytes() {
-			if got.Bytes()[i] != want.Bytes()[i] {
-				t.Fatalf("first divergence at byte %d (frame %d, offset %d): got %#x want %#x",
-					i, i/(headerSize+prog.Capacity), i%(headerSize+prog.Capacity),
-					got.Bytes()[i], want.Bytes()[i])
+		prev, next := progs[len(progs)-1], sw.Program()
+		if !sharesDataSlabs(prev.rendered, next.rendered) {
+			continue
+		}
+		if prev.Sched.IndexPackets == next.Sched.IndexPackets {
+			if aligned {
+				continue
 			}
+			aligned = true
+		} else {
+			drifted = true
 		}
-		t.Fatalf("length mismatch: got %d want %d", got.Len(), want.Len())
+		progs = append(progs, next)
 	}
+	if !aligned || !drifted {
+		tb.Fatalf("60 cuts gave no aligned (%v) or no drifted (%v) slab-sharing generation", aligned, drifted)
+	}
+	return progs
+}
+
+// sharesDataSlabs reports whether every data-segment slab of b is the
+// slab of a, by reference.
+func sharesDataSlabs(a, b *renderedCycle) bool {
+	if a == nil || b == nil || len(a.slabs) != len(b.slabs) {
+		return false
+	}
+	for i := 1; i < len(a.slabs); i += 2 {
+		if &a.slabs[i][0] != &b.slabs[i][0] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestTransmitMatchesLegacy is the transmit path's identity oracle: the
+// bytes the slab transmitter puts on the wire equal the frame-at-a-time
+// legacyTransmitSlot reference from several start phases (one of them
+// wrapping the 32-bit slot field), across hot swaps to generations whose
+// schedule kept or shifted its alignment while sharing data slabs, under
+// Gilbert–Elliott loss plus corruption, and from a live server pacing
+// every frame to its slot.
+func TestTransmitMatchesLegacy(t *testing.T) {
+	const capacity = 128
+	sub, _ := testutil.RandomVoronoi(t, 90, 8403)
+	prog, err := NewDTreeProgram(sub, capacity, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	churned := churnedPrograms(t, capacity)
+	frame := headerSize + capacity
+	cycle := prog.Sched.CycleLen()
+	lossy := channel.Spec{Loss: 0.1, Burst: 4, Corrupt: 0.05, Seed: 17}
+	for _, start := range []int{0, cycle/2 + 7, cycle - 2, 1<<32 - 5} {
+		n := 3*cycle*frame + 5
+		requireSameBytes(t, "perfect", recordTransmit(t, prog, start, channel.Spec{}, n),
+			legacyRecord(t, []*Program{prog}, start, channel.Spec{}, n), frame)
+		requireSameBytes(t, "lossy", recordTransmit(t, prog, start, lossy, n),
+			legacyRecord(t, []*Program{prog}, start, lossy, n), frame)
+
+		n = (len(churned) + 1) * churned[0].Sched.CycleLen() * frame
+		for _, spec := range []channel.Spec{{}, lossy} {
+			requireSameBytes(t, "swaps", recordSwaps(t, churned, start, spec, n),
+				legacyRecord(t, churned, start, spec, n), frame)
+		}
+	}
+
+	// Real-time pacing: one-frame runs, each flushed on its slot tick.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(ln, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := cycle - 3
+	srv.SlotDuration = time.Microsecond
+	srv.StartSlot = func() int { return start }
+	srv.Channel = lossy.Factory(&channel.Stats{})
+	go srv.Serve() //nolint:errcheck
+	defer srv.Close()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetReadDeadline(time.Now().Add(30 * time.Second)) //nolint:errcheck
+	got := make([]byte, (cycle+20)*frame)
+	if _, err := io.ReadFull(conn, got); err != nil {
+		t.Fatal(err)
+	}
+	requireSameBytes(t, "paced", got, legacyRecord(t, []*Program{prog}, start, lossy, len(got)), frame)
 }
 
 // TestTransmitPerfectChannelZeroAllocs pins the tentpole property: once the
@@ -77,20 +270,67 @@ func TestTransmitPerfectChannelZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx, err := prog.transmitter(nil, nil)
+	tx, err := prog.transmitter(io.Discard, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bw := bufio.NewWriterSize(io.Discard, txBufSize)
 	slot := 0
 	allocs := testing.AllocsPerRun(2000, func() {
-		if err := tx.transmitSlot(bw, slot, slot, 1); err != nil {
+		n, err := tx.transmitRun(slot, slot, math.MaxInt, 1)
+		if err != nil {
 			t.Fatal(err)
 		}
-		slot++
+		slot += n
 	})
 	if allocs != 0 {
-		t.Fatalf("perfect-channel transmitSlot allocates %.1f objects/frame, want 0", allocs)
+		t.Fatalf("perfect-channel transmitRun allocates %.1f objects/run, want 0", allocs)
+	}
+}
+
+// TestTransmitRunBounds pins where runs stop: at the end of the span (an
+// index copy or a data segment, so never past a cycle boundary), at the
+// caller's limit, and at a full write buffer, which is flushed before the
+// next run.
+func TestTransmitRunBounds(t *testing.T) {
+	sub, _ := testutil.RandomVoronoi(t, 40, 283)
+	prog, err := NewDTreeProgram(sub, 128, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sink bytes.Buffer
+	tx, err := prog.transmitter(&sink, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := tx.rc
+	fs := rc.frameSize
+	perBuf := cap(tx.buf) / fs
+	cycle := rc.cycleLen()
+	for slot := 0; slot < 3*cycle; {
+		pos := slot % cycle
+		i := rc.spanAt(pos)
+		spanLeft := len(rc.slabs[i])/fs - (pos - rc.starts[i])
+		room := (cap(tx.buf) - len(tx.buf)) / fs
+		if room == 0 {
+			room = perBuf
+		}
+		n, err := tx.transmitRun(slot, slot, math.MaxInt, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := min(spanLeft, room); n != want {
+			t.Fatalf("slot %d: run of %d frames, want %d (span left %d, buffer room %d)", slot, n, want, spanLeft, room)
+		}
+		slot += n
+	}
+	if n, err := tx.transmitRun(5, 5, 1, 1); err != nil || n != 1 {
+		t.Fatalf("limit 1: run of %d frames, err %v", n, err)
+	}
+	if err := tx.flush(); err != nil {
+		t.Fatal(err)
+	}
+	if sink.Len() != (3*cycle+1)*fs {
+		t.Fatalf("flushed %d bytes, want %d", sink.Len(), (3*cycle+1)*fs)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"os"
 	"sync"
@@ -55,12 +56,12 @@ func (p *Program) setRendered(rc *renderedCycle) {
 }
 
 // Rendered returns the program's immutable rendered cycle, building it on
-// first use. The table is safe for concurrent use by any number of
+// first use. The slabs are safe for concurrent use by any number of
 // connections. Mutating Capacity, IndexPackets, Sched or Data after the
 // first transmission is not supported.
 func (p *Program) Rendered() (*renderedCycle, error) {
 	p.renderOnce.Do(func() {
-		p.rendered, p.renderErr = renderCycle(p)
+		p.rendered, p.renderErr = renderCycle(p, nil)
 	})
 	return p.rendered, p.renderErr
 }
@@ -101,42 +102,6 @@ func (p *Program) Validate() error {
 		}
 	}
 	return nil
-}
-
-// frameAt renders the frame broadcast at an absolute slot.
-func (p *Program) frameAt(slot int) (Header, []byte) {
-	cycle := p.Sched.CycleLen()
-	pos := slot % cycle
-	next := p.Sched.NextIndexStart(float64(pos) + 1e-9)
-	// Delta from this slot to the next index copy (strictly ahead).
-	if next == pos {
-		next = p.Sched.NextIndexStart(float64(pos) + 1)
-	}
-	h := Header{Slot: uint32(slot), NextIndex: uint32(next - pos), PayloadLen: uint16(p.Capacity)}
-
-	// Which region of the cycle is pos in?
-	idxStart := -1
-	for j := 0; j < p.Sched.M; j++ {
-		s := p.Sched.IndexStartOf(j)
-		if pos >= s && pos < s+p.Sched.IndexPackets {
-			idxStart = s
-			break
-		}
-	}
-	if idxStart >= 0 {
-		off := pos - idxStart
-		h.Kind = KindIndex
-		h.Seq = uint32(off)
-		return h, p.IndexPackets[off]
-	}
-	bucket, pkt := p.Sched.BucketAt(pos)
-	h.Kind = KindData
-	h.Seq = DataSeq(bucket, pkt)
-	payload := make([]byte, p.Capacity)
-	if p.Data != nil {
-		copy(payload, p.Data(bucket, pkt))
-	}
-	return h, payload
 }
 
 // liveProgram pairs a program with the generation number it broadcasts
@@ -349,16 +314,17 @@ func (w *deadlineWriter) Write(p []byte) (int, error) {
 }
 
 // streamTo broadcasts frames to one connection until it errors or the
-// server stops. Frames come from the shared rendered cycle and are
-// assembled once, in place in the connection's write buffer — the
-// perfect-channel path performs no per-frame allocation. Writes are
+// server stops. Frames come from the shared rendered slabs in runs, each
+// copied in bulk into the connection's write buffer and stamped there —
+// the perfect-channel path performs no per-frame allocation. Writes are
 // buffered (one syscall per ~64 KB instead of per frame); with real-time
-// pacing every frame is flushed on its slot tick. The wire counters are
-// published on every flush and on every exit.
+// pacing every run is one frame, flushed on its slot tick. The wire
+// counters are published on every flush and on every exit.
 //
-// At every cycle boundary the goroutine checks for a swapped program and,
-// when draining, exits — so a graceful shutdown always completes the cycle
-// in flight, and a swap never tears an index copy or a bucket in half.
+// Every cycle boundary starts a run; there the goroutine checks for a
+// swapped program and, when draining, exits — so a graceful shutdown always
+// completes the cycle in flight, and a swap never tears an index copy or a
+// bucket in half.
 func (s *Server) streamTo(conn net.Conn) {
 	lp := s.cur.Load()
 	var slot int
@@ -371,7 +337,7 @@ func (s *Server) streamTo(conn net.Conn) {
 	if s.Channel != nil {
 		ch = s.Channel()
 	}
-	tx, err := lp.prog.transmitter(ch, s.metrics)
+	tx, err := lp.prog.transmitter(&deadlineWriter{conn: conn, timeout: s.WriteTimeout}, ch, s.metrics)
 	if err != nil {
 		return
 	}
@@ -381,7 +347,10 @@ func (s *Server) streamTo(conn net.Conn) {
 	// (frame content at absolute slot s is s % cycle, as always), rebased
 	// to the swap slot when a new program takes over mid-connection.
 	contentBase := 0
-	bw := newTxWriter(&deadlineWriter{conn: conn, timeout: s.WriteTimeout}, lp.prog)
+	limit := math.MaxInt
+	if s.SlotDuration > 0 {
+		limit = 1
+	}
 	for !s.closed.Load() {
 		if (slot-contentBase)%cycle == 0 {
 			if s.draining.Load() {
@@ -396,20 +365,21 @@ func (s *Server) streamTo(conn net.Conn) {
 				contentBase = slot
 			}
 		}
-		if err := tx.transmitSlot(bw, slot, slot-contentBase, lp.gen); err != nil {
+		n, err := tx.transmitRun(slot, slot-contentBase, limit, lp.gen)
+		if err != nil {
 			s.noteWriteError(conn, err)
 			return
 		}
-		slot++
+		slot += n
 		if s.SlotDuration > 0 {
-			if err := tx.flush(bw); err != nil {
+			if err := tx.flush(); err != nil {
 				s.noteWriteError(conn, err)
 				return
 			}
 			time.Sleep(s.SlotDuration)
 		}
 	}
-	tx.flush(bw) //nolint:errcheck
+	tx.flush() //nolint:errcheck
 }
 
 // noteWriteError classifies a failed connection write: a deadline
@@ -436,16 +406,17 @@ func (p *Program) Transmit(w io.Writer, startSlot int, ch *channel.Channel) erro
 // the same wire-side metrics a live server would. The counters are
 // published per flush and are exact once it returns.
 func (p *Program) TransmitObserved(w io.Writer, startSlot int, ch *channel.Channel, m *Metrics) error {
-	tx, err := p.transmitter(ch, m)
+	tx, err := p.transmitter(w, ch, m)
 	if err != nil {
 		return err
 	}
 	defer tx.publish()
-	bw := newTxWriter(w, p)
-	for slot := startSlot; ; slot++ {
-		if err := tx.transmitSlot(bw, slot, slot, 1); err != nil {
+	for slot := startSlot; ; {
+		n, err := tx.transmitRun(slot, slot, math.MaxInt, 1)
+		if err != nil {
 			return err
 		}
+		slot += n
 	}
 }
 

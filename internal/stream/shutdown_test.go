@@ -88,7 +88,7 @@ func TestShutdownDrainsAtCycleBoundary(t *testing.T) {
 		n := 0
 		r := NewClient(conn, 256)
 		for {
-			if _, _, _, err := r.advance(nil, func(Header) bool { return false }); err != nil {
+			if _, _, _, err := r.advance(nil, never); err != nil {
 				frames <- n
 				return
 			}

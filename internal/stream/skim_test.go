@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -56,7 +57,8 @@ func recordTransmit(tb testing.TB, prog *Program, startSlot int, spec channel.Sp
 // recordSwaps records n bytes of what a server connection carries across
 // hot swaps: progs[0] from startSlot under generation 1, then each later
 // program in turn from the next cycle boundary under the next generation,
-// exactly as streamTo rolls them over.
+// exactly as streamTo rolls them over: runs never cross a cycle boundary,
+// so every boundary starts a run.
 func recordSwaps(tb testing.TB, progs []*Program, startSlot int, spec channel.Spec, n int) []byte {
 	tb.Helper()
 	var ch *channel.Channel
@@ -64,13 +66,12 @@ func recordSwaps(tb testing.TB, progs []*Program, startSlot int, spec channel.Sp
 		ch = spec.Factory(&channel.Stats{})()
 	}
 	w := &capWriter{n: n}
-	tx, err := progs[0].transmitter(ch, nil)
+	tx, err := progs[0].transmitter(w, ch, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	bw := newTxWriter(w, progs[0])
 	cur, contentBase := 0, 0
-	for slot := startSlot; ; slot++ {
+	for slot := startSlot; ; {
 		if (slot-contentBase)%progs[cur].Sched.CycleLen() == 0 && slot > startSlot && cur+1 < len(progs) {
 			cur++
 			if err := tx.retune(progs[cur]); err != nil {
@@ -78,12 +79,14 @@ func recordSwaps(tb testing.TB, progs []*Program, startSlot int, spec channel.Sp
 			}
 			contentBase = slot
 		}
-		if err := tx.transmitSlot(bw, slot, slot-contentBase, uint32(cur+1)); err != nil {
+		n, err := tx.transmitRun(slot, slot-contentBase, math.MaxInt, uint32(cur+1))
+		if err != nil {
 			if !errors.Is(err, errRecorded) {
 				tb.Fatalf("transmit: %v", err)
 			}
 			return w.buf
 		}
+		slot += n
 	}
 }
 

@@ -13,18 +13,19 @@ import (
 )
 
 // sameRendered compares two rendered cycles frame by frame — header bytes
-// (slot template, pointers, CRC) and payload bytes both.
+// (pointers, CRC) and payload bytes both.
 func sameRendered(t *testing.T, a, b *renderedCycle) {
 	t.Helper()
 	if a.cycleLen() != b.cycleLen() || a.frameSize != b.frameSize {
 		t.Fatalf("cycle geometry differs: %d slots x %d B vs %d slots x %d B",
 			a.cycleLen(), a.frameSize, b.cycleLen(), b.frameSize)
 	}
-	for s := range a.frames {
-		if a.frames[s].hdr != b.frames[s].hdr {
+	for s := 0; s < a.cycleLen(); s++ {
+		fa, fb := a.frame(s), b.frame(s)
+		if !bytes.Equal(fa[:headerSize], fb[:headerSize]) {
 			t.Fatalf("slot %d: headers differ", s)
 		}
-		if !bytes.Equal(a.frames[s].payload, b.frames[s].payload) {
+		if !bytes.Equal(fa[headerSize:], fb[headerSize:]) {
 			t.Fatalf("slot %d: payloads differ", s)
 		}
 	}

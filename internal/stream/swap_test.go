@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -159,24 +158,26 @@ func TestClientEpochRecovery(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		tx1, err := prog1.transmitter(nil, nil)
+		tx1, err := prog1.transmitter(srvEnd, nil, nil)
 		if err != nil {
 			return
 		}
-		tx2, err := prog2.transmitter(nil, nil)
+		tx2, err := prog2.transmitter(srvEnd, nil, nil)
 		if err != nil {
 			return
 		}
-		bw := bufio.NewWriterSize(srvEnd, txBufSize)
 		for slot := start; ; slot++ {
 			var werr error
 			if slot < swapAt {
-				werr = tx1.transmitSlot(bw, slot, slot, 1)
+				_, werr = tx1.transmitRun(slot, slot, 1, 1)
+				if werr == nil {
+					werr = tx1.flush()
+				}
 			} else {
-				werr = tx2.transmitSlot(bw, slot, slot-swapAt, 2)
-			}
-			if werr == nil {
-				werr = bw.Flush()
+				_, werr = tx2.transmitRun(slot, slot-swapAt, 1, 2)
+				if werr == nil {
+					werr = tx2.flush()
+				}
 			}
 			if werr != nil {
 				return
