@@ -20,7 +20,6 @@ type buildOptions struct {
 	weights       []float64 // access frequencies; nil = cardinality balance
 	workers       int       // subtree worker pool size; <= 0 = one per CPU
 	perNodeSort   bool      // reference path: re-sort spans at every node
-	memoize       bool      // retain per-node partition memos for incremental rebuilds
 }
 
 // BuildOption customizes D-tree construction.
@@ -67,16 +66,6 @@ func WithAccessWeights(weights []float64) BuildOption {
 // n <= 0 means one worker per available CPU, 1 forces a sequential build.
 func WithBuildWorkers(n int) BuildOption {
 	return func(o *buildOptions) { o.workers = n }
-}
-
-// withMemo makes every built node retain a partition-search memo (the raw
-// extent entries and split thresholds of all evaluated styles) so a later
-// Incremental.Rebuild can patch a dirty path node's candidates in place of
-// re-deriving them from the whole subset. The built tree is bit-identical
-// with or without memos; Incremental enables this internally. Weighted and
-// per-node-sort builds ignore it.
-func withMemo() BuildOption {
-	return func(o *buildOptions) { o.memoize = true }
 }
 
 // withPerNodeSort selects the reference construction path that re-sorts the
@@ -289,7 +278,6 @@ func (b *builder) split(sub subset, sc *buildScratch) (ChildRef, error) {
 		Truncated:  cand.truncated,
 		NumRegions: len(ids),
 		InterProb:  cand.interProb,
-		memo:       cand.memo,
 	}}, nil
 }
 

@@ -118,15 +118,6 @@ type Node struct {
 	// FlattenPatched uses it to bulk-copy the node's canonical point range
 	// from the previous arena instead of re-deriving it.
 	src int32
-
-	// memo retains the partition-search state of every style evaluated at
-	// this node (memoized builds only): raw extent entries, split
-	// thresholds, and the winning style. The next incremental rebuild uses
-	// it to re-derive a dirty path node's candidates by patching the cached
-	// extents around the changed regions instead of re-extracting them from
-	// the whole subset. Stable-key based, so spliced subtrees share memos
-	// across generations.
-	memo *nodeMemo
 }
 
 // PartitionPoints returns the total number of points across the partition's

@@ -57,10 +57,8 @@ func (d Delta) DirtyFraction() float64 {
 
 // NewIncremental creates an incremental builder; opts apply to every
 // generation and must match the from-scratch builds being compared against.
-// Every generation is built memoized (withMemo) so dirty path nodes can be
-// re-derived by extent patching; memos never change the built bytes.
 func NewIncremental(opts ...BuildOption) *Incremental {
-	return &Incremental{buildOpts: append(append([]BuildOption(nil), opts...), withMemo())}
+	return &Incremental{buildOpts: append([]BuildOption(nil), opts...)}
 }
 
 // Tree returns the latest built tree.
@@ -219,15 +217,19 @@ func (inc *Incremental) Rebuild(sub *region.Subdivision, dirtyKeys []int) (*Tree
 	// Merge-patch each root order: surviving clean ids keep their relative
 	// order under the monotone renumbering (keys ascending in both
 	// generations), so filtering the old order and merging the re-keyed
-	// dirty ids by (key value, id) reproduces sortedIDs exactly.
+	// dirty ids by (key value, id) reproduces sortedIDs exactly. The dirty
+	// and new ids are collected once per cut; each key sorts its own copy,
+	// and (key value, id) is a strict total order, so every copy's order is
+	// fully determined.
+	var fresh []int32
+	for i := 0; i < n; i++ {
+		if dirty[newKeyOf[i]] || inc.lookupOld(newKeyOf[i]) < 0 {
+			fresh = append(fresh, int32(i))
+		}
+	}
 	var orders subset
 	for _, k := range b.keys {
-		var dirtyIDs []int32
-		for i := 0; i < n; i++ {
-			if dirty[newKeyOf[i]] || inc.lookupOld(newKeyOf[i]) < 0 {
-				dirtyIDs = append(dirtyIDs, int32(i))
-			}
-		}
+		dirtyIDs := append([]int32(nil), fresh...)
 		sort.Slice(dirtyIDs, func(x, y int) bool {
 			vx, vy := b.spans[dirtyIDs[x]].keyVal(k), b.spans[dirtyIDs[y]].keyVal(k)
 			if vx != vy {
@@ -270,40 +272,9 @@ func (inc *Incremental) Rebuild(sub *region.Subdivision, dirtyKeys []int) (*Tree
 		inc: inc, b: b,
 		newKeyOf: newKeyOf, newIdxOf: newIdxOf, dirty: dirty,
 		oldMark: make([]int32, maxKey+1),
-		fast: fastScratch{
-			dirtyMark: make([]int32, maxKey+1),
-			subMark:   make([]int32, maxKey+1),
-			addMark:   make([]int32, maxKey+1),
-			flipMark:  make([]int32, maxKey+1),
-			seenMark:  make([]int32, maxKey+1),
-		},
 	}
 	sc := b.pool.Get().(*buildScratch)
-	var ref ChildRef
-	var err error
-	if o.perNodeSort {
-		// The reference path re-sorts per node; only the legacy splice
-		// machinery applies.
-		ref, err = r.split(orders, sc)
-	} else {
-		// Difference lists for the corresponded walk: dirty keys split into
-		// geometry-changed survivors and inserts, removals inferred from the
-		// old key set.
-		var changed, added, removedKeys []int32
-		for _, k := range dirtyKeys {
-			if inc.lookupOld(int32(k)) >= 0 {
-				changed = append(changed, newIdxOf[k])
-			} else {
-				added = append(added, newIdxOf[k])
-			}
-		}
-		for _, k := range inc.keyOfOld {
-			if newIdxOf[k] < 0 {
-				removedKeys = append(removedKeys, k)
-			}
-		}
-		ref, err = r.fastSplit(orders, inc.tree.Root, changed, added, removedKeys, sc)
-	}
+	ref, err := r.split(orders, sc)
 	b.pool.Put(sc)
 	if err != nil {
 		return nil, Delta{}, err
@@ -340,12 +311,11 @@ type rebuilder struct {
 	oldMark  []int32 // by stable key, epoch-stamped by collectOld
 	oldEpoch int32
 	spliced  int
-
-	fast fastScratch // memoized corresponded-rebuild scratch (memo.go)
 }
 
 // split mirrors builder.split but first tries to splice the subtree of the
-// previous generation covering exactly this (clean) region set.
+// previous generation covering exactly this (clean) region set; a node on a
+// dirty path runs the normal partition search over the merge-patched orders.
 func (r *rebuilder) split(sub subset, sc *buildScratch) (ChildRef, error) {
 	ids := sub[r.b.keys[0]]
 	if len(ids) == 1 {
@@ -379,7 +349,6 @@ func (r *rebuilder) split(sub subset, sc *buildScratch) (ChildRef, error) {
 		Truncated:  cand.truncated,
 		NumRegions: len(ids),
 		InterProb:  cand.interProb,
-		memo:       cand.memo,
 	}}, nil
 }
 
@@ -447,6 +416,5 @@ func (r *rebuilder) copySubtree(c ChildRef) ChildRef {
 		NumRegions: n.NumRegions,
 		InterProb:  n.InterProb,
 		src:        int32(n.ID) + 1,
-		memo:       n.memo, // shared: memos are stable-key based and immutable
 	}}
 }

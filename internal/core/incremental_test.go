@@ -73,6 +73,27 @@ func (d *churnDriver) step(batch int) (*region.Subdivision, []int) {
 	return sub, canonDirty
 }
 
+// stepMoves applies a batch of pure position updates — the steady-state
+// churn shape, under which the site count and the style menu stay fixed.
+func (d *churnDriver) stepMoves(batch int) (*region.Subdivision, []int) {
+	d.t.Helper()
+	d.maint.BeginBatch()
+	for i := 0; i < batch; i++ {
+		ids, _ := d.maint.LiveSites()
+		id := ids[d.rng.Intn(len(ids))]
+		if _, err := d.maint.Move(id, geom.Pt(d.rng.Float64()*1000, d.rng.Float64()*1000)); err != nil {
+			d.t.Fatalf("move: %v", err)
+		}
+	}
+	dirty, removed := d.maint.BatchDelta()
+	ids, polys := d.maint.LiveCells()
+	sub, canonDirty, err := d.patch.Patch(ids, polys, dirty, removed)
+	if err != nil {
+		d.t.Fatalf("patch: %v", err)
+	}
+	return sub, canonDirty
+}
+
 // TestIncrementalRebuildMatchesBuild pins the tentpole identity: across a
 // churn sequence, every incremental Rebuild marshals byte-identical to a
 // from-scratch Build of the same subdivision, while splicing a substantial
@@ -168,5 +189,114 @@ func TestIncrementalFullMatchesBuild(t *testing.T) {
 	wb, _ := want.Marshal()
 	if !bytes.Equal(gb, wb) {
 		t.Fatal("Full marshal differs from Build")
+	}
+}
+
+// diffNode reports the first structural difference between two trees; a
+// diagnostic for identity failures.
+func diffNode(t *testing.T, a, b *Node, depth int) bool {
+	if (a == nil) != (b == nil) {
+		t.Logf("depth %d: nil mismatch", depth)
+		return true
+	}
+	if a == nil {
+		return false
+	}
+	if a.Dim != b.Dim || a.CutLo != b.CutLo || a.CutHi != b.CutHi ||
+		a.NumRegions != b.NumRegions || a.InterProb != b.InterProb ||
+		a.Pruned != b.Pruned || a.Truncated != b.Truncated ||
+		len(a.Polylines) != len(b.Polylines) {
+		t.Logf("depth %d n=%d: got dim=%v lo=%v hi=%v ip=%v plines=%d pr=%v tr=%v | want dim=%v lo=%v hi=%v ip=%v plines=%d pr=%v tr=%v",
+			depth, b.NumRegions,
+			a.Dim, a.CutLo, a.CutHi, a.InterProb, len(a.Polylines), a.Pruned, a.Truncated,
+			b.Dim, b.CutLo, b.CutHi, b.InterProb, len(b.Polylines), b.Pruned, b.Truncated)
+		return true
+	}
+	if !a.Left.IsData() || !b.Left.IsData() {
+		if a.Left.IsData() != b.Left.IsData() {
+			t.Logf("depth %d n=%d: left data mismatch", depth, a.NumRegions)
+			return true
+		}
+		if diffNode(t, a.Left.Node, b.Left.Node, depth+1) {
+			return true
+		}
+	} else if a.Left.Data != b.Left.Data {
+		t.Logf("depth %d: left data %d != %d", depth, a.Left.Data, b.Left.Data)
+		return true
+	}
+	if !a.Right.IsData() || !b.Right.IsData() {
+		if a.Right.IsData() != b.Right.IsData() {
+			t.Logf("depth %d n=%d: right data mismatch", depth, a.NumRegions)
+			return true
+		}
+		return diffNode(t, a.Right.Node, b.Right.Node, depth+1)
+	} else if a.Right.Data != b.Right.Data {
+		t.Logf("depth %d: right data %d != %d", depth, a.Right.Data, b.Right.Data)
+		return true
+	}
+	return false
+}
+
+// TestIncrementalChurnIdentity drives mixed add/remove/move churn with every
+// generation's marshal compared against a cold Build. Mixed batches change
+// region-count parity, which reshuffles the style menu and flips partition
+// winners on dirty paths.
+func TestIncrementalChurnIdentity(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		d, sub := newChurnDriver(t, 400, seed)
+		inc := NewIncremental()
+		if _, err := inc.Full(sub); err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; step < 30; step++ {
+			next, canonDirty := d.step(4)
+			got, _, err := inc.Rebuild(next, canonDirty)
+			if err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
+			want, err := Build(next)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gb, _ := got.Marshal()
+			wb, _ := want.Marshal()
+			if !bytes.Equal(gb, wb) {
+				diffNode(t, got.Root, want.Root, 0)
+				t.Fatalf("seed %d step %d: marshal differs", seed, step)
+			}
+		}
+	}
+}
+
+// TestIncrementalChurnMoveOnlyIdentity pins the steady-state regime the
+// gated benchmark tier measures: move-only batches over a subset large
+// enough that near-tied winners flip on dirty paths. A splice lookup that
+// stopped matching would still be byte-identical, only slow, so every cut
+// must also splice at least a third of its nodes.
+func TestIncrementalChurnMoveOnlyIdentity(t *testing.T) {
+	d, sub := newChurnDriver(t, 2500, 7)
+	inc := NewIncremental()
+	if _, err := inc.Full(sub); err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; step < 12; step++ {
+		next, canonDirty := d.stepMoves(8)
+		got, delta, err := inc.Rebuild(next, canonDirty)
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		want, err := Build(next)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gb, _ := got.Marshal()
+		wb, _ := want.Marshal()
+		if !bytes.Equal(gb, wb) {
+			diffNode(t, got.Root, want.Root, 0)
+			t.Fatalf("step %d: marshal differs", step)
+		}
+		if delta.Spliced*3 < delta.Total {
+			t.Fatalf("step %d: spliced %d of %d nodes, want at least a third", step, delta.Spliced, delta.Total)
+		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"airindex/internal/geom"
-	"airindex/internal/region"
 )
 
 // style is one of the paper's partition styles: a dimension, a sort key
@@ -37,12 +36,6 @@ type candidate struct {
 	sorted    []int32 // the style's sort order, kept for the lazy computation
 	pruned    bool    // Algorithm 1 removed extent segments
 	truncated bool    // some segment was cut at the CutLo line
-
-	// entries is the raw (pre-prune) extent in (owner, edge) form; memoized
-	// builds retain it for incremental extent patching. memo rides on the
-	// winning candidate back to the node.
-	entries []region.BoundaryEntry
-	memo    *nodeMemo
 }
 
 // regionSpan caches a region's canonical extremes for both dimensions.
@@ -115,21 +108,13 @@ func (b *builder) evaluate(sorted []int32, st style, sc *buildScratch) (candidat
 
 	// Construct the extent of the lefthand subspace and prune/truncate it
 	// against the vertical line x = right_lmc (Algorithm 1, lines 4-16).
-	var extent []geom.Segment
-	var entries []region.BoundaryEntry
-	if b.opts.memoize && b.opts.weights == nil {
-		entries, extent = b.sub.BoundaryEntriesInto(left, &sc.bs, nil, nil)
-	} else {
-		extent = b.sub.BoundarySegmentsInto(left, &sc.bs, nil)
-	}
-	return b.finishCandidate(st, sorted, left, right, cutLo, cutHi, extent, entries)
+	extent := b.sub.BoundarySegmentsInto(left, &sc.bs, nil)
+	return b.finishCandidate(st, sorted, left, right, cutLo, cutHi, extent)
 }
 
-// finishCandidate runs the tail of Algorithm 1 — prune and truncate the
-// extent against the CutLo line, then chain the survivors into polylines —
-// shared verbatim by the from-scratch evaluation and the incremental
-// extent-patching path, so both produce bit-identical candidates.
-func (b *builder) finishCandidate(st style, sorted []int32, left, right []int, cutLo, cutHi float64, extent []geom.Segment, entries []region.BoundaryEntry) (candidate, error) {
+// finishCandidate runs the tail of Algorithm 1: prune and truncate the
+// extent against the CutLo line, then chain the survivors into polylines.
+func (b *builder) finishCandidate(st style, sorted []int32, left, right []int, cutLo, cutHi float64, extent []geom.Segment) (candidate, error) {
 	n := len(sorted)
 	var kept []geom.Segment
 	var pruned, truncated bool
@@ -168,9 +153,8 @@ func (b *builder) finishCandidate(st style, sorted []int32, left, right []int, c
 			return candidate{
 				style: st, left: left, right: right,
 				cutLo: cutLo, cutHi: cutHi,
-				sorted:  sorted,
-				pruned:  true, // the whole extent fell left of the line
-				entries: entries,
+				sorted: sorted,
+				pruned: true, // the whole extent fell left of the line
 			}, nil
 		}
 		return candidate{}, fmt.Errorf("core: empty partition for style %+v over %d regions", st, n)
@@ -195,11 +179,10 @@ func (b *builder) finishCandidate(st style, sorted []int32, left, right []int, c
 		sorted:    sorted,
 		pruned:    pruned,
 		truncated: truncated,
-		entries:   entries,
 	}, nil
 }
 
-// candProb memoizes the candidate's interlocking-band probability.
+// candProb computes the candidate's interlocking-band probability once.
 func (b *builder) candProb(c *candidate) float64 {
 	if !c.probed {
 		c.interProb = b.interProb(c.sorted, c.style.dim, c.cutLo, c.cutHi)
@@ -260,11 +243,6 @@ func (b *builder) choosePartition(sub subset, sc *buildScratch) (candidate, erro
 		}
 	}
 
-	memoize := b.opts.memoize && b.opts.weights == nil && !b.opts.perNodeSort
-	var memo *nodeMemo
-	if memoize {
-		memo = &nodeMemo{}
-	}
 	var best candidate
 	found := false
 	var firstErr error
@@ -280,9 +258,6 @@ func (b *builder) choosePartition(sub subset, sc *buildScratch) (candidate, erro
 			}
 			continue
 		}
-		if memoize {
-			memo.cands = append(memo.cands, b.memoCandOf(&cand))
-		}
 		if !found {
 			best, found = cand, true
 			continue
@@ -295,33 +270,7 @@ func (b *builder) choosePartition(sub subset, sc *buildScratch) (candidate, erro
 	if !found {
 		return candidate{}, fmt.Errorf("core: no valid partition for %d regions: %w", n, firstErr)
 	}
-	if memoize {
-		memo.winnerKey = int8(keyIdx(best.style.dim, best.style.sortByMax))
-		best.memo = memo
-	}
 	return best, nil
-}
-
-// memoCandOf captures one evaluated style's rebuild memo: the raw extent
-// entries and the (value, stable key) pair of the last left element — the
-// split threshold — all renumbering-safe.
-func (b *builder) memoCandOf(c *candidate) memoCand {
-	k := c.style.leftCount
-	kidx := keyIdx(c.style.dim, c.style.sortByMax)
-	ll := c.sorted[k-1]
-	return memoCand{
-		key:         int8(kidx),
-		pruned:      c.pruned,
-		truncated:   c.truncated,
-		leftCount:   int32(k),
-		points:      int32(c.points),
-		lastLeftVal: b.spans[ll].keyVal(kidx),
-		lastLeftKey: int32(b.sub.Key(int(ll))),
-		cutLo:       c.cutLo,
-		cutHi:       c.cutHi,
-		entries:     c.entries,
-		polylines:   c.polylines,
-	}
 }
 
 // resort re-derives a style's sorted order from scratch for the current

@@ -47,7 +47,7 @@ type Built struct {
 	indexCache map[int]*indexCacheEntry
 }
 
-// indexCacheEntry memoizes Indexes for one packet capacity. The entry is
+// indexCacheEntry caches Indexes for one packet capacity. The entry is
 // created under Built.mu but built inside its own Once, so concurrent
 // sweeps over different capacities page in parallel while repeated
 // requests for the same capacity share one build.

@@ -56,59 +56,10 @@ func (s *Subdivision) BoundarySegmentsInto(ids []int, sc *BoundaryScratch, out [
 	return out
 }
 
-// BoundaryEntry names one surviving edge of a region-set boundary by its
-// owner and ring position instead of its coordinates: the edge from
-// ring[Edge] to ring[Edge+1] of the region whose stable key is Owner. The
-// incremental D-tree rebuild memoizes extents in this form — stable keys
-// survive region renumbering between generations, and clean regions share
-// their ring slices across patched subdivisions, so a cached entry
-// reproduces the exact segment BoundarySegments would emit.
-type BoundaryEntry struct {
-	Owner int32 // stable region key
-	Edge  int32 // ring edge index
-}
-
-// BoundaryEntriesInto is BoundarySegmentsInto emitting both the segments
-// and the matching (owner, edge) entries, in the identical order.
-func (s *Subdivision) BoundaryEntriesInto(ids []int, sc *BoundaryScratch, ents []BoundaryEntry, segs []geom.Segment) ([]BoundaryEntry, []geom.Segment) {
-	if int32(len(sc.mark)) <= s.maxKey {
-		sc.mark = make([]int32, s.maxKey+1)
-		sc.epoch = 0
-	}
-	sc.epoch++
-	epoch := sc.epoch
-	for _, id := range ids {
-		sc.mark[s.Key(id)] = epoch
-	}
-	for _, id := range ids {
-		key := int32(s.Key(id))
-		ring := s.rings[id]
-		nbr := s.nbrKey[id]
-		n := len(ring)
-		for j := 0; j < n; j++ {
-			if k := nbr[j]; k >= 0 && sc.mark[k] == epoch {
-				continue
-			}
-			u, v := ring[j], ring[(j+1)%n]
-			ents = append(ents, BoundaryEntry{Owner: key, Edge: int32(j)})
-			segs = append(segs, geom.Segment{A: s.Verts[u], B: s.Verts[v]})
-		}
-	}
-	return ents, segs
-}
-
 // NbrKeys returns, per ring edge of region id, the stable key of the region
 // on the other side (-1 on the service-area border). Callers must not
 // modify the returned slice.
 func (s *Subdivision) NbrKeys(id int) []int32 { return s.nbrKey[id] }
-
-// EdgeSegment returns the ring edge j of region id as a segment, exactly as
-// BoundarySegments would emit it.
-func (s *Subdivision) EdgeSegment(id, j int) geom.Segment {
-	ring := s.rings[id]
-	u, v := ring[j], ring[(j+1)%len(ring)]
-	return geom.Segment{A: s.Verts[u], B: s.Verts[v]}
-}
 
 // SharedBorder returns the segments separating the two given region sets:
 // edges owned by a region in left whose twin belongs to a region in right.

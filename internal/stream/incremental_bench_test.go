@@ -18,12 +18,13 @@ import (
 //
 // The gated tier uses move-only batches: the steady-state churn shape
 // (vehicles reporting new positions), under which the site count — and so
-// the root partition's style menu — stays fixed and the memoized rebuild
-// holds correspondence. Mixed add/remove batches change the region-count
-// parity, which reshuffles the candidate styles at the top of the tree and
-// routinely flips the root's winning dimension; a flipped winner has no
-// corresponding old subtree, so those generations legitimately pay a near
-// from-scratch compile to stay byte-identical. BenchmarkIncrementalCutMixed
+// the root partition's style menu — stays fixed and the dirty-subtree
+// rebuild splices every clean subtree. Mixed add/remove batches change the
+// region-count parity, which reshuffles the candidate styles at the top of
+// the tree and routinely flips the root's winning dimension; a flipped
+// winner leaves few old subtrees with a matching leaf set, so those
+// generations legitimately pay a near from-scratch compile to stay
+// byte-identical. BenchmarkIncrementalCutMixed
 // records that regime separately.
 
 var cutSizes = []struct {
