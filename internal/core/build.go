@@ -1,11 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
+	"airindex/internal/geom"
 	"airindex/internal/region"
 )
 
@@ -101,14 +103,26 @@ func (r regionSpan) keyVal(k int) float64 {
 	return r.canonMin(dim)
 }
 
-// buildScratch is the per-task membership marker used to partition sorted
-// id lists; the epoch stamp makes reuse O(1) instead of clearing. It also
-// carries the per-task boundary-extraction scratch so evaluate runs
-// map-free.
+// buildScratch is one build task's reusable state. The membership marker
+// partitions sorted id lists, its epoch stamp making reuse O(1) instead of
+// clearing. The rest serves the partition search: the boundary-extraction
+// scratch, the left-subspace ids, the extent, the kept segments of the
+// style being scored and of the best style so far, the canonical polygon
+// and clip buffers of the inter-prob band area, and the segment chainer.
+// Each task owns its scratch (pooled per build, never retained by the
+// tree), so evaluate runs map-free and, once the buffers are warm,
+// allocates only the winner's polylines.
 type buildScratch struct {
-	mark  []int32
-	epoch int32
-	bs    region.BoundaryScratch
+	mark   []int32
+	epoch  int32
+	bs     region.BoundaryScratch
+	left   []int
+	extent []geom.Segment
+	kept   []geom.Segment
+	best   []geom.Segment
+	poly   geom.Polygon
+	band   [2]geom.Polygon
+	chain  geom.Chainer
 }
 
 type builder struct {
@@ -151,8 +165,7 @@ func Build(sub *region.Subdivision, opts ...BuildOption) (*Tree, error) {
 	}
 	b := &builder{sub: sub, opts: o, spans: make([]regionSpan, sub.N())}
 	for i := range sub.Regions {
-		bb := sub.Regions[i].Bounds()
-		b.spans[i] = regionSpan{id: i, minX: bb.MinX, maxX: bb.MaxX, minY: bb.MinY, maxY: bb.MaxY}
+		b.spans[i] = newSpan(i, sub.Regions[i].Poly)
 	}
 	for _, dim := range o.dims {
 		for _, byMax := range o.sortKeys {
@@ -209,12 +222,11 @@ func (b *builder) sortedIDs(n, k int) []int32 {
 	for i := range ids {
 		ids[i] = int32(i)
 	}
-	sort.Slice(ids, func(x, y int) bool {
-		vx, vy := b.spans[ids[x]].keyVal(k), b.spans[ids[y]].keyVal(k)
-		if vx != vy {
-			return vx < vy
+	slices.SortFunc(ids, func(x, y int32) int {
+		if c := cmp.Compare(b.spans[x].keyVal(k), b.spans[y].keyVal(k)); c != 0 {
+			return c
 		}
-		return ids[x] < ids[y]
+		return cmp.Compare(x, y)
 	})
 	return ids
 }
@@ -232,7 +244,7 @@ func (b *builder) split(sub subset, sc *buildScratch) (ChildRef, error) {
 	if err != nil {
 		return ChildRef{}, err
 	}
-	leftSub, rightSub := b.partitionSubset(sub, cand.left, sc)
+	leftSub, rightSub := b.partitionSubset(sub, cand.sorted[:cand.k], sc)
 
 	var left, right ChildRef
 	var lerr, rerr error
@@ -285,16 +297,19 @@ func (b *builder) split(sub subset, sc *buildScratch) (ChildRef, error) {
 // chosen left subspace and the rest, preserving relative order — the
 // pre-sorted orders flow down the tree instead of being rebuilt per node.
 // The scratch stays usable by the caller afterwards.
-func (b *builder) partitionSubset(sub subset, left []int, sc *buildScratch) (ls, rs subset) {
+func (b *builder) partitionSubset(sub subset, left []int32, sc *buildScratch) (ls, rs subset) {
 	sc.epoch++
 	e := sc.epoch
 	for _, id := range left {
 		sc.mark[id] = e
 	}
-	for _, k := range b.keys {
+	// One block holds every key's two halves, each capped at its length.
+	n := len(sub[b.keys[0]])
+	block := make([]int32, len(b.keys)*n)
+	for x, k := range b.keys {
 		src := sub[k]
-		l := make([]int32, 0, len(left))
-		r := make([]int32, 0, len(src)-len(left))
+		l := block[x*n : x*n : x*n+len(left)]
+		r := block[x*n+len(left) : x*n+len(left) : (x+1)*n]
 		for _, id := range src {
 			if sc.mark[id] == e {
 				l = append(l, id)

@@ -105,8 +105,7 @@ func (inc *Incremental) retain(t *Tree, sub *region.Subdivision) error {
 	// (Rebuild patches them forward instead when it can).
 	b := &builder{sub: sub, opts: t.opts, spans: make([]regionSpan, n)}
 	for i := range sub.Regions {
-		bb := sub.Regions[i].Bounds()
-		b.spans[i] = regionSpan{id: i, minX: bb.MinX, maxX: bb.MaxX, minY: bb.MinY, maxY: bb.MaxY}
+		b.spans[i] = newSpan(i, sub.Regions[i].Poly)
 	}
 	inc.spans = b.spans
 	inc.opts = t.opts
@@ -210,8 +209,7 @@ func (inc *Incremental) Rebuild(sub *region.Subdivision, dirtyKeys []int) (*Tree
 			b.spans[i] = sp
 			continue
 		}
-		bb := sub.Regions[i].Bounds()
-		b.spans[i] = regionSpan{id: i, minX: bb.MinX, maxX: bb.MaxX, minY: bb.MinY, maxY: bb.MaxY}
+		b.spans[i] = newSpan(i, sub.Regions[i].Poly)
 	}
 
 	// Merge-patch each root order: surviving clean ids keep their relative
@@ -329,7 +327,7 @@ func (r *rebuilder) split(sub subset, sc *buildScratch) (ChildRef, error) {
 	if err != nil {
 		return ChildRef{}, err
 	}
-	leftSub, rightSub := r.b.partitionSubset(sub, cand.left, sc)
+	leftSub, rightSub := r.b.partitionSubset(sub, cand.sorted[:cand.k], sc)
 	left, err := r.split(leftSub, sc)
 	if err != nil {
 		return ChildRef{}, err

@@ -19,14 +19,16 @@ type style struct {
 }
 
 // candidate is an evaluated partition for one style (Algorithm 1's output
-// plus the bookkeeping the builder needs).
+// plus the bookkeeping the builder needs). Scoring a style fills in its size
+// in points but not its polylines: only the winning style is chained into
+// polylines (choosePartition).
 type candidate struct {
-	style       style
-	left, right []int // region ids of the two subspaces
-	polylines   []geom.Polyline
-	points      int // partition size in points (2 points = 4 coordinates)
-	cutLo       float64
-	cutHi       float64
+	style     style
+	k         int // regions in the canonical-left subspace: sorted[:k]
+	polylines []geom.Polyline
+	points    int // partition size in points (2 points = 4 coordinates)
+	cutLo     float64
+	cutHi     float64
 	// interProb is computed lazily (candProb): the band-area clip it needs
 	// dominates build time, and it only matters when partition sizes tie.
 	// Because it is a pure function of (sorted, dim, cutLo, cutHi), laziness
@@ -38,10 +40,17 @@ type candidate struct {
 	truncated bool    // some segment was cut at the CutLo line
 }
 
-// regionSpan caches a region's canonical extremes for both dimensions.
+// regionSpan caches a region's canonical extremes for both dimensions and
+// its area, the weight of the region in every inter-prob it enters.
 type regionSpan struct {
 	id                     int
 	minX, maxX, minY, maxY float64
+	area                   float64
+}
+
+func newSpan(id int, poly geom.Polygon) regionSpan {
+	bb := poly.Bounds()
+	return regionSpan{id: id, minX: bb.MinX, maxX: bb.MaxX, minY: bb.MinY, maxY: bb.MaxY, area: poly.Area()}
 }
 
 func (r regionSpan) canonMin(d Dimension) float64 {
@@ -61,7 +70,9 @@ func (r regionSpan) canonMax(d Dimension) float64 {
 // evaluate runs Algorithm 1 (PartitionSize) for one style over the current
 // space, whose region ids arrive already sorted by the style's key (with
 // ids breaking ties) — either propagated down from the root orders or
-// re-sorted by the reference path.
+// re-sorted by the reference path. It scores the style: the pruned and
+// truncated extent is left in sc.kept and its size in points counted
+// without building the polylines.
 func (b *builder) evaluate(sorted []int32, st style, sc *buildScratch) (candidate, error) {
 	n := len(sorted)
 	k := st.leftCount
@@ -85,15 +96,6 @@ func (b *builder) evaluate(sorted []int32, st style, sc *buildScratch) (candidat
 	if k <= 0 || k >= n {
 		return candidate{}, fmt.Errorf("core: left count %d out of range for %d regions", k, n)
 	}
-	left := make([]int, 0, k)
-	right := make([]int, 0, n-k)
-	for i, id := range sorted {
-		if i < k {
-			left = append(left, int(id))
-		} else {
-			right = append(right, int(id))
-		}
-	}
 
 	// right_lmc: canonical leftmost coordinate of the righthand subspace;
 	// left_rmc: canonical rightmost coordinate of the lefthand subspace.
@@ -108,18 +110,23 @@ func (b *builder) evaluate(sorted []int32, st style, sc *buildScratch) (candidat
 
 	// Construct the extent of the lefthand subspace and prune/truncate it
 	// against the vertical line x = right_lmc (Algorithm 1, lines 4-16).
-	extent := b.sub.BoundarySegmentsInto(left, &sc.bs, nil)
-	return b.finishCandidate(st, sorted, left, right, cutLo, cutHi, extent)
+	sc.left = sc.left[:0]
+	for _, id := range sorted[:k] {
+		sc.left = append(sc.left, int(id))
+	}
+	sc.extent = b.sub.BoundarySegmentsInto(sc.left, &sc.bs, sc.extent[:0])
+	return b.finishCandidate(st, sorted, k, cutLo, cutHi, sc)
 }
 
 // finishCandidate runs the tail of Algorithm 1: prune and truncate the
-// extent against the CutLo line, then chain the survivors into polylines.
-func (b *builder) finishCandidate(st style, sorted []int32, left, right []int, cutLo, cutHi float64, extent []geom.Segment) (candidate, error) {
+// extent in sc.extent against the CutLo line into sc.kept, then count the
+// points the survivors chain into.
+func (b *builder) finishCandidate(st style, sorted []int32, k int, cutLo, cutHi float64, sc *buildScratch) (candidate, error) {
 	n := len(sorted)
-	var kept []geom.Segment
+	kept := sc.kept[:0]
 	var pruned, truncated bool
 	const tol = geom.Eps
-	for _, s := range extent {
+	for _, s := range sc.extent {
 		a, c := canon(st.dim, s.A), canon(st.dim, s.B)
 		if a.X <= cutLo+tol && c.X <= cutLo+tol {
 			pruned = true
@@ -145,13 +152,14 @@ func (b *builder) finishCandidate(st style, sorted []int32, left, right []int, c
 		}
 		kept = append(kept, geom.Segment{A: a, B: c})
 	}
+	sc.kept = kept
 	if len(kept) == 0 {
 		if cutHi <= cutLo+tol {
 			// The two subspaces have disjoint canonical extents: every
 			// query resolves by the band test alone and the node stores no
 			// partition at all.
 			return candidate{
-				style: st, left: left, right: right,
+				style: st, k: k,
 				cutLo: cutLo, cutHi: cutHi,
 				sorted: sorted,
 				pruned: true, // the whole extent fell left of the line
@@ -160,22 +168,10 @@ func (b *builder) finishCandidate(st style, sorted []int32, left, right []int, c
 		return candidate{}, fmt.Errorf("core: empty partition for style %+v over %d regions", st, n)
 	}
 
-	chains := geom.ChainSegments(kept)
-	points := 0
-	polylines := make([]geom.Polyline, len(chains))
-	for i, ch := range chains {
-		points += len(ch)
-		real := make(geom.Polyline, len(ch))
-		for j, p := range ch {
-			real[j] = uncanon(st.dim, p)
-		}
-		polylines[i] = real
-	}
-
 	return candidate{
-		style: st, left: left, right: right,
-		polylines: polylines, points: points,
-		cutLo: cutLo, cutHi: cutHi,
+		style: st, k: k,
+		points: sc.chain.Count(kept),
+		cutLo:  cutLo, cutHi: cutHi,
 		sorted:    sorted,
 		pruned:    pruned,
 		truncated: truncated,
@@ -183,9 +179,9 @@ func (b *builder) finishCandidate(st style, sorted []int32, left, right []int, c
 }
 
 // candProb computes the candidate's interlocking-band probability once.
-func (b *builder) candProb(c *candidate) float64 {
+func (b *builder) candProb(c *candidate, sc *buildScratch) float64 {
 	if !c.probed {
-		c.interProb = b.interProb(c.sorted, c.style.dim, c.cutLo, c.cutHi)
+		c.interProb = b.interProb(c.sorted, c.style.dim, c.cutLo, c.cutHi, sc)
 		c.probed = true
 	}
 	return c.interProb
@@ -196,19 +192,20 @@ func (b *builder) candProb(c *candidate) float64 {
 // both subspaces. The ids arrive in the evaluated style's sort order, so
 // the float accumulation order — and the resulting probability down to the
 // last bit — is a pure function of the subdivision and style.
-func (b *builder) interProb(ids []int32, d Dimension, cutLo, cutHi float64) float64 {
+func (b *builder) interProb(ids []int32, d Dimension, cutLo, cutHi float64, sc *buildScratch) float64 {
 	if cutHi <= cutLo {
 		return 0
 	}
 	var total, band float64
 	for _, id := range ids {
 		poly := b.sub.Regions[id].Poly
-		total += poly.Area()
-		cp := make(geom.Polygon, len(poly))
-		for i, p := range poly {
-			cp[i] = canon(d, p)
+		total += b.spans[id].area
+		cp := sc.poly[:0]
+		for _, p := range poly {
+			cp = append(cp, canon(d, p))
 		}
-		band += geom.ClipAreaVerticalBand(cp.EnsureCCW(), cutLo, cutHi)
+		sc.poly = cp
+		band += geom.ClipAreaVerticalBand(cp.EnsureCCW(), cutLo, cutHi, &sc.band)
 	}
 	if total <= 0 {
 		return 0
@@ -243,6 +240,8 @@ func (b *builder) choosePartition(sub subset, sc *buildScratch) (candidate, erro
 		}
 	}
 
+	// Score every style; the winner's kept segments stay in sc.best while
+	// later styles overwrite sc.kept, and only the winner is chained.
 	var best candidate
 	found := false
 	var firstErr error
@@ -258,17 +257,23 @@ func (b *builder) choosePartition(sub subset, sc *buildScratch) (candidate, erro
 			}
 			continue
 		}
-		if !found {
+		if !found ||
+			cand.points < best.points ||
+			(cand.points == best.points && b.opts.tieBreak && b.candProb(&cand, sc) < b.candProb(&best, sc)-1e-12) {
 			best, found = cand, true
-			continue
-		}
-		if cand.points < best.points ||
-			(cand.points == best.points && b.opts.tieBreak && b.candProb(&cand) < b.candProb(&best)-1e-12) {
-			best = cand
+			sc.kept, sc.best = sc.best, sc.kept
 		}
 	}
 	if !found {
 		return candidate{}, fmt.Errorf("core: no valid partition for %d regions: %w", n, firstErr)
+	}
+	if best.points > 0 {
+		best.polylines = sc.chain.Chain(sc.best)
+		for _, pl := range best.polylines {
+			for j, p := range pl {
+				pl[j] = uncanon(best.style.dim, p)
+			}
+		}
 	}
 	return best, nil
 }

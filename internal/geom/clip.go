@@ -31,7 +31,17 @@ func ClipHalfPlane(pg Polygon, h HalfPlane) Polygon {
 	if len(pg) == 0 {
 		return nil
 	}
-	out := make(Polygon, 0, len(pg)+1)
+	return ClipHalfPlaneInto(make(Polygon, 0, len(pg)+1), pg, h)
+}
+
+// ClipHalfPlaneInto is ClipHalfPlane writing the result into dst's storage
+// (from its start, growing it if needed), for loops that clip repeatedly
+// and alternate two buffers. dst must not share storage with pg.
+func ClipHalfPlaneInto(dst, pg Polygon, h HalfPlane) Polygon {
+	if len(pg) == 0 {
+		return nil
+	}
+	out := dst[:0]
 	n := len(pg)
 	for i := 0; i < n; i++ {
 		cur, nxt := pg[i], pg[(i+1)%n]
@@ -76,17 +86,21 @@ func ClipRect(pg Polygon, r Rect) Polygon {
 // ClipAreaVerticalBand returns the area of the polygon between the vertical
 // lines x = lo and x = hi. It is used to compute the D-tree inter-prob
 // tie-break (the probability mass of the interlocking strip of a partition).
-func ClipAreaVerticalBand(pg Polygon, lo, hi float64) float64 {
+// The two clips go through the caller's buffers, which it grows as needed
+// and leaves for reuse.
+func ClipAreaVerticalBand(pg Polygon, lo, hi float64, buf *[2]Polygon) float64 {
 	if hi <= lo {
 		return 0
 	}
-	clipped := ClipHalfPlane(pg, HalfPlane{A: -1, B: 0, C: -lo}) // x >= lo
+	clipped := ClipHalfPlaneInto(buf[0], pg, HalfPlane{A: -1, B: 0, C: -lo}) // x >= lo
 	if clipped == nil {
 		return 0
 	}
-	clipped = ClipHalfPlane(clipped, HalfPlane{A: 1, B: 0, C: hi}) // x <= hi
+	buf[0] = clipped
+	clipped = ClipHalfPlaneInto(buf[1], clipped, HalfPlane{A: 1, B: 0, C: hi}) // x <= hi
 	if clipped == nil {
 		return 0
 	}
+	buf[1] = clipped
 	return clipped.Area()
 }

@@ -78,17 +78,18 @@ func TestClipRect(t *testing.T) {
 }
 
 func TestClipAreaVerticalBand(t *testing.T) {
+	var buf [2]Polygon // reused across calls
 	sq := Polygon{Pt(0, 0), Pt(10, 0), Pt(10, 10), Pt(0, 10)}
-	if got := ClipAreaVerticalBand(sq, 2, 5); math.Abs(got-30) > 1e-9 {
+	if got := ClipAreaVerticalBand(sq, 2, 5, &buf); math.Abs(got-30) > 1e-9 {
 		t.Errorf("band area = %v, want 30", got)
 	}
-	if got := ClipAreaVerticalBand(sq, 5, 5); got != 0 {
+	if got := ClipAreaVerticalBand(sq, 5, 5, &buf); got != 0 {
 		t.Errorf("empty band = %v", got)
 	}
-	if got := ClipAreaVerticalBand(sq, 8, 2); got != 0 {
+	if got := ClipAreaVerticalBand(sq, 8, 2, &buf); got != 0 {
 		t.Errorf("inverted band = %v", got)
 	}
-	if got := ClipAreaVerticalBand(sq, -5, 15); math.Abs(got-100) > 1e-9 {
+	if got := ClipAreaVerticalBand(sq, -5, 15, &buf); math.Abs(got-100) > 1e-9 {
 		t.Errorf("full band = %v", got)
 	}
 }

@@ -1,5 +1,10 @@
 package geom
 
+import (
+	"cmp"
+	"slices"
+)
+
 // Polyline is an open chain of vertices. D-tree partitions are stored as one
 // or more polylines; the chain representation lets shared interior vertices
 // be counted (and serialized) once rather than per segment.
@@ -36,86 +41,172 @@ func (pl Polyline) Clone() Polyline {
 	return out
 }
 
-// ChainSegments stitches an unordered set of segments into maximal polylines.
+// Chainer stitches an unordered set of segments into maximal polylines.
 // Segments are joined wherever endpoints coincide (within Eps) and each
 // vertex joins exactly two segments; junction vertices of degree > 2 act as
 // chain breaks, and closed loops are returned with the first vertex repeated
-// at the end. The D-tree partition builder uses this to turn the pruned
-// boundary-edge set into the polylines stored in tree nodes.
-func ChainSegments(segs []Segment) []Polyline {
+// at the end. The D-tree partition builder scores every partition style by
+// its point count (Count) and turns only the winner's pruned boundary-edge
+// set into the polylines stored in tree nodes (Chain).
+//
+// Endpoints are grouped by sorting (quantized x, quantized y, endpoint)
+// records, where endpoint 2i is segment i's A and 2i+1 its B. Within a
+// group the records stay in endpoint order, which is the order a hash map
+// from quantized point to appended segment indices would list them, so the
+// walk visits segments in the same order as that map-based stitcher and
+// emits the same chains. The buffers are reused across calls: once warm,
+// Count allocates nothing and Chain allocates only its result. A Chainer is
+// not safe for concurrent use; the zero value is ready.
+type Chainer struct {
+	ends   []chainEnd
+	start  []int32 // per endpoint: index in ends of its group's first record
+	deg    []int32 // per endpoint: size of its group, the vertex degree
+	used   []bool  // per segment
+	pts    []Point // emitted vertices of every chain, back to back
+	breaks []int   // start of each chain in pts
+}
+
+type chainEnd struct {
+	x, y int64
+	e    int32
+}
+
+// quantize maps a point to the 1/(4·Eps) lattice on which endpoints are
+// considered coincident.
+func quantize(p Point) (int64, int64) {
+	const q = 1 / (4 * Eps)
+	return int64(p.X*q + 0.5*signOf(p.X)), int64(p.Y*q + 0.5*signOf(p.Y))
+}
+
+// Count returns the total number of vertices Chain would emit for segs,
+// without building the chains.
+func (c *Chainer) Count(segs []Segment) int {
+	return c.walk(segs, false)
+}
+
+// Chain returns the maximal polylines of segs. The polylines share one
+// freshly allocated backing array (each capped at its own length), so the
+// caller owns them and may rewrite their vertices in place.
+func (c *Chainer) Chain(segs []Segment) []Polyline {
 	if len(segs) == 0 {
 		return nil
 	}
-	type key struct{ x, y int64 }
-	quant := func(p Point) key {
-		const q = 1 / (4 * Eps)
-		return key{int64(p.X*q + 0.5*signOf(p.X)), int64(p.Y*q + 0.5*signOf(p.Y))}
-	}
-	// Adjacency from quantized endpoint to incident segment indices.
-	adj := make(map[key][]int, len(segs)*2)
-	for i, s := range segs {
-		adj[quant(s.A)] = append(adj[quant(s.A)], i)
-		adj[quant(s.B)] = append(adj[quant(s.B)], i)
-	}
-	used := make([]bool, len(segs))
-	var out []Polyline
-
-	// other returns the far endpoint of segment i as seen from point p.
-	other := func(i int, p Point) Point {
-		if quant(segs[i].A) == quant(p) {
-			return segs[i].B
+	c.pts, c.breaks = c.pts[:0], c.breaks[:0]
+	total := c.walk(segs, true)
+	pts := make([]Point, total)
+	copy(pts, c.pts)
+	out := make([]Polyline, len(c.breaks))
+	for k, lo := range c.breaks {
+		hi := total
+		if k+1 < len(c.breaks) {
+			hi = c.breaks[k+1]
 		}
-		return segs[i].A
-	}
-	// extend walks from point p along unused degree-2 vertices, appending
-	// vertices to the chain, and returns the extended chain.
-	extend := func(chain Polyline, p Point) Polyline {
-		for {
-			k := quant(p)
-			next := -1
-			for _, i := range adj[k] {
-				if !used[i] {
-					next = i
-					break
-				}
-			}
-			if next == -1 || len(adj[k]) != 2 {
-				return chain
-			}
-			used[next] = true
-			p = other(next, p)
-			chain = append(chain, p)
-		}
-	}
-
-	// First grow chains from junction/terminal vertices so that maximal
-	// chains terminate at natural break points.
-	for i, s := range segs {
-		if used[i] {
-			continue
-		}
-		da, db := len(adj[quant(s.A)]), len(adj[quant(s.B)])
-		if da == 2 && db == 2 {
-			continue // interior of a chain or loop; handled below
-		}
-		start, end := s.A, s.B
-		if da == 2 { // grow from the terminal end
-			start, end = s.B, s.A
-		}
-		used[i] = true
-		chain := extend(Polyline{start, end}, end)
-		out = append(out, chain)
-	}
-	// Remaining unused segments form closed loops of degree-2 vertices.
-	for i, s := range segs {
-		if used[i] {
-			continue
-		}
-		used[i] = true
-		chain := extend(Polyline{s.A, s.B}, s.B)
-		out = append(out, chain)
+		out[k] = Polyline(pts[lo:hi:hi])
 	}
 	return out
+}
+
+// walk groups the endpoints, then grows chains: first from junction and
+// terminal vertices, so that maximal chains end at natural break points,
+// then around the remaining closed loops of degree-2 vertices. It returns
+// the vertex total and, when emit is set, records the chains in pts/breaks.
+func (c *Chainer) walk(segs []Segment, emit bool) int {
+	n := len(segs)
+	if n == 0 {
+		return 0
+	}
+	c.ends = c.ends[:0]
+	for i, s := range segs {
+		ax, ay := quantize(s.A)
+		bx, by := quantize(s.B)
+		c.ends = append(c.ends, chainEnd{ax, ay, int32(2 * i)}, chainEnd{bx, by, int32(2*i + 1)})
+	}
+	slices.SortFunc(c.ends, func(a, b chainEnd) int {
+		if a.x != b.x {
+			return cmp.Compare(a.x, b.x)
+		}
+		if a.y != b.y {
+			return cmp.Compare(a.y, b.y)
+		}
+		return cmp.Compare(a.e, b.e)
+	})
+	c.start = slices.Grow(c.start[:0], 2*n)[:2*n]
+	c.deg = slices.Grow(c.deg[:0], 2*n)[:2*n]
+	for g := 0; g < len(c.ends); {
+		h := g + 1
+		for h < len(c.ends) && c.ends[h].x == c.ends[g].x && c.ends[h].y == c.ends[g].y {
+			h++
+		}
+		for _, r := range c.ends[g:h] {
+			c.start[r.e], c.deg[r.e] = int32(g), int32(h-g)
+		}
+		g = h
+	}
+	c.used = slices.Grow(c.used[:0], n)[:n]
+	clear(c.used)
+
+	total := 0
+	for i := range segs {
+		a, b := int32(2*i), int32(2*i+1)
+		if c.used[i] || (c.deg[a] == 2 && c.deg[b] == 2) {
+			continue // used, or interior of a chain or loop: handled below
+		}
+		if c.deg[a] == 2 { // grow from the terminal end
+			a, b = b, a
+		}
+		total += c.chainFrom(segs, a, b, emit)
+	}
+	for i := range segs {
+		if !c.used[i] {
+			total += c.chainFrom(segs, int32(2*i), int32(2*i+1), emit)
+		}
+	}
+	return total
+}
+
+// chainFrom starts a chain along the segment of endpoints a and b, in that
+// direction, extends it from b, and returns its vertex count.
+func (c *Chainer) chainFrom(segs []Segment, a, b int32, emit bool) int {
+	c.used[a>>1] = true
+	if emit {
+		c.breaks = append(c.breaks, len(c.pts))
+		c.pts = append(c.pts, endpoint(segs, a), endpoint(segs, b))
+	}
+	count := 2
+	e := b
+	for {
+		// Stop at a vertex of degree other than 2, or once every incident
+		// segment is used.
+		lo, d := c.start[e], c.deg[e]
+		next := int32(-1)
+		for _, r := range c.ends[lo : lo+d] {
+			if !c.used[r.e>>1] {
+				next = r.e >> 1
+				break
+			}
+		}
+		if next == -1 || d != 2 {
+			return count
+		}
+		c.used[next] = true
+		// Step to the far endpoint of next as seen from e's vertex.
+		if c.start[2*next] == lo {
+			e = 2*next + 1
+		} else {
+			e = 2 * next
+		}
+		if emit {
+			c.pts = append(c.pts, endpoint(segs, e))
+		}
+		count++
+	}
+}
+
+func endpoint(segs []Segment, e int32) Point {
+	if e&1 == 0 {
+		return segs[e>>1].A
+	}
+	return segs[e>>1].B
 }
 
 func signOf(v float64) float64 {

@@ -27,7 +27,7 @@ func TestChainSegmentsSingleChain(t *testing.T) {
 		Seg(Pt(1, 1), Pt(2, 0)),
 		Seg(Pt(2, 0), Pt(3, 2)),
 	}
-	chains := ChainSegments(segs)
+	chains := new(Chainer).Chain(segs)
 	if len(chains) != 1 {
 		t.Fatalf("chains = %d, want 1", len(chains))
 	}
@@ -49,7 +49,7 @@ func TestChainSegmentsShuffledAndReversed(t *testing.T) {
 		segs = append(segs, Seg(a, b))
 	}
 	rng.Shuffle(len(segs), func(i, j int) { segs[i], segs[j] = segs[j], segs[i] })
-	chains := ChainSegments(segs)
+	chains := new(Chainer).Chain(segs)
 	if len(chains) != 1 {
 		t.Fatalf("chains = %d, want 1", len(chains))
 	}
@@ -63,7 +63,7 @@ func TestChainSegmentsMultipleComponents(t *testing.T) {
 		Seg(Pt(0, 0), Pt(1, 0)), Seg(Pt(1, 0), Pt(2, 1)),
 		Seg(Pt(10, 10), Pt(11, 12)),
 	}
-	chains := ChainSegments(segs)
+	chains := new(Chainer).Chain(segs)
 	if len(chains) != 2 {
 		t.Fatalf("chains = %d, want 2", len(chains))
 	}
@@ -74,7 +74,7 @@ func TestChainSegmentsClosedLoop(t *testing.T) {
 		Seg(Pt(0, 0), Pt(10, 0)), Seg(Pt(10, 0), Pt(10, 10)),
 		Seg(Pt(10, 10), Pt(0, 10)), Seg(Pt(0, 10), Pt(0, 0)),
 	}
-	chains := ChainSegments(segs)
+	chains := new(Chainer).Chain(segs)
 	if len(chains) != 1 {
 		t.Fatalf("chains = %d, want 1", len(chains))
 	}
@@ -91,7 +91,7 @@ func TestChainSegmentsJunctionBreaks(t *testing.T) {
 	segs := []Segment{
 		Seg(Pt(0, 0), j), Seg(j, Pt(10, 0)), Seg(j, Pt(5, 10)),
 	}
-	chains := ChainSegments(segs)
+	chains := new(Chainer).Chain(segs)
 	if len(chains) != 3 {
 		t.Fatalf("chains = %d, want 3 (junction must break chains)", len(chains))
 	}
@@ -119,7 +119,7 @@ func TestChainSegmentsPreservesTotalLength(t *testing.T) {
 		}
 		rng.Shuffle(len(segs), func(i, j int) { segs[i], segs[j] = segs[j], segs[i] })
 		var got float64
-		for _, ch := range ChainSegments(segs) {
+		for _, ch := range new(Chainer).Chain(segs) {
 			got += ch.Len()
 		}
 		if diff := got - wantLen; diff > 1e-6 || diff < -1e-6 {

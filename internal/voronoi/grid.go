@@ -1,7 +1,9 @@
 package voronoi
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"airindex/internal/geom"
@@ -37,6 +39,21 @@ func newSiteGrid(area geom.Rect, sites []geom.Point) *siteGrid {
 		g.buckets[b] = append(g.buckets[b], int32(i))
 	}
 	g.count = len(sites)
+	return g
+}
+
+// oneBucketGrid puts every site in a single bucket: enumeration from any
+// point is then one (distance, id) sort of the whole site set.
+func oneBucketGrid(area geom.Rect, sites []geom.Point) *siteGrid {
+	g := &siteGrid{
+		area: area, cols: 1, rows: 1,
+		cellW: area.W(), cellH: area.H(),
+		buckets: [][]int32{make([]int32, len(sites))},
+		count:   len(sites), builtFor: len(sites),
+	}
+	for i := range sites {
+		g.buckets[0][i] = int32(i)
+	}
 	return g
 }
 
@@ -139,7 +156,7 @@ type nearIter struct {
 
 // near starts an enumeration from p. scratch (may be nil) is recycled as
 // the pending buffer.
-func (g *siteGrid) near(sites []geom.Point, p geom.Point, scratch []gridCand) *nearIter {
+func (g *siteGrid) near(sites []geom.Point, p geom.Point, scratch []gridCand) nearIter {
 	ci, cj := g.cellOf(p)
 	maxR := ci
 	if v := g.cols - 1 - ci; v > maxR {
@@ -151,7 +168,7 @@ func (g *siteGrid) near(sites []geom.Point, p geom.Point, scratch []gridCand) *n
 	if v := g.rows - 1 - cj; v > maxR {
 		maxR = v
 	}
-	return &nearIter{g: g, sites: sites, p: p, ci: ci, cj: cj, maxR: maxR, pending: scratch[:0]}
+	return nearIter{g: g, sites: sites, p: p, ci: ci, cj: cj, maxR: maxR, pending: scratch[:0]}
 }
 
 // next yields the nearest unvisited site, or ok=false when the grid is
@@ -222,13 +239,15 @@ func (it *nearIter) loadRing(r int) {
 	if len(it.pending) == before {
 		return
 	}
-	tail := it.pending[it.idx:]
-	sort.Slice(tail, func(a, b int) bool {
-		if tail[a].d2 != tail[b].d2 {
-			return tail[a].d2 < tail[b].d2
-		}
-		return tail[a].id < tail[b].id
-	})
+	slices.SortFunc(it.pending[it.idx:], cmpCand)
+}
+
+// cmpCand orders candidates by (d2, id), a total order: ids are unique.
+func cmpCand(a, b gridCand) int {
+	if c := cmp.Compare(a.d2, b.d2); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.id, b.id)
 }
 
 func (it *nearIter) loadCell(i, j int) {
@@ -243,7 +262,8 @@ func (it *nearIter) loadCell(i, j int) {
 // nearestIn returns the grid site nearest to p by (distance, id), or -1 on
 // an empty grid — the grid-accelerated counterpart of NearestSite.
 func (g *siteGrid) nearestIn(sites []geom.Point, p geom.Point) int {
-	id, _, ok := g.near(sites, p, nil).next()
+	it := g.near(sites, p, nil)
+	id, _, ok := it.next()
 	if !ok {
 		return -1
 	}

@@ -2,7 +2,6 @@ package voronoi
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"airindex/internal/geom"
@@ -53,6 +52,7 @@ type Maintainer struct {
 	rebuilds   int    // cells recomputed since BeginBatch (incl. clean results)
 
 	grid *siteGrid
+	clip clipper // buffers of the serial clip loop the updates run
 }
 
 // cellMeta records how a cell was built: the candidate sites actually
@@ -101,16 +101,20 @@ func NewMaintainer(area geom.Rect, sites []geom.Point) (*Maintainer, error) {
 		dirtyMark: make([]int32, len(sites)),
 		n:         len(sites),
 		grid:      newSiteGrid(area, sites),
+		clip:      clipper{area: area},
 	}
 	for i := range m.alive {
 		m.alive[i] = true
 	}
-	for i := range sites {
-		cell, meta, err := m.computeCell(i)
-		if err != nil {
-			return nil, err
-		}
-		m.setCell(i, cell, meta)
+	// Cells are computed in parallel into per-id slots, then installed in
+	// id order, so the reverse clip index and the dirty list come out
+	// exactly as a serial id-order loop would leave them.
+	cells, metas, err := buildCells(area, m.sites, m.grid, true)
+	if err != nil {
+		return nil, err
+	}
+	for i := range cells {
+		m.setCell(i, cells[i], metas[i])
 	}
 	m.BeginBatch()
 	return m, nil
@@ -438,37 +442,12 @@ func (m *Maintainer) Move(id int, to geom.Point) (int, error) {
 	return id, nil
 }
 
-// computeCell rebuilds one cell from scratch with nearest-first pruning —
-// arithmetic-identical to the clip loop Cells runs — and records the build
-// metadata that future updates consult.
+// computeCell rebuilds one cell from scratch through the shared clip loop
+// and records the build metadata that future updates consult.
 func (m *Maintainer) computeCell(id int) (geom.Polygon, cellMeta, error) {
-	me := m.sites[id]
-	cell := m.area.Polygon()
-	meta := cellMeta{breakDist2: math.Inf(1)}
-	it := m.grid.near(m.sites, me, nil)
-	for {
-		j, d2, ok := it.next()
-		if !ok {
-			break
-		}
-		if j == id {
-			continue
-		}
-		d := math.Sqrt(d2)
-		if d == 0 {
-			return nil, meta, fmt.Errorf("voronoi: duplicate sites %d and %d at %v", id, j, me)
-		}
-		if d/2 > maxDistTo(cell, me) {
-			meta.breakDist2 = d2
-			break
-		}
-		cell = geom.ClipHalfPlane(cell, geom.Bisector(me, m.sites[j]))
-		if cell == nil {
-			return nil, meta, fmt.Errorf("voronoi: cell of site %d vanished", id)
-		}
-		meta.clipped = append(meta.clipped, int32(j))
-	}
-	return cell, meta, nil
+	var meta cellMeta
+	cell, err := m.clip.cell(m.grid, m.sites, id, &meta)
+	return cell, meta, err
 }
 
 // LiveSites returns the live sites and their ids.

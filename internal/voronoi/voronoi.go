@@ -17,15 +17,19 @@ package voronoi
 import (
 	"fmt"
 	"math"
-	"sort"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"airindex/internal/geom"
 	"airindex/internal/region"
 )
 
-// gridMinSites is the site count below which Cells skips grid construction
-// and uses the direct sorted scan: at these sizes the full sort is cheaper
-// than building the grid.
+// gridMinSites is the site count below which Cells skips grid
+// dimensioning and enumerates candidates from one bucket holding every
+// site — a single (distance, id) sort per cell: at these sizes the full
+// sort is cheaper than the ring search.
 const gridMinSites = 32
 
 // Cells computes the clipped Voronoi cell of every site. The i-th returned
@@ -46,91 +50,152 @@ func Cells(area geom.Rect, sites []geom.Point) ([]geom.Polygon, error) {
 	return cellsGrid(area, sites)
 }
 
-// cellsGrid builds every cell through one shared site grid. The grid's
-// (distance, id) enumeration order matches the sorted path exactly, so both
-// produce identical polygons; TestCellsGridMatchesSorted pins that.
+// cellsGrid builds every cell through one shared, dimensioned site grid.
+// The grid's (distance, id) enumeration order matches the sorted path
+// exactly, so both produce identical polygons; TestCellsGridMatchesSorted
+// pins that.
 func cellsGrid(area geom.Rect, sites []geom.Point) ([]geom.Polygon, error) {
-	g := newSiteGrid(area, sites)
-	out := make([]geom.Polygon, len(sites))
-	var scratch []gridCand
-	for i := range sites {
-		it := g.near(sites, sites[i], scratch)
-		cell, err := clipCell(area, sites, i, func() (int, float64, bool) {
-			id, d2, ok := it.next()
-			if ok && id == i { // skip the site's own zero-distance entry
-				id, d2, ok = it.next()
-			}
-			return id, d2, ok
-		})
-		scratch = it.buffer()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = cell
-	}
-	return out, nil
+	cells, _, err := buildCells(area, sites, newSiteGrid(area, sites), false)
+	return cells, err
 }
 
-// cellsSorted is the direct path for small or degenerate site sets: per
-// site, one (distance, id) sort of all other sites with distances computed
-// once up front, then the same nearest-first clip loop.
+// cellsSorted is the direct path for small or degenerate site sets: every
+// site in one bucket, so each cell's candidates come from one (distance,
+// id) sort of the whole site set, then the same nearest-first clip loop.
 func cellsSorted(area geom.Rect, sites []geom.Point) ([]geom.Polygon, error) {
-	out := make([]geom.Polygon, len(sites))
-	cands := make([]gridCand, 0, len(sites)-1)
-	for i := range sites {
-		cands = cands[:0]
-		for j := range sites {
-			if j != i {
-				cands = append(cands, gridCand{d2: sites[i].Dist2(sites[j]), id: int32(j)})
-			}
-		}
-		sort.Slice(cands, func(a, b int) bool {
-			if cands[a].d2 != cands[b].d2 {
-				return cands[a].d2 < cands[b].d2
-			}
-			return cands[a].id < cands[b].id
-		})
-		k := 0
-		cell, err := clipCell(area, sites, i, func() (int, float64, bool) {
-			if k >= len(cands) {
-				return 0, 0, false
-			}
-			c := cands[k]
-			k++
-			return int(c.id), c.d2, true
-		})
-		if err != nil {
-			return nil, err
-		}
-		out[i] = cell
-	}
-	return out, nil
+	cells, _, err := buildCells(area, sites, oneBucketGrid(area, sites), false)
+	return cells, err
 }
 
-// clipCell clips the area rectangle by the bisector half-plane against the
-// candidates yielded by next in ascending (distance, id) order, stopping at
-// the radius early-exit: a site farther than twice the cell's max distance
-// from the owner cannot cut the cell, and neither can anything after it.
-func clipCell(area geom.Rect, sites []geom.Point, i int, next func() (int, float64, bool)) (geom.Polygon, error) {
+// cellChunk is how many consecutive site ids a buildCells worker claims at
+// a time: large enough to amortize the claim, small enough to balance.
+const cellChunk = 64
+
+// buildCells computes the cell of every site in sites through the shared
+// grid g, on GOMAXPROCS workers that claim chunks of consecutive ids and
+// write each result into its id's slot, so the output does not depend on
+// scheduling. With withMeta it also returns each cell's build metadata.
+// On failure it returns the error of the lowest failing id — the one a
+// serial loop over the ids would stop at: every id below it succeeds and
+// is computed, and each worker claims chunks in increasing id order and
+// stops at its own first failure.
+func buildCells(area geom.Rect, sites []geom.Point, g *siteGrid, withMeta bool) ([]geom.Polygon, []cellMeta, error) {
+	n := len(sites)
+	cells := make([]geom.Polygon, n)
+	var metas []cellMeta
+	if withMeta {
+		metas = make([]cellMeta, n)
+	}
+	workers := min(runtime.GOMAXPROCS(0), (n+cellChunk-1)/cellChunk)
+	failID := make([]int, workers)
+	failErr := make([]error, workers)
+	var claimed atomic.Int64
+	work := func(w int) {
+		failID[w] = n
+		c := clipper{area: area}
+		for {
+			lo := int(claimed.Add(cellChunk)) - cellChunk
+			if lo >= n {
+				return
+			}
+			for i := lo; i < min(lo+cellChunk, n); i++ {
+				var meta *cellMeta
+				if withMeta {
+					meta = &metas[i]
+				}
+				cell, err := c.cell(g, sites, i, meta)
+				if err != nil {
+					failID[w], failErr[w] = i, err
+					return
+				}
+				cells[i] = cell
+			}
+		}
+	}
+	if workers <= 1 {
+		work(0)
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work(w)
+			}()
+		}
+		wg.Wait()
+	}
+	var err error
+	lowest := n
+	for w, id := range failID {
+		if id < lowest {
+			lowest, err = id, failErr[w]
+		}
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return cells, metas, nil
+}
+
+// clipper runs the nearest-first clip loop — the only cell-clipping loop,
+// shared by Cells, NewMaintainer and the Maintainer's updates. It owns the
+// candidate buffer and two polygon buffers the clips alternate between, so
+// a cell costs one allocation for its final polygon (plus its clip list
+// when metadata is recorded). A clipper serves one goroutine.
+type clipper struct {
+	area    geom.Rect
+	cands   []gridCand
+	cur     geom.Polygon
+	spare   geom.Polygon
+	clipped []int32
+}
+
+// cell clips the area rectangle by the bisector half-plane of site i
+// against the grid's other sites in ascending (distance, id) order,
+// stopping at the radius early-exit: a site farther than twice the cell's
+// max distance from its owner cannot cut the cell, and neither can
+// anything after it. When meta is non-nil it receives the sites clipped
+// against and the squared distance of the break candidate (+Inf when the
+// enumeration ran out).
+func (c *clipper) cell(g *siteGrid, sites []geom.Point, i int, meta *cellMeta) (geom.Polygon, error) {
 	me := sites[i]
-	cell := area.Polygon()
+	corners := c.area.Corners()
+	cell := append(c.cur[:0], corners[:]...)
+	c.clipped = c.clipped[:0]
+	breakDist2 := math.Inf(1)
+	it := g.near(sites, me, c.cands)
+	defer func() { c.cands, c.cur = it.buffer(), cell }()
 	for {
-		j, d2, ok := next()
+		j, d2, ok := it.next()
 		if !ok {
-			return cell, nil
+			break
+		}
+		if j == i {
+			continue
 		}
 		d := math.Sqrt(d2)
 		if d == 0 {
 			return nil, fmt.Errorf("voronoi: duplicate sites %d and %d at %v", i, j, me)
 		}
 		if d/2 > maxDistTo(cell, me) {
-			return cell, nil
+			breakDist2 = d2
+			break
 		}
-		cell = geom.ClipHalfPlane(cell, geom.Bisector(me, sites[j]))
-		if cell == nil {
+		next := geom.ClipHalfPlaneInto(c.spare, cell, geom.Bisector(me, sites[j]))
+		if next == nil {
 			return nil, fmt.Errorf("voronoi: cell of site %d vanished (near-duplicate sites?)", i)
 		}
+		c.spare, cell = cell, next
+		c.clipped = append(c.clipped, int32(j))
 	}
+	if meta != nil {
+		*meta = cellMeta{breakDist2: breakDist2}
+		if len(c.clipped) > 0 {
+			meta.clipped = slices.Clone(c.clipped)
+		}
+	}
+	return cell.Clone(), nil
 }
 
 func maxDistTo(pg geom.Polygon, p geom.Point) float64 {
