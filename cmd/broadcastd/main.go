@@ -358,8 +358,9 @@ func runSingle(cfg config, ds dataset.Dataset) {
 		srv.Channel = spec.Factory(stats)
 	}
 
-	// Render the broadcast cycle up front so the first connection streams
-	// from the shared frame cache instead of paying the build.
+	// Render the broadcast cycle (its payload-CRC tables) up front so the
+	// first connection synthesizes frames from them instead of paying the
+	// build.
 	frames, bytes, err := prog.RenderedSize()
 	if err != nil {
 		fatal(err)
@@ -372,7 +373,7 @@ func runSingle(cfg config, ds dataset.Dataset) {
 
 	fmt.Printf("broadcastd: %s, %d instances, %d B packets, index %d packets, m=%d, cycle %d slots, listening on %s\n",
 		srcName, instances, cfg.capacity, len(prog.IndexPackets), prog.Sched.M, cycle, ln.Addr())
-	fmt.Printf("broadcastd: rendered cycle cached: %d frames, %.1f KB\n", frames, float64(bytes)/1024)
+	fmt.Printf("broadcastd: rendered cycle cached: %d frames, %.1f KB of payload CRCs\n", frames, float64(bytes)/1024)
 	adjPkts := 0
 	if cfg.adjacency {
 		if adjPkts, err = core.AdjacencyPacketCount(prog.IndexPackets[0]); err != nil {

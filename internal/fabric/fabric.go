@@ -153,7 +153,7 @@ func shardChannel(dir *Directory, ch int, rect geom.Rect, capacity int, opts Opt
 		Area:         rect,
 		Capacity:     capacity,
 		Prefix:       prefix,
-		Stamp:        func(ids []int) func(bucket, pkt int) []byte { return DataStamp(capacity, ids) },
+		Stamp:        DataStamp,
 		BuildWorkers: opts.BuildWorkers,
 	}
 	if opts.Adjacency {
@@ -297,15 +297,14 @@ func (f *Fabric) Programs() []*stream.Program {
 // [0,8) carry the local bucket and packet ids exactly as BucketStamp does
 // (so stream.VerifyStampedData still applies), and bytes [8,12) of every
 // packet carry the region's global data-instance id, so a hopping client
-// reports answers in the global numbering without out-of-band state.
-func DataStamp(capacity int, ids []int) func(bucket, pkt int) []byte {
-	base := stream.BucketStamp(capacity)
-	return func(bucket, pkt int) []byte {
-		payload := base(bucket, pkt)
-		if bucket >= 0 && bucket < len(ids) && capacity >= 12 {
-			binary.LittleEndian.PutUint32(payload[8:], uint32(ids[bucket]))
+// reports answers in the global numbering without out-of-band state. Like
+// every data generator it fills in place and allocates nothing.
+func DataStamp(ids []int) func(dst []byte, bucket, pkt int) {
+	return func(dst []byte, bucket, pkt int) {
+		stream.BucketStamp(dst, bucket, pkt)
+		if bucket >= 0 && bucket < len(ids) && len(dst) >= 12 {
+			binary.LittleEndian.PutUint32(dst[8:], uint32(ids[bucket]))
 		}
-		return payload
 	}
 }
 

@@ -247,9 +247,11 @@ func TestFabricAccessAccounting(t *testing.T) {
 
 func TestDataStampCarriesGlobalID(t *testing.T) {
 	ids := []int{42, 7, 1000000}
-	stamp := DataStamp(64, ids)
+	stamp := DataStamp(ids)
+	payload := make([]byte, 64)
 	for bucket := range ids {
-		payload := stamp(bucket, 0)
+		clear(payload)
+		stamp(payload, bucket, 0)
 		got, err := GlobalIDFromData(payload)
 		if err != nil {
 			t.Fatal(err)

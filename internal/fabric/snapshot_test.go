@@ -62,7 +62,10 @@ func TestSnapshotDirRoundTrip(t *testing.T) {
 		}
 		// The data stamps carry the same global numbering.
 		for _, b := range []int{0, len(sh.IDs) - 1} {
-			if g, w := sh.Prog.Data(b, 0), want.Prog.Data(b, 0); !bytes.Equal(g, w) {
+			g, w := make([]byte, capacity), make([]byte, capacity)
+			sh.Prog.Data(g, b, 0)
+			want.Prog.Data(w, b, 0)
+			if !bytes.Equal(g, w) {
 				t.Fatalf("shard %d bucket %d data stamp differs after restore", ch, b)
 			}
 		}

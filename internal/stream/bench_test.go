@@ -20,10 +20,10 @@ func benchProgram(b *testing.B, n, capacity int) *Program {
 	return prog
 }
 
-// transmitSizes are the programs the transmit benchmarks run: a 200-site
-// cycle whose rendered slabs fit in L2, and a 10k-site one at 128 B — the
-// live benchmark's broadcast, ~16 MB of slabs — where the cost of reading
-// the rendered cycle from memory shows.
+// transmitSizes are the programs the transmit and render benchmarks run: a
+// 200-site cycle that fits in L2, and a 10k-site one at 128 B — the live
+// benchmark's broadcast, ~0.8 MB of index packets and a ~0.3 MB data-CRC
+// table — where the cost of reading them from memory shows.
 var transmitSizes = []struct {
 	label           string
 	sites, capacity int
@@ -101,32 +101,41 @@ func requireZeroAllocTransmit(t *testing.T, prog *Program, ch *channel.Channel) 
 
 // TestTransmitHotPathZeroAlloc pins the zero-allocation contract of the
 // instrumented transmit path: with metrics enabled, transmitting on the
-// perfect-channel path allocates nothing.
+// perfect-channel path allocates nothing — for a single channel's stamped
+// program and for a fabric shard's, whose data generator writes global ids
+// into every data frame it synthesizes.
 func TestTransmitHotPathZeroAlloc(t *testing.T) {
-	sub, _ := testutil.RandomVoronoi(t, 200, 1403)
-	prog, err := NewDTreeProgram(sub, 256, 0)
-	if err != nil {
-		t.Fatal(err)
+	for name, prog := range zeroAllocPrograms(t) {
+		t.Run(name, func(t *testing.T) { requireZeroAllocTransmit(t, prog, nil) })
 	}
-	requireZeroAllocTransmit(t, prog, nil)
 }
 
 // TestTransmitLossyZeroAlloc pins the same contract on the fault-channel
 // path: under Gilbert–Elliott loss plus bit corruption, where every frame
-// is copied, stamped and judged on its own in the write buffer, transmit
-// still allocates nothing, and drops and corruptions are counted.
+// is judged on its own in the write buffer, transmit still allocates
+// nothing, and drops and corruptions are counted.
 func TestTransmitLossyZeroAlloc(t *testing.T) {
+	for name, prog := range zeroAllocPrograms(t) {
+		t.Run(name, func(t *testing.T) {
+			spec := channel.Spec{Loss: 0.08, Burst: 4, Corrupt: 0.03, Seed: 5}
+			m := requireZeroAllocTransmit(t, prog, spec.Factory(&channel.Stats{})())
+			if m.FramesDropped.Load() == 0 || m.FramesCorrupted.Load() == 0 {
+				t.Fatalf("channel dropped %d and corrupted %d frames; the test needs both",
+					m.FramesDropped.Load(), m.FramesCorrupted.Load())
+			}
+		})
+	}
+}
+
+// zeroAllocPrograms returns the programs the zero-allocation pins run: a
+// 200-site single channel at 256 B and a fabric shard (ShardPrograms).
+func zeroAllocPrograms(t *testing.T) map[string]*Program {
 	sub, _ := testutil.RandomVoronoi(t, 200, 1403)
 	prog, err := NewDTreeProgram(sub, 256, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := channel.Spec{Loss: 0.08, Burst: 4, Corrupt: 0.03, Seed: 5}
-	m := requireZeroAllocTransmit(t, prog, spec.Factory(&channel.Stats{})())
-	if m.FramesDropped.Load() == 0 || m.FramesCorrupted.Load() == 0 {
-		t.Fatalf("channel dropped %d and corrupted %d frames; the test needs both",
-			m.FramesDropped.Load(), m.FramesCorrupted.Load())
-	}
+	return map[string]*Program{"single": prog, "shard": ShardPrograms(t, 256)[0]}
 }
 
 // BenchmarkTransmitPerfectChannel measures the per-frame cost of the
@@ -192,17 +201,24 @@ func BenchmarkClientDoze(b *testing.B) {
 }
 
 // BenchmarkRenderCycle measures the one-time cost of rendering a full
-// broadcast cycle (the slabs the zero-allocation path serves from).
+// broadcast cycle from scratch — its payload-CRC tables, the state the
+// zero-allocation transmit path serves from — at both transmit sizes;
+// B/op is what a cold render allocates.
 func BenchmarkRenderCycle(b *testing.B) {
-	prog := benchProgram(b, 200, 256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rc, err := renderCycle(prog, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rc.cycleLen() == 0 {
-			b.Fatal("empty cycle")
-		}
+	for _, size := range transmitSizes {
+		b.Run(size.label, func(b *testing.B) {
+			prog := benchProgram(b, size.sites, size.capacity)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rc, err := renderCycle(prog, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rc.cycleLen() == 0 {
+					b.Fatal("empty cycle")
+				}
+			}
+		})
 	}
 }

@@ -17,7 +17,7 @@ import (
 //	dirty cells -> region.Patcher (reweld only the touched neighborhood) ->
 //	core.Incremental (rebuild only dirty subtrees, splice the rest) ->
 //	FlattenPatched (bulk-copy clean arena ranges) -> adjacency -> Assemble
-//	-> renderPatched (share the previous cycle's data slabs).
+//	-> renderPatched (share the previous cycle's data-CRC table).
 //
 // Every stage is pinned byte-identical to its from-scratch counterpart, so
 // an incremental cut broadcasts exactly the bytes a cold rebuild would. The
@@ -39,8 +39,8 @@ type Channel struct {
 	// Stamp, when set, builds a generation's data generator from its
 	// region -> key mapping; the keys are then global data-instance ids,
 	// which the adjacency table carries too. Nil broadcasts BucketStamp
-	// payloads, whose data slabs a cut shares across generations.
-	Stamp func(keys []int) func(bucket, pkt int) []byte
+	// payloads, whose data-CRC table a cut shares across generations.
+	Stamp func(keys []int) func(dst []byte, bucket, pkt int)
 	// SiteOf, when set, makes every generation carry the region-adjacency
 	// table (continuous queries), resolving a region's key to its site.
 	SiteOf func(key int) (geom.Point, error)
@@ -109,7 +109,7 @@ func (ch *Channel) Program(sub *region.Subdivision, keys []int, fp *core.FlatPag
 	if ch.Stamp != nil {
 		return Assemble(ch.Prefix, fp, ch.M, ch.Stamp(keys))
 	}
-	prog, err := Assemble(ch.Prefix, fp, ch.M, BucketStamp(fp.Params.PacketCapacity))
+	prog, err := Assemble(ch.Prefix, fp, ch.M, BucketStamp)
 	if err != nil {
 		return nil, err
 	}
@@ -246,10 +246,11 @@ func (c *Compiler) incremental(keys []int, polys []geom.Polygon, dirty, removed 
 }
 
 // finish completes a built tree against the retained generation — arena
-// patch-in-place and data-slab sharing — and retains it as the next cut's
+// patch-in-place and data-CRC sharing — and retains it as the next cut's
 // base. A stamped program is rendered here, sharing the previous cycle's
-// data slabs; any other program's data frames depend on the generation's
-// keys, so it renders in full when it is published (Server.Swap).
+// data-CRC table; any other program's data payloads depend on the
+// generation's keys, so it renders in full when it is published
+// (Server.Swap).
 func (c *Compiler) finish(sub *region.Subdivision, keys []int, tree *core.Tree) (*Cut, error) {
 	cut, err := c.ch.finish(sub, keys, tree, c.flat)
 	if err != nil {
@@ -274,19 +275,17 @@ func (c *Compiler) finish(sub *region.Subdivision, keys []int, tree *core.Tree) 
 // renderPatched renders p's cycle against the previous generation's. When
 // both programs carry the canonical stamped data generator — so a data
 // payload, and its CRC, is a pure function of (bucket, packet) and never of
-// the generation — and keep the capacity, the bucket count, the packets per
-// bucket and the number of index copies, every data segment is
-// byte-identical to the previous generation's: a data frame's next-index
-// delta is its distance to the end of its segment, and transmit stamps the
-// slot. The new cycle then shares the previous data slabs by reference and
-// renders only its m index copies, whether the schedule kept its alignment
-// or drifted by whole index packets (the encoded tree grew or shrank past a
-// packet boundary). Anything else falls back to a full render. Byte
-// identity with renderCycle is pinned by TestRenderPatchedMatchesRenderCycle.
+// the generation — and keep the capacity, the bucket count and the packets
+// per bucket, the data-CRC table is the previous generation's: it is
+// indexed by data packet, not by cycle position, so neither a drifted
+// schedule (the encoded tree grew or shrank past a packet boundary) nor a
+// new m changes it. The new cycle then shares that table by reference and
+// computes only its index CRCs. Anything else falls back to a full
+// render. TestRenderPatchedSharesDataCRC pins both outcomes against a cold
+// render.
 func renderPatched(p, prev *Program) (*renderedCycle, error) {
 	if prev.rendered == nil || !p.stamped || !prev.stamped ||
 		p.Capacity != prev.Capacity ||
-		p.Sched.M != prev.Sched.M ||
 		p.Sched.NumBuckets != prev.Sched.NumBuckets ||
 		p.Sched.BucketPackets != prev.Sched.BucketPackets {
 		return renderCycle(p, nil)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"airindex/internal/geom"
@@ -66,40 +67,73 @@ func randomOps(rng *rand.Rand, sw *Swapper, batch int) []SiteOp {
 	return ops
 }
 
-// TestRenderPatchedMatchesRenderCycle pins the incremental render path: the
-// cycle a cut renders against the previous generation's (sharing its data
-// slabs) is byte-identical to a cold renderCycle of the same program.
-func TestRenderPatchedMatchesRenderCycle(t *testing.T) {
+// TestRenderPatchedSharesDataCRC pins what the incremental render path
+// shares: a cut that keeps the bucket geometry (capacity, bucket count,
+// packets per bucket) takes the previous generation's data-CRC table by
+// reference and computes fresh index CRCs; a cut that adds or removes a
+// bucket rebuilds the data table. Either way the cycle is byte-identical,
+// frame by frame, to a cold render of the same program, and its CRC
+// tables hold the cold render's values. 400 sites keep every batch below
+// the full-rebuild fraction: a fallback cut starts from a fresh compiler
+// and renders cold.
+func TestRenderPatchedSharesDataCRC(t *testing.T) {
 	const capacity = 256
-	sites := testutil.RandomSites(testArea, 70, 8101)
+	sites := testutil.RandomSites(testArea, 400, 8101)
 	sw, err := NewSwapper(testArea, sites, capacity, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(8102))
-	for step := 0; step < 6; step++ {
-		if _, _, err := sw.Apply(randomOps(rng, sw, 1+rng.Intn(4))); err != nil {
+	shared, rebuilt := 0, 0
+	for step := 0; step < 16; step++ {
+		prev := sw.Program()
+		if _, _, err := sw.Apply(randomOps(rng, sw, 1+rng.Intn(3))); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
-		g := sw.Current()
+		next := sw.Program()
+		if next.Sched.NumBuckets == prev.Sched.NumBuckets {
+			if !sharesDataCRC(prev.rendered, next.rendered) {
+				t.Fatalf("step %d: bucket geometry kept (%d buckets) but the data-CRC table was rebuilt", step, next.Sched.NumBuckets)
+			}
+			if &next.rendered.indexCRC[0] == &prev.rendered.indexCRC[0] {
+				t.Fatalf("step %d: index CRCs shared with the previous generation", step)
+			}
+			shared++
+		} else {
+			if sharesDataCRC(prev.rendered, next.rendered) || len(next.rendered.dataCRC) != next.Sched.DataPackets() {
+				t.Fatalf("step %d: %d -> %d buckets but the data-CRC table was not rebuilt", step, prev.Sched.NumBuckets, next.Sched.NumBuckets)
+			}
+			rebuilt++
+		}
 		// Re-render the same program cold, bypassing the patched table.
 		cold := &Program{
-			Capacity:     g.Prog.Capacity,
-			IndexPackets: g.Prog.IndexPackets,
-			Sched:        g.Prog.Sched,
-			Data:         g.Prog.Data,
+			Capacity:     next.Capacity,
+			IndexPackets: next.IndexPackets,
+			Sched:        next.Sched,
+			Data:         next.Data,
 		}
-		requireProgramsIdentical(t, "step", g.Prog, cold)
+		crc, err := cold.Rendered()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(next.rendered.dataCRC, crc.dataCRC) || !slices.Equal(next.rendered.indexCRC, crc.indexCRC) {
+			t.Fatalf("step %d: CRC tables differ from a cold render", step)
+		}
+		requireProgramsIdentical(t, "step", next, cold)
+	}
+	if shared == 0 || rebuilt == 0 {
+		t.Fatalf("%d shared and %d rebuilt data tables; the test needs both", shared, rebuilt)
 	}
 }
 
-// TestRenderPatchedSharesDataSlabs pins what a cut costs in memory at the
+// TestRenderPatchedRetainedHeap pins what a cut costs in memory at the
 // live benchmark's scale (10k sites, 128 B packets): every single-move cut
-// shares all of the previous generation's data-segment slabs by reference
-// and renders only its m index copies, so the heap each retained
-// generation pins stays bounded. The bound is 9 MiB per cut; the frame
-// table the slabs replaced retained 12.1 MiB per cut on this setup.
-func TestRenderPatchedSharesDataSlabs(t *testing.T) {
+// shares the previous generation's data-CRC table and adds only its index
+// CRCs to the cycle, so the heap each retained generation pins — arena,
+// index packets, schedule, subdivision — stays bounded. The bound is 4.5
+// MiB per cut; rendered frame slabs, m index copies per cut, retained
+// 7.4 MiB per cut on this setup.
+func TestRenderPatchedRetainedHeap(t *testing.T) {
 	const capacity, cuts = 128, 20
 	sw, err := NewSwapper(testArea, testutil.RandomSites(testArea, 10_000, 8501), capacity, 0)
 	if err != nil {
@@ -122,23 +156,17 @@ func TestRenderPatchedSharesDataSlabs(t *testing.T) {
 		if _, _, err := sw.Apply(moveOps(rng, sw, 1)); err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
-		next := sw.Program()
-		if !sharesDataSlabs(prev.rendered, next.rendered) {
-			t.Fatalf("cut %d: data slabs not shared (m %d -> %d, index packets %d -> %d)",
+		if next := sw.Program(); !sharesDataCRC(prev.rendered, next.rendered) {
+			t.Fatalf("cut %d: data-CRC table not shared (m %d -> %d, index packets %d -> %d)",
 				cut, prev.Sched.M, next.Sched.M, prev.Sched.IndexPackets, next.Sched.IndexPackets)
-		}
-		for i := 0; i < len(next.rendered.slabs); i += 2 {
-			if &next.rendered.slabs[i][0] == &prev.rendered.slabs[i][0] {
-				t.Fatalf("cut %d: index copy %d shares the previous generation's slab", cut, i/2)
-			}
 		}
 	}
 	heap(&after)
 	runtime.KeepAlive(sw)
 	perCut := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / cuts / (1 << 20)
 	t.Logf("retained heap per cut: %.2f MiB", perCut)
-	if perCut > 9 {
-		t.Fatalf("each cut retains %.2f MiB, bound 9 MiB", perCut)
+	if perCut > 4.5 {
+		t.Fatalf("each cut retains %.2f MiB, bound 4.5 MiB", perCut)
 	}
 }
 

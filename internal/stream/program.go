@@ -45,9 +45,9 @@ func ProgramFromFlat(fp *core.FlatPaged, m int) (*Program, error) {
 // on a single channel), and the appendix is present when the arena carries
 // a region-adjacency table — its packet 0 names the appendix length and the
 // tree root follows right behind, so a point-query client skips it with
-// QueryShifted. data generates the bucket payloads. m <= 0 picks the
-// optimal number of index copies per cycle.
-func Assemble(prefix [][]byte, fp *core.FlatPaged, m int, data func(bucket, pkt int) []byte) (*Program, error) {
+// QueryShifted. data fills the bucket payloads (Program.Data). m <= 0
+// picks the optimal number of index copies per cycle.
+func Assemble(prefix [][]byte, fp *core.FlatPaged, m int, data func(dst []byte, bucket, pkt int)) (*Program, error) {
 	tree, err := fp.EncodePackets()
 	if err != nil {
 		return nil, err
@@ -118,15 +118,12 @@ func ProgramFromSnapshotFile(path string, m int) (*Program, *core.FlatPaged, err
 	return prog, fp, nil
 }
 
-// BucketStamp returns a payload generator that stamps every data packet
-// with its bucket id and packet number, for end-to-end verification.
-func BucketStamp(capacity int) func(bucket, pkt int) []byte {
-	return func(bucket, pkt int) []byte {
-		payload := make([]byte, capacity)
-		binary.LittleEndian.PutUint32(payload[0:], uint32(bucket))
-		binary.LittleEndian.PutUint32(payload[4:], uint32(pkt))
-		return payload
-	}
+// BucketStamp is the data generator that stamps every data packet with
+// its bucket id and packet number, for end-to-end verification: bytes
+// [0,4) carry the bucket and [4,8) the packet, and the rest stays zero.
+func BucketStamp(dst []byte, bucket, pkt int) {
+	binary.LittleEndian.PutUint32(dst[0:], uint32(bucket))
+	binary.LittleEndian.PutUint32(dst[4:], uint32(pkt))
 }
 
 // VerifyStampedData checks a downloaded bucket against BucketStamp.

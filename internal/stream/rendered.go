@@ -10,37 +10,49 @@ import (
 
 // The broadcast content is periodic: apart from the absolute slot number
 // and the generation in the header, the frame transmitted at slot s is
-// identical to the frame at slot s % cycleLen. renderedCycle exploits that
-// by rendering every frame of one cycle exactly once, as whole wire frames
-// (header, payload, payload CRC) laid back to back in 2m contiguous slabs:
-// one per index copy and one per data segment, in cycle order. The slot
-// and generation fields are left zero in the slabs; the transmitter copies
-// a run of frames into its write buffer in bulk and stamps those two
-// fields at a stride of frameSize, so the per-frame work of the serving
-// hot path is two 4-byte stores.
+// identical to the frame at slot s % cycleLen. Almost none of that frame
+// needs to be stored, though: an index frame's payload is an IndexPackets
+// entry, the same in all m copies; a data frame's payload is what the
+// program's data generator fills in; and the next-index delta is the
+// frame's distance to the end of its copy segment, which the schedule
+// gives. The one part that costs real work per frame is the payload CRC.
+// So renderedCycle keeps no frames at all: it keeps one payload CRC per
+// index offset and one per data packet, and the transmitter synthesizes
+// every frame straight into the connection's write buffer from those four
+// sources.
 //
-// Every byte of a data segment's slab is independent of where the segment
-// sits in the cycle: a data frame's next-index delta is its distance to
-// the end of its segment, where the next index copy starts. So a
-// generation cut that keeps the data layout shares the previous
-// generation's data slabs by reference and renders only its index copies
-// (renderPatched). The slabs are immutable once rendered and are shared
-// read-only by every connection goroutine and by later generations.
+// A data packet's CRC depends only on its bucket, its packet number and
+// the data generator, never on where the packet sits in the cycle. So a
+// generation cut that keeps the stamped generator and the bucket geometry
+// shares the previous generation's data-CRC table by reference
+// (renderPatched) and computes only the index CRCs. The tables are
+// immutable once built and are shared read-only by every connection
+// goroutine and by later generations.
 type renderedCycle struct {
-	starts    []int    // cycle position of each slab's first frame, ascending
-	slabs     [][]byte // whole frames of each span, frameSize bytes apiece
-	cycle     int
-	frameSize int // headerSize + capacity
+	index    [][]byte                          // the program's index packets, by offset in a copy
+	data     func(dst []byte, bucket, pkt int) // nil: zero payloads
+	indexCRC []uint32                          // payload CRC of each index offset
+	dataCRC  []uint32                          // payload CRC of data packet bucket*bucketPackets + pkt
+	// starts holds the cycle position of each index copy, ascending, and
+	// the cycle length last: copy j's segment (the copy and the data
+	// segment behind it) is [starts[j], starts[j+1]).
+	starts        []int
+	bucketPackets int
+	frameSize     int // headerSize + capacity
 }
 
-func (rc *renderedCycle) cycleLen() int { return rc.cycle }
+func (rc *renderedCycle) cycleLen() int { return rc.starts[len(rc.starts)-1] }
 
-// sizeBytes reports the memory the rendered slabs pin, for startup logs.
-func (rc *renderedCycle) sizeBytes() int { return rc.cycle * rc.frameSize }
+// sizeBytes reports the memory the rendered cycle pins beyond the
+// program's own index packets and schedule: the CRC tables (the data
+// table possibly shared with other generations) and the copy starts.
+func (rc *renderedCycle) sizeBytes() int {
+	return 4*(len(rc.indexCRC)+len(rc.dataCRC)) + 8*len(rc.starts)
+}
 
-// spanAt returns the index of the slab holding cycle position pos.
-func (rc *renderedCycle) spanAt(pos int) int {
-	lo, hi := 0, len(rc.starts)
+// copyAt returns the index copy whose segment holds cycle position pos.
+func (rc *renderedCycle) copyAt(pos int) int {
+	lo, hi := 0, len(rc.starts)-1
 	for hi-lo > 1 {
 		if mid := int(uint(lo+hi) >> 1); rc.starts[mid] <= pos {
 			lo = mid
@@ -51,87 +63,69 @@ func (rc *renderedCycle) spanAt(pos int) int {
 	return lo
 }
 
-// renderCycle renders every frame of p's broadcast cycle into fresh slabs.
-// With shared set, the data-segment slabs are taken from it by reference —
-// shared must hold the slabs of a program with the same capacity, bucket
-// geometry, replication and data generator (renderPatched) — and only the
-// m index copies are rendered. Byte identity with the frame-at-a-time wire
-// path is pinned by TestRenderedCycleMatchesFrameAt.
+// renderCycle computes p's payload-CRC tables. With shared set, the data
+// table is taken from it by reference — shared must belong to a program
+// with the same capacity, bucket geometry and data generator
+// (renderPatched) — and only the index CRCs are computed. Byte identity
+// of the transmitted frames with the frame-at-a-time wire path is pinned
+// by TestTransmitMatchesLegacy.
 func renderCycle(p *Program, shared *renderedCycle) (*renderedCycle, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	s := p.Sched
-	fs := headerSize + p.Capacity
 	rc := &renderedCycle{
-		starts:    make([]int, 0, 2*s.M),
-		slabs:     make([][]byte, 0, 2*s.M),
-		cycle:     s.CycleLen(),
-		frameSize: fs,
+		index:         p.IndexPackets,
+		data:          p.Data,
+		indexCRC:      make([]uint32, len(p.IndexPackets)),
+		starts:        make([]int, s.M+1),
+		bucketPackets: s.BucketPackets,
+		frameSize:     headerSize + p.Capacity,
 	}
-	crcs := make([]uint32, len(p.IndexPackets))
-	for off, pkt := range p.IndexPackets {
-		crcs[off] = Checksum(pkt)
-	}
-	bucket := 0
 	for j := 0; j < s.M; j++ {
-		start := s.IndexStartOf(j)
-		end := rc.cycle
-		if j+1 < s.M {
-			end = s.IndexStartOf(j + 1)
+		rc.starts[j] = s.IndexStartOf(j)
+	}
+	rc.starts[s.M] = s.CycleLen()
+	for j := 0; j < s.M; j++ {
+		// The first frame of a copy is the farthest from the next one.
+		if d := rc.starts[j+1] - rc.starts[j]; d > 0xffff {
+			return nil, fmt.Errorf("stream: next-index delta %d exceeds 16 bits", d)
 		}
-		idx := make([]byte, len(p.IndexPackets)*fs)
-		for off, pkt := range p.IndexPackets {
-			f := idx[off*fs : (off+1)*fs]
-			copy(f[headerSize:], pkt)
-			if err := putHeader(f, KindIndex, uint32(off), end-(start+off), crcs[off]); err != nil {
-				return nil, err
-			}
+	}
+	for off, pkt := range p.IndexPackets {
+		rc.indexCRC[off] = Checksum(pkt)
+	}
+	if shared != nil {
+		rc.dataCRC = shared.dataCRC
+		return rc, nil
+	}
+	rc.dataCRC = make([]uint32, s.DataPackets())
+	payload := make([]byte, p.Capacity)
+	for d := range rc.dataCRC {
+		clear(payload)
+		if p.Data != nil {
+			p.Data(payload, d/s.BucketPackets, d%s.BucketPackets)
 		}
-		dataStart := start + len(p.IndexPackets)
-		rc.starts = append(rc.starts, start, dataStart)
-		if shared != nil {
-			rc.slabs = append(rc.slabs, idx, shared.slabs[2*j+1])
-			continue
-		}
-		data := make([]byte, (end-dataStart)*fs)
-		for pos := dataStart; pos < end; bucket++ {
-			for pkt := 0; pkt < s.BucketPackets; pkt, pos = pkt+1, pos+1 {
-				f := data[(pos-dataStart)*fs : (pos-dataStart+1)*fs]
-				if p.Data != nil {
-					copy(f[headerSize:], p.Data(bucket, pkt))
-				}
-				if err := putHeader(f, KindData, DataSeq(bucket, pkt), end-pos, Checksum(f[headerSize:])); err != nil {
-					return nil, err
-				}
-			}
-		}
-		rc.slabs = append(rc.slabs, idx, data)
+		rc.dataCRC[d] = Checksum(payload)
 	}
 	return rc, nil
 }
 
-// putHeader writes the header of the frame f, whose payload is already in
-// place: every field but the slot and the generation, which transmit
-// stamps.
-func putHeader(f []byte, kind uint8, seq uint32, nextIndex int, crc uint32) error {
-	if nextIndex > 0xffff {
-		return fmt.Errorf("stream: next-index delta %d exceeds 16 bits", nextIndex)
-	}
-	binary.LittleEndian.PutUint16(f[0:], frameMagic)
-	f[2] = kind
-	f[3] = frameVersion
-	binary.LittleEndian.PutUint32(f[8:], seq)
-	binary.LittleEndian.PutUint16(f[12:], uint16(len(f)-headerSize))
-	binary.LittleEndian.PutUint16(f[14:], uint16(nextIndex))
-	binary.LittleEndian.PutUint32(f[20:], crc)
-	return nil
+// putHeader writes a whole frame header into f as three 8-byte stores.
+// Layout, little endian: magic(2) kind(1) version(1) slot(4) seq(4)
+// payloadLen(2) nextIndex(2) gen(4) crc(4). renderCycle has checked that
+// every next-index delta of the cycle fits 16 bits.
+func putHeader(f []byte, kind uint8, slot, seq uint32, payloadLen, nextIndex uint16, gen, crc uint32) {
+	_ = f[headerSize-1]
+	binary.LittleEndian.PutUint64(f[0:], frameMagic|uint64(kind)<<16|frameVersion<<24|uint64(slot)<<32)
+	binary.LittleEndian.PutUint64(f[8:], uint64(seq)|uint64(payloadLen)<<32|uint64(nextIndex)<<48)
+	binary.LittleEndian.PutUint64(f[16:], uint64(gen)|uint64(crc)<<32)
 }
 
 // transmitter is one connection's view of the rendered broadcast: the
-// shared slabs, the connection's write buffer and writer, its optional
-// fault channel, and the metrics sink frame outcomes are counted into.
-// Frames and bytes written since the last flush are held here and
+// shared CRC tables, the connection's write buffer and writer, its
+// optional fault channel, and the metrics sink frame outcomes are counted
+// into. Frames and bytes written since the last flush are held here and
 // published to the metrics once per flush (publish), not with two atomics
 // per frame.
 type transmitter struct {
@@ -202,56 +196,80 @@ func (t *transmitter) flush() error {
 // and returns how many slots it covered. abs and rel differ once a hot
 // swap has replaced the program mid-connection: slot numbering runs on
 // uninterrupted while content restarts at the new cycle's origin. A run
-// covers at most limit slots and stops at the end of rel's slab — so never
-// past a cycle boundary — or when the write buffer is full; a full buffer
-// is flushed first, so every run covers at least one slot.
+// covers at most limit slots and stops at the end of rel's span — an index
+// copy, or the data segment behind it, so never past a cycle boundary — or
+// when the write buffer is full; a full buffer is flushed first, so every
+// run covers at least one slot.
 //
-// On the perfect channel the run is one bulk copy from the slab plus two
-// 4-byte stamps per frame. Through a fault channel each frame is copied and
-// stamped on its own and gets its verdict in the writer's own bytes, never
-// the shared slab: the middleware may flip payload bits in place, and a
+// Each frame is synthesized in place in the write buffer: its header, its
+// payload (copied from the index packet, or filled by the data generator)
+// and its CRC from the table. The same loop serves the perfect channel
+// and the fault channel. A fault channel judges each frame in the
+// writer's own bytes: the middleware may flip payload bits in place, and a
 // dropped frame is simply never committed — its slot elapses silently and
 // the next frame's slot number reveals the gap to the receiver. Nothing is
 // allocated per frame.
 func (t *transmitter) transmitRun(abs, rel, limit int, gen uint32) (int, error) {
-	fs := t.rc.frameSize
+	rc := t.rc
+	fs := rc.frameSize
 	if cap(t.buf)-len(t.buf) < fs {
 		if err := t.flush(); err != nil {
 			return 0, err
 		}
 	}
-	pos := rel % t.rc.cycle
-	i := t.rc.spanAt(pos)
-	slab := t.rc.slabs[i][(pos-t.rc.starts[i])*fs:]
-	n := min(limit, len(slab)/fs, (cap(t.buf)-len(t.buf))/fs)
-	if t.ch == nil {
-		w := len(t.buf)
-		t.buf = append(t.buf, slab[:n*fs]...)
-		for f := t.buf[w:]; len(f) > 0; f = f[fs:] {
-			binary.LittleEndian.PutUint32(f[4:], uint32(abs))
-			binary.LittleEndian.PutUint32(f[16:], gen)
-			abs++
-		}
-		t.frames += int64(n)
-		t.bytes += int64(n * fs)
-		return n, nil
+	pos := rel % rc.cycleLen()
+	j := rc.copyAt(pos)
+	copyLen := len(rc.index)
+	end := rc.starts[j+1] // the next index copy: every frame's pointer target
+	off := pos - rc.starts[j]
+	isIndex := off < copyLen
+	spanEnd := end
+	if isIndex {
+		spanEnd = rc.starts[j] + copyLen
 	}
+	n := min(limit, spanEnd-pos, (cap(t.buf)-len(t.buf))/fs)
+	// Data packet d of the cycle (bucket-major) sits behind j+1 copies.
+	d := pos - (j+1)*copyLen
+	bucket, pkt := 0, 0
+	buf := t.buf[:cap(t.buf)]
+	w := len(t.buf)
+	if !isIndex {
+		bucket, pkt = d/rc.bucketPackets, d%rc.bucketPackets
+		// Data payloads are filled over zeros; one bulk clear of the run's
+		// frames is far cheaper than one per frame.
+		clear(buf[w : w+n*fs])
+	}
+	payloadLen := uint16(fs - headerSize)
 	for k := 0; k < n; k++ {
-		w := len(t.buf)
-		t.buf = append(t.buf, slab[k*fs:(k+1)*fs]...)
-		f := t.buf[w:]
-		binary.LittleEndian.PutUint32(f[4:], uint32(abs+k))
-		binary.LittleEndian.PutUint32(f[16:], gen)
-		switch t.ch.TransmitFault(f, headerSize) {
-		case channel.Drop:
-			t.buf = t.buf[:w]
-			t.m.FramesDropped.Inc()
-			continue
-		case channel.Corrupt:
-			t.m.FramesCorrupted.Inc()
+		f := buf[w : w+fs]
+		if isIndex {
+			putHeader(f, KindIndex, uint32(abs+k), uint32(off+k), payloadLen, uint16(end-pos-k), gen, rc.indexCRC[off+k])
+			copy(f[headerSize:], rc.index[off+k])
+		} else {
+			putHeader(f, KindData, uint32(abs+k), DataSeq(bucket, pkt), payloadLen, uint16(end-pos-k), gen, rc.dataCRC[d+k])
+			if rc.data != nil {
+				rc.data(f[headerSize:], bucket, pkt)
+			}
+			if pkt++; pkt == rc.bucketPackets {
+				bucket, pkt = bucket+1, 0
+			}
 		}
-		t.frames++
-		t.bytes += int64(fs)
+		if t.ch != nil {
+			switch t.ch.TransmitFault(f, headerSize) {
+			case channel.Drop:
+				// The next frame reuses this space: give it zeros again.
+				clear(f[headerSize:])
+				t.m.FramesDropped.Inc()
+				continue
+			case channel.Corrupt:
+				t.m.FramesCorrupted.Inc()
+			}
+		}
+		w += fs
 	}
+	sent := (w - len(t.buf)) / fs
+	t.buf = buf[:w]
+	t.frames += int64(sent)
+	t.bytes += int64(sent * fs)
 	return n, nil
 }

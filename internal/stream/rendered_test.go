@@ -13,16 +13,22 @@ import (
 	"airindex/internal/testutil"
 )
 
-// frame returns the rendered bytes of cycle position pos: header and
-// payload, CRC stamped, slot and generation fields zero.
+// frame returns the bytes the transmitter synthesizes for cycle position
+// pos: header and payload, CRC stamped, slot and generation fields zero.
 func (rc *renderedCycle) frame(pos int) []byte {
-	i := rc.spanAt(pos)
-	off := (pos - rc.starts[i]) * rc.frameSize
-	return rc.slabs[i][off : off+rc.frameSize : off+rc.frameSize]
+	var out bytes.Buffer
+	tx := &transmitter{rc: rc, m: NewMetrics(), w: &out, buf: make([]byte, 0, rc.frameSize)}
+	if _, err := tx.transmitRun(0, pos, 1, 0); err != nil {
+		panic(err)
+	}
+	if err := tx.flush(); err != nil {
+		panic(err)
+	}
+	return out.Bytes()
 }
 
 // frameAt renders the frame broadcast at cycle position slot % cycle from
-// scratch — the per-frame render the slabs replaced, kept as the oracle.
+// scratch — the original per-frame render, kept as the oracle.
 func (p *Program) frameAt(slot int) (Header, []byte) {
 	cycle := p.Sched.CycleLen()
 	pos := slot % cycle
@@ -53,15 +59,15 @@ func (p *Program) frameAt(slot int) (Header, []byte) {
 	h.Seq = DataSeq(bucket, pkt)
 	payload := make([]byte, p.Capacity)
 	if p.Data != nil {
-		copy(payload, p.Data(bucket, pkt))
+		p.Data(payload, bucket, pkt)
 	}
 	return h, payload
 }
 
-// legacyTransmitSlot is the frame-at-a-time transmit path the slabs
-// replaced (render the frame from scratch, stamp the checksum, marshal,
-// pass it through the fault channel, write), kept here as the reference
-// the bulk path must match byte for byte: the content of cycle position
+// legacyTransmitSlot is the original frame-at-a-time transmit path (render
+// the frame from scratch, stamp the checksum, marshal, pass it through the
+// fault channel, write), kept here as the reference the synthesizing
+// transmitter must match byte for byte: the content of cycle position
 // rel, stamped with the absolute slot abs and the generation gen. ch may
 // be nil (perfect channel).
 func legacyTransmitSlot(w io.Writer, p *Program, abs, rel int, gen uint32, ch *channel.Channel) error {
@@ -119,10 +125,10 @@ func requireSameBytes(tb testing.TB, label string, got, want []byte, frame int) 
 	tb.Fatalf("%s: length mismatch: got %d want %d", label, len(got), len(want))
 }
 
-// TestRenderedCycleMatchesFrameAt pins the wire format: every rendered
+// TestRenderedCycleMatchesFrameAt pins the wire format: every synthesized
 // frame, read through the frame accessor, is the per-frame render with its
-// slot and generation fields zero, and the slab transmit path emits exactly
-// the bytes the per-frame path emitted across more than one full cycle
+// slot and generation fields zero, and the transmit path emits exactly the
+// bytes the per-frame path emitted across more than one full cycle
 // (absolute slot numbers beyond the cycle length exercise the stamping).
 func TestRenderedCycleMatchesFrameAt(t *testing.T) {
 	sub, _ := testutil.RandomVoronoi(t, 40, 283)
@@ -150,10 +156,17 @@ func TestRenderedCycleMatchesFrameAt(t *testing.T) {
 	requireSameBytes(t, "transmit", got, want, frame)
 }
 
+// ShardPrograms returns successive generations of one fabric shard's
+// program at the given capacity: a directory prefix and an adjacency
+// appendix in every index copy, and fabric.DataStamp global ids in every
+// data packet. The fabric imports this package, so the external test file
+// shard_programs_test.go sets it.
+var ShardPrograms func(tb testing.TB, capacity int) []*Program
+
 // churnedPrograms cuts a swapper through move-only batches until it has
 // published both a generation whose schedule kept its alignment and one
-// whose schedule drifted, each sharing the data slabs of the generation
-// before it; it returns the programs from generation 1 on.
+// whose schedule drifted, each sharing the data-CRC table of the
+// generation before it; it returns the programs from generation 1 on.
 func churnedPrograms(tb testing.TB, capacity int) []*Program {
 	tb.Helper()
 	sw, err := NewSwapper(testArea, testutil.RandomSites(testArea, 120, 8401), capacity, 0)
@@ -168,7 +181,7 @@ func churnedPrograms(tb testing.TB, capacity int) []*Program {
 			tb.Fatal(err)
 		}
 		prev, next := progs[len(progs)-1], sw.Program()
-		if !sharesDataSlabs(prev.rendered, next.rendered) {
+		if !sharesDataCRC(prev.rendered, next.rendered) {
 			continue
 		}
 		if prev.Sched.IndexPackets == next.Sched.IndexPackets {
@@ -182,32 +195,27 @@ func churnedPrograms(tb testing.TB, capacity int) []*Program {
 		progs = append(progs, next)
 	}
 	if !aligned || !drifted {
-		tb.Fatalf("60 cuts gave no aligned (%v) or no drifted (%v) slab-sharing generation", aligned, drifted)
+		tb.Fatalf("60 cuts gave no aligned (%v) or no drifted (%v) table-sharing generation", aligned, drifted)
 	}
 	return progs
 }
 
-// sharesDataSlabs reports whether every data-segment slab of b is the
-// slab of a, by reference.
-func sharesDataSlabs(a, b *renderedCycle) bool {
-	if a == nil || b == nil || len(a.slabs) != len(b.slabs) {
-		return false
-	}
-	for i := 1; i < len(a.slabs); i += 2 {
-		if &a.slabs[i][0] != &b.slabs[i][0] {
-			return false
-		}
-	}
-	return true
+// sharesDataCRC reports whether b's data-CRC table is a's, by reference.
+func sharesDataCRC(a, b *renderedCycle) bool {
+	return a != nil && b != nil && len(a.dataCRC) > 0 && len(a.dataCRC) == len(b.dataCRC) &&
+		&a.dataCRC[0] == &b.dataCRC[0]
 }
 
 // TestTransmitMatchesLegacy is the transmit path's identity oracle: the
-// bytes the slab transmitter puts on the wire equal the frame-at-a-time
-// legacyTransmitSlot reference from several start phases (one of them
-// wrapping the 32-bit slot field), across hot swaps to generations whose
-// schedule kept or shifted its alignment while sharing data slabs, under
-// Gilbert–Elliott loss plus corruption, and from a live server pacing
-// every frame to its slot.
+// bytes the synthesizing transmitter puts on the wire equal the
+// frame-at-a-time legacyTransmitSlot reference from several start phases
+// (one of them wrapping the 32-bit slot field), across hot swaps to
+// generations whose schedule kept or shifted its alignment while sharing
+// the data-CRC table, under Gilbert–Elliott loss plus corruption, and from
+// a live server pacing every frame. A fabric shard's generations run the
+// same perfect, lossy and swap checks: their index copies lead with the
+// directory and the adjacency appendix, and their data generator writes
+// global ids, so a CRC table built from the wrong generator shows here.
 func TestTransmitMatchesLegacy(t *testing.T) {
 	const capacity = 128
 	sub, _ := testutil.RandomVoronoi(t, 90, 8403)
@@ -215,21 +223,30 @@ func TestTransmitMatchesLegacy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	churned := churnedPrograms(t, capacity)
+	shard := ShardPrograms(t, capacity)
 	frame := headerSize + capacity
-	cycle := prog.Sched.CycleLen()
 	lossy := channel.Spec{Loss: 0.1, Burst: 4, Corrupt: 0.05, Seed: 17}
-	for _, start := range []int{0, cycle/2 + 7, cycle - 2, 1<<32 - 5} {
-		n := 3*cycle*frame + 5
-		requireSameBytes(t, "perfect", recordTransmit(t, prog, start, channel.Spec{}, n),
-			legacyRecord(t, []*Program{prog}, start, channel.Spec{}, n), frame)
-		requireSameBytes(t, "lossy", recordTransmit(t, prog, start, lossy, n),
-			legacyRecord(t, []*Program{prog}, start, lossy, n), frame)
+	for _, tc := range []struct {
+		name  string
+		prog  *Program   // the perfect and lossy runs
+		swaps []*Program // the swap runs, from generation 1 on
+	}{
+		{"single", prog, churnedPrograms(t, capacity)},
+		{"shard", shard[0], shard},
+	} {
+		cycle := tc.prog.Sched.CycleLen()
+		for _, start := range []int{0, cycle/2 + 7, cycle - 2, 1<<32 - 5} {
+			n := 3*cycle*frame + 5
+			requireSameBytes(t, tc.name+" perfect", recordTransmit(t, tc.prog, start, channel.Spec{}, n),
+				legacyRecord(t, []*Program{tc.prog}, start, channel.Spec{}, n), frame)
+			requireSameBytes(t, tc.name+" lossy", recordTransmit(t, tc.prog, start, lossy, n),
+				legacyRecord(t, []*Program{tc.prog}, start, lossy, n), frame)
 
-		n = (len(churned) + 1) * churned[0].Sched.CycleLen() * frame
-		for _, spec := range []channel.Spec{{}, lossy} {
-			requireSameBytes(t, "swaps", recordSwaps(t, churned, start, spec, n),
-				legacyRecord(t, churned, start, spec, n), frame)
+			n = (len(tc.swaps) + 1) * tc.swaps[0].Sched.CycleLen() * frame
+			for _, spec := range []channel.Spec{{}, lossy} {
+				requireSameBytes(t, tc.name+" swaps", recordSwaps(t, tc.swaps, start, spec, n),
+					legacyRecord(t, tc.swaps, start, spec, n), frame)
+			}
 		}
 	}
 
@@ -242,6 +259,7 @@ func TestTransmitMatchesLegacy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cycle := prog.Sched.CycleLen()
 	start := cycle - 3
 	srv.SlotDuration = time.Microsecond
 	srv.StartSlot = func() int { return start }
@@ -288,9 +306,9 @@ func TestTransmitPerfectChannelZeroAllocs(t *testing.T) {
 }
 
 // TestTransmitRunBounds pins where runs stop: at the end of the span (an
-// index copy or a data segment, so never past a cycle boundary), at the
-// caller's limit, and at a full write buffer, which is flushed before the
-// next run.
+// index copy or the data segment behind it, so never past a cycle
+// boundary), at the caller's limit, and at a full write buffer, which is
+// flushed before the next run.
 func TestTransmitRunBounds(t *testing.T) {
 	sub, _ := testutil.RandomVoronoi(t, 40, 283)
 	prog, err := NewDTreeProgram(sub, 128, 0)
@@ -302,14 +320,23 @@ func TestTransmitRunBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc := tx.rc
-	fs := rc.frameSize
+	s := prog.Sched
+	fs := headerSize + prog.Capacity
 	perBuf := cap(tx.buf) / fs
-	cycle := rc.cycleLen()
+	cycle := s.CycleLen()
 	for slot := 0; slot < 3*cycle; {
 		pos := slot % cycle
-		i := rc.spanAt(pos)
-		spanLeft := len(rc.slabs[i])/fs - (pos - rc.starts[i])
+		next := s.NextIndexStart(float64(pos) + 1) // the next copy start, strictly ahead
+		copyStart := 0
+		for j := 0; j < s.M; j++ {
+			if s.IndexStartOf(j) <= pos {
+				copyStart = s.IndexStartOf(j)
+			}
+		}
+		spanLeft := next - pos
+		if pos < copyStart+s.IndexPackets {
+			spanLeft = copyStart + s.IndexPackets - pos
+		}
 		room := (cap(tx.buf) - len(tx.buf)) / fs
 		if room == 0 {
 			room = perBuf
@@ -334,7 +361,9 @@ func TestTransmitRunBounds(t *testing.T) {
 	}
 }
 
-// TestRenderedSize sanity-checks the startup diagnostic.
+// TestRenderedSize sanity-checks the startup diagnostic: the cycle's
+// frame count, and the bytes its CRC tables and copy starts pin — one CRC
+// per index offset and one per data packet, not a copy of every frame.
 func TestRenderedSize(t *testing.T) {
 	sub, _ := testutil.RandomVoronoi(t, 20, 117)
 	prog, err := NewDTreeProgram(sub, 128, 0)
@@ -348,7 +377,7 @@ func TestRenderedSize(t *testing.T) {
 	if frames != prog.Sched.CycleLen() {
 		t.Errorf("frames = %d, want cycle %d", frames, prog.Sched.CycleLen())
 	}
-	if want := frames * (headerSize + prog.Capacity); size != want {
+	if want := 4*(prog.Sched.IndexPackets+prog.Sched.DataPackets()) + 8*(prog.Sched.M+1); size != want {
 		t.Errorf("size = %d, want %d", size, want)
 	}
 }

@@ -33,14 +33,15 @@ type Program struct {
 	Capacity     int
 	IndexPackets [][]byte
 	Sched        *broadcast.Schedule
-	// Data returns the payload of one packet of one bucket; nil payloads
-	// are zero-filled. Payloads shorter than Capacity are padded.
-	Data func(bucket, pkt int) []byte
+	// Data fills the payload of one packet of one bucket into dst, which
+	// holds Capacity zero bytes. It runs on every data frame transmitted,
+	// so it must not allocate or retain dst. Nil broadcasts zero payloads.
+	Data func(dst []byte, bucket, pkt int)
 
 	// stamped marks Data as the canonical BucketStamp generator, whose
 	// payload bytes are a pure function of (bucket, pkt) — the property the
-	// incremental render path (renderPatched) needs to reuse data frames
-	// across generations.
+	// incremental render path (renderPatched) needs to reuse the data-CRC
+	// table across generations.
 	stamped bool
 
 	renderOnce sync.Once
@@ -55,10 +56,10 @@ func (p *Program) setRendered(rc *renderedCycle) {
 	p.renderOnce.Do(func() { p.rendered = rc })
 }
 
-// Rendered returns the program's immutable rendered cycle, building it on
-// first use. The slabs are safe for concurrent use by any number of
-// connections. Mutating Capacity, IndexPackets, Sched or Data after the
-// first transmission is not supported.
+// Rendered returns the program's immutable rendered cycle — its payload-CRC
+// tables — building it on first use. It is safe for concurrent use by any
+// number of connections. Mutating Capacity, IndexPackets, Sched or Data
+// after the first transmission is not supported.
 func (p *Program) Rendered() (*renderedCycle, error) {
 	p.renderOnce.Do(func() {
 		p.rendered, p.renderErr = renderCycle(p, nil)
@@ -66,8 +67,9 @@ func (p *Program) Rendered() (*renderedCycle, error) {
 	return p.rendered, p.renderErr
 }
 
-// RenderedSize reports the rendered cycle's frame count and memory
-// footprint in bytes, rendering it on first use (startup diagnostics).
+// RenderedSize reports the rendered cycle's frame count and the bytes it
+// pins beyond the program's index packets (its CRC tables), rendering it
+// on first use (startup diagnostics).
 func (p *Program) RenderedSize() (frames, bytes int, err error) {
 	rc, err := p.Rendered()
 	if err != nil {
@@ -314,9 +316,9 @@ func (w *deadlineWriter) Write(p []byte) (int, error) {
 }
 
 // streamTo broadcasts frames to one connection until it errors or the
-// server stops. Frames come from the shared rendered slabs in runs, each
-// copied in bulk into the connection's write buffer and stamped there —
-// the perfect-channel path performs no per-frame allocation. Writes are
+// server stops. Frames are synthesized in runs straight into the
+// connection's write buffer from the program and its shared CRC tables —
+// the transmit path performs no per-frame allocation. Writes are
 // buffered (one syscall per ~64 KB instead of per frame); with real-time
 // pacing every run is one frame, flushed on its slot tick. The wire
 // counters are published on every flush and on every exit.

@@ -236,8 +236,8 @@ func (sw *Swapper) abortCut() {
 // Apply runs one batch of site operations through the maintainer, rebuilds
 // the broadcast program in this goroutine (off the serving hot path), and —
 // when bound — publishes it to the server, returning the new generation.
-// The rebuild is incremental: only the D-tree subtrees, arena ranges, and
-// rendered frames the batch's dirty cells touched are recomputed, and the
+// The rebuild is incremental: only the D-tree subtrees and arena ranges the
+// batch's dirty cells touched, and the index CRCs, are recomputed, and the
 // result is byte-identical to a from-scratch compile. An operation that
 // fails stops the batch: operations already applied stay applied and ARE
 // published (the diagram is valid after every op), so the broadcast never

@@ -236,8 +236,8 @@ func TestMaintainerBitIdenticalProperty(t *testing.T) {
 		ops  int
 		seed int64
 	}{
-		{8, 120, 601},   // below gridMinSites: rebuild takes the sorted path
-		{40, 200, 602},  // grid path
+		{8, 120, 601},   // below gridMinSites: the Cells reference takes the sorted path; the Maintainer still clips through its grid
+		{40, 200, 602},  // grid path for both
 		{150, 300, 603}, // grid path, heavier neighborhoods
 	} {
 		rng := rand.New(rand.NewSource(tc.seed))
