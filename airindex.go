@@ -174,7 +174,8 @@ func NewFromSubdivision(sub *region.Subdivision, cfg Config) (*System, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.locate, s.idxPk, s.idxB = pg.Locate, pg.IndexPackets(), pg.Layout.SizeBytes()
+		fp := pg.Flatten()
+		s.locate, s.idxPk, s.idxB = fp.Locate, fp.IndexPackets(), fp.SizeBytes()
 		s.dtree = t
 	case TrianTree:
 		t, err := triantree.Build(sub)

@@ -277,9 +277,10 @@ func BenchmarkDTreeEncodePackets(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	fp := paged.Flatten()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := paged.EncodePackets(); err != nil {
+		if _, err := fp.EncodePackets(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -291,7 +292,7 @@ func BenchmarkDTreeClientLocate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	packets, err := paged.EncodePackets()
+	packets, err := paged.Flatten().EncodePackets()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -367,19 +368,6 @@ func BenchmarkClientCachePinning(b *testing.B) {
 	benchLocate(b, paged.Locate)
 }
 
-func BenchmarkDTreeWindowQuery(b *testing.B) {
-	tree := getBuilt(b, paperDatasets[0]).DTree
-	rng := rand.New(rand.NewSource(11))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x, y := rng.Float64()*9000, rng.Float64()*9000
-		w := geom.Rect{MinX: x, MinY: y, MaxX: x + 1000, MaxY: y + 1000}
-		if got := tree.SearchRect(w); len(got) == 0 {
-			b.Fatal("window query found nothing")
-		}
-	}
-}
-
 func BenchmarkStreamedQueryTCP(b *testing.B) {
 	sub := getBuilt(b, paperDatasets[1]).Sub
 	prog, err := stream.NewDTreeProgram(sub, 256, 0)
@@ -438,31 +426,6 @@ func BenchmarkDistributedIndexing(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p := geom.Pt(rng.Float64()*10000, rng.Float64()*10000)
 		if _, err := idx.Access(p, rng.Float64()*float64(idx.CycleLen())); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDTreeMarshal(b *testing.B) {
-	tree := getBuilt(b, paperDatasets[0]).DTree
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tree.Marshal(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDTreeUnmarshal(b *testing.B) {
-	tree := getBuilt(b, paperDatasets[0]).DTree
-	data, err := tree.Marshal()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Unmarshal(data, tree.Sub); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -108,7 +108,7 @@ func runInspect(args []string) {
 	fs.Parse(args)
 
 	ds := pickDataset(*name, *n, *seed)
-	tree, paged, _ := buildFlat(ds, *capacity)
+	tree, paged, fp := buildFlat(ds, *capacity)
 	st := tree.Stats()
 	fmt.Printf("%s: %d regions\n", ds.Name, tree.Sub.N())
 	fmt.Printf("D-tree: %d nodes, height %d, %d partition points total (max %d in one node)\n",
@@ -120,7 +120,7 @@ func runInspect(args []string) {
 		printLevels(tree, wire.DTreeParams(*capacity))
 	}
 	for _, q := range queries {
-		id, trace := paged.Locate(q)
+		id, trace := fp.Locate(q)
 		fmt.Printf("query (%g, %g) -> region %d (site %v), %d packet accesses: %v\n",
 			q.X, q.Y, id, ds.Sites[id], len(trace), trace)
 	}

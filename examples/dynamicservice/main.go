@@ -62,12 +62,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		fp := paged.Flatten()
 
-		region, trace := paged.Locate(probe)
+		region, trace := fp.Locate(probe)
 		truck := regionToSite[region]
 		lastNearest = truck
 		loc, _ := m.Site(truck)
 		fmt.Printf("cycle %d: %2d trucks (opened #%d, closed #%d) — index %2d packets; nearest truck to downtown: #%d at (%4.0f,%4.0f), found in %d packet reads\n",
-			cycle, m.Len(), opened, closed, paged.IndexPackets(), truck, loc.X, loc.Y, len(trace))
+			cycle, m.Len(), opened, closed, fp.IndexPackets(), truck, loc.X, loc.Y, len(trace))
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"airindex/internal/broadcast"
 	"airindex/internal/core"
 	"airindex/internal/dataset"
 	"airindex/internal/experiment"
@@ -45,7 +46,7 @@ func TestCrossStructureConsistency(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				packets, err := paged.EncodePackets()
+				packets, err := paged.Flatten().EncodePackets()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -132,10 +133,14 @@ func TestConcurrentQueries(t *testing.T) {
 }
 
 // TestFacadeSweepAgainstHarness ties the public facade to the measurement
-// harness: the facade's Stats must agree with the harness's index sizes.
+// harness: for every index kind, at a small and a large packet, the facade
+// and the harness's Index report the same index size, answer the same
+// region, and cost the same access under the (1, m) schedule the harness
+// derives from that size.
 func TestFacadeSweepAgainstHarness(t *testing.T) {
-	ds := dataset.Uniform(100, 77)
-	b, err := experiment.Build(ds, 77)
+	const seed = 77
+	ds := dataset.Uniform(100, seed)
+	b, err := experiment.Build(ds, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,12 +149,50 @@ func TestFacadeSweepAgainstHarness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sys, err := New(ds.Sites, Config{PacketCapacity: capacity})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := sys.Stats().IndexPackets, idxs[0].IndexPackets(); got != want {
-			t.Errorf("capacity %d: facade index %d packets, harness %d", capacity, got, want)
+		bucketPackets := wire.DTreeParams(capacity).DataBucketPackets()
+		for _, kind := range []IndexKind{DTree, TrianTree, TrapTree, RStarTree} {
+			var idx experiment.Index
+			for _, x := range idxs {
+				if x.Name() == kind.String() {
+					idx = x
+				}
+			}
+			if idx == nil {
+				t.Fatalf("capacity %d: harness has no %v index", capacity, kind)
+			}
+			sys, err := New(ds.Sites, Config{Area: ds.Area, Index: kind, PacketCapacity: capacity, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := sys.Stats()
+			if st.IndexPackets != idx.IndexPackets() || st.IndexBytes != idx.SizeBytes() {
+				t.Fatalf("capacity %d %v: facade index %d packets / %d bytes, harness %d / %d",
+					capacity, kind, st.IndexPackets, st.IndexBytes, idx.IndexPackets(), idx.SizeBytes())
+			}
+			n := b.Sub.N()
+			m := broadcast.OptimalM(idx.IndexPackets(), n*bucketPackets)
+			sched, err := broadcast.NewSchedule(idx.IndexPackets(), n, bucketPackets, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(seed + int64(capacity)))
+			for q := 0; q < 2000; q++ {
+				p := Pt(ds.Area.MinX+rng.Float64()*ds.Area.W(), ds.Area.MinY+rng.Float64()*ds.Area.H())
+				at := rng.Float64() * float64(sched.CycleLen())
+				wantID, trace := idx.Locate(p)
+				got, err := sys.Locate(p)
+				if err != nil || got != wantID {
+					t.Fatalf("capacity %d %v: query %v: facade region %d (%v), harness %d", capacity, kind, p, got, err, wantID)
+				}
+				want, err := sched.Access(at, broadcast.SearchTrace{Bucket: wantID, IndexOffsets: trace})
+				if err != nil {
+					t.Fatal(err)
+				}
+				cost, err := sys.Access(p, at)
+				if err != nil || cost != want {
+					t.Fatalf("capacity %d %v: query %v at %.1f: facade cost %+v (%v), harness %+v", capacity, kind, p, at, cost, err, want)
+				}
+			}
 		}
 	}
 }

@@ -14,8 +14,8 @@ func TestScheduleLayout(t *testing.T) {
 	if s.CycleLen() != 3*10+9*2 {
 		t.Fatalf("cycle = %d", s.CycleLen())
 	}
-	if s.DataPackets() != 18 || s.IndexOverheadPackets() != 30 {
-		t.Fatalf("data %d index %d", s.DataPackets(), s.IndexOverheadPackets())
+	if s.DataPackets() != 18 {
+		t.Fatalf("data %d", s.DataPackets())
 	}
 	// Index copies at 0, 10+6=16, 32; buckets 3 per segment.
 	wantStarts := []int{0, 16, 32}

@@ -75,15 +75,9 @@ func (s *Schedule) CycleLen() int { return s.cycleLen }
 // "database size" on air; the optimal no-index latency is half of it).
 func (s *Schedule) DataPackets() int { return s.NumBuckets * s.BucketPackets }
 
-// IndexOverheadPackets returns the total index packets per cycle.
-func (s *Schedule) IndexOverheadPackets() int { return s.M * s.IndexPackets }
-
 // IndexStartOf returns the cycle offset at which the j-th index copy
 // starts (0 <= j < M).
 func (s *Schedule) IndexStartOf(j int) int { return s.indexStarts[j] }
-
-// BucketStart returns the cycle offset of bucket b's first packet.
-func (s *Schedule) BucketStart(b int) int { return s.bucketPos[b] }
 
 // BucketAt returns which bucket and which of its packets occupies the given
 // cycle offset; it panics if the offset falls inside an index copy (callers

@@ -15,13 +15,12 @@ import (
 // and the deviations (single style, no tie-break) exist for the ablation
 // experiments called out in DESIGN.md.
 type buildOptions struct {
-	dims          []Dimension
-	sortKeys      []bool // true = sort by canonical rightmost, false = leftmost
-	tieBreak      bool
-	pruneParallel bool
-	weights       []float64 // access frequencies; nil = cardinality balance
-	workers       int       // subtree worker pool size; <= 0 = one per CPU
-	perNodeSort   bool      // reference path: re-sort spans at every node
+	dims        []Dimension
+	sortKeys    []bool // true = sort by canonical rightmost, false = leftmost
+	tieBreak    bool
+	weights     []float64 // access frequencies; nil = cardinality balance
+	workers     int       // subtree worker pool size; <= 0 = one per CPU
+	perNodeSort bool      // reference path: re-sort spans at every node
 }
 
 // BuildOption customizes D-tree construction.
@@ -40,13 +39,6 @@ func WithSingleStyle(dim Dimension, sortByMax bool) BuildOption {
 		o.dims = []Dimension{dim}
 		o.sortKeys = []bool{sortByMax}
 	}
-}
-
-// WithoutParallelPrune keeps partition segments that run exactly parallel to
-// the query ray (ablation; such segments can never change crossing parity,
-// so the default prunes them).
-func WithoutParallelPrune() BuildOption {
-	return func(o *buildOptions) { o.pruneParallel = false }
 }
 
 // WithAccessWeights builds an access-weighted D-tree: instead of halving
@@ -142,10 +134,9 @@ type builder struct {
 // on a bounded worker pool with bit-identical output at any worker count.
 func Build(sub *region.Subdivision, opts ...BuildOption) (*Tree, error) {
 	o := buildOptions{
-		dims:          []Dimension{DimY, DimX},
-		sortKeys:      []bool{true, false},
-		tieBreak:      true,
-		pruneParallel: true,
+		dims:     []Dimension{DimY, DimX},
+		sortKeys: []bool{true, false},
+		tieBreak: true,
 	}
 	for _, f := range opts {
 		f(&o)

@@ -118,11 +118,7 @@ func TestBuildOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	noPrune, err := Build(sub, WithoutParallelPrune())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tr := range []*Tree{single, noTie, noPrune} {
+	for _, tr := range []*Tree{single, noTie} {
 		if err := tr.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +128,7 @@ func TestBuildOptions(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		p := geom.Pt(rng.Float64()*10000, rng.Float64()*10000)
 		want := sub.Locate(p)
-		for _, tr := range []*Tree{base, single, noTie, noPrune} {
+		for _, tr := range []*Tree{base, single, noTie} {
 			if got := tr.Locate(p); got != want && !sub.Regions[got].Poly.Contains(p) {
 				t.Fatalf("query %v: got %d want %d", p, got, want)
 			}
@@ -143,11 +139,6 @@ func TestBuildOptions(t *testing.T) {
 	if base.Stats().PartitionPoints > single.Stats().PartitionPoints {
 		t.Errorf("full style search (%d points) worse than single style (%d points)",
 			base.Stats().PartitionPoints, single.Stats().PartitionPoints)
-	}
-	// Parallel pruning never increases the partition size.
-	if base.Stats().PartitionPoints > noPrune.Stats().PartitionPoints {
-		t.Errorf("parallel pruning increased size: %d > %d",
-			base.Stats().PartitionPoints, noPrune.Stats().PartitionPoints)
 	}
 }
 

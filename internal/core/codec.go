@@ -67,127 +67,6 @@ func NodeSize(n *Node, p wire.Params) int {
 	return base
 }
 
-// EncodePackets serializes the paged tree into real fixed-size packets.
-// The root starts at byte 0 of packet 0.
-func (pg *Paged) EncodePackets() ([][]byte, error) {
-	capacity := pg.Params.PacketCapacity
-	out := make([][]byte, pg.Layout.PacketCount)
-	for k := range out {
-		out[k] = make([]byte, capacity)
-	}
-	if pg.Tree.Root == nil {
-		return out, nil
-	}
-	// Compute each node's (packet, offset) from the layout's byte order.
-	type pos struct{ packet, off int }
-	offsets := make(map[int]pos, len(pg.Tree.Nodes))
-	remaining := make(map[int]int, len(pg.Tree.Nodes))
-	for _, n := range pg.Tree.Nodes {
-		remaining[n.ID] = NodeSize(n, pg.Params)
-	}
-	for k, ids := range pg.Layout.PacketNodes {
-		cursor := 0
-		for _, id := range ids {
-			if _, seen := offsets[id]; !seen {
-				offsets[id] = pos{k, cursor}
-			}
-			take := min(remaining[id], capacity-cursor)
-			cursor += take
-			remaining[id] -= take
-		}
-	}
-	for id, r := range remaining {
-		if r != 0 {
-			return nil, fmt.Errorf("core: node %d has %d unplaced bytes", id, r)
-		}
-	}
-
-	ref := func(c ChildRef) (uint32, error) {
-		if c.IsData() {
-			if c.Data < 0 || c.Data >= 1<<31 {
-				return 0, fmt.Errorf("core: bucket id %d out of range", c.Data)
-			}
-			return 1<<31 | uint32(c.Data), nil
-		}
-		p := offsets[c.Node.ID]
-		if p.packet >= 1<<15 || p.off >= 1<<16 {
-			return 0, fmt.Errorf("core: pointer target (%d, %d) out of range", p.packet, p.off)
-		}
-		return uint32(p.packet)<<16 | uint32(p.off), nil
-	}
-
-	for _, n := range pg.Tree.Nodes {
-		buf, err := pg.encodeNode(n, ref)
-		if err != nil {
-			return nil, err
-		}
-		if len(buf) != NodeSize(n, pg.Params) {
-			return nil, fmt.Errorf("core: node %d encoded to %d bytes, size model says %d",
-				n.ID, len(buf), NodeSize(n, pg.Params))
-		}
-		// Copy across the node's packets.
-		p := offsets[n.ID]
-		pk, off := p.packet, p.off
-		for len(buf) > 0 {
-			nw := copy(out[pk][off:], buf)
-			buf = buf[nw:]
-			pk, off = pk+1, 0
-		}
-	}
-	return out, nil
-}
-
-func (pg *Paged) encodeNode(n *Node, ref func(ChildRef) (uint32, error)) ([]byte, error) {
-	if len(n.Polylines) >= 1<<12 {
-		return nil, fmt.Errorf("core: node %d has %d polylines (max 4095)", n.ID, len(n.Polylines))
-	}
-	multi := NodeSize(n, pg.Params) > pg.Params.PacketCapacity
-	explicitLMC := multi || needsExplicitLMC(n)
-
-	var hdr uint16
-	if n.Dim == DimX {
-		hdr |= hdrDimX
-	}
-	if multi {
-		hdr |= hdrMulti
-	}
-	if explicitLMC {
-		hdr |= hdrLMC
-	}
-	if n.Truncated {
-		hdr |= hdrTruncated
-	}
-	hdr |= uint16(len(n.Polylines)) << hdrCountShft
-
-	buf := make([]byte, 0, NodeSize(n, pg.Params))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(n.ID))
-	buf = binary.LittleEndian.AppendUint16(buf, hdr)
-	for _, c := range []ChildRef{n.Left, n.Right} {
-		v, err := ref(c)
-		if err != nil {
-			return nil, err
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, v)
-	}
-	if multi {
-		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(float32(n.CutHi)))
-	}
-	if explicitLMC {
-		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(float32(n.CutLo)))
-	}
-	for _, pl := range n.Polylines {
-		if len(pl) >= 1<<16 {
-			return nil, fmt.Errorf("core: polyline with %d points", len(pl))
-		}
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(pl)))
-		for _, p := range pl {
-			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(float32(p.X)))
-			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(float32(p.Y)))
-		}
-	}
-	return buf, nil
-}
-
 // PacketProvider hands the client decoder index packets on demand. A slice
 // of pre-received packets satisfies it trivially; the streaming client in
 // internal/stream blocks until the broadcast delivers the requested packet.

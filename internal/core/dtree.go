@@ -12,8 +12,6 @@
 package core
 
 import (
-	"fmt"
-
 	"airindex/internal/geom"
 	"airindex/internal/region"
 )
@@ -172,91 +170,4 @@ func (t *Tree) Stats() Stats {
 		}
 	}
 	return st
-}
-
-// CheckInvariants verifies the four structural properties of Section 4.1:
-// every node has two children, left/right spatial separation (checked via
-// region membership), height balance, and consistent region counts.
-func (t *Tree) CheckInvariants() error {
-	if t.Root == nil {
-		if t.Sub.N() != 1 {
-			return fmt.Errorf("core: nil root with %d regions", t.Sub.N())
-		}
-		return nil
-	}
-	var walk func(c ChildRef) (depthMin, depthMax, regions int, err error)
-	walk = func(c ChildRef) (int, int, int, error) {
-		if c.IsData() {
-			if c.Data < 0 || c.Data >= t.Sub.N() {
-				return 0, 0, 0, fmt.Errorf("core: data pointer %d out of range", c.Data)
-			}
-			return 0, 0, 1, nil
-		}
-		n := c.Node
-		if len(n.Polylines) == 0 && n.CutHi > n.CutLo+geom.Eps {
-			return 0, 0, 0, fmt.Errorf("core: node %d has empty partition but a non-empty interlocking band", n.ID)
-		}
-		lMin, lMax, lN, err := walk(n.Left)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		rMin, rMax, rN, err := walk(n.Right)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		if lN+rN != n.NumRegions {
-			return 0, 0, 0, fmt.Errorf("core: node %d region count %d != %d+%d", n.ID, n.NumRegions, lN, rN)
-		}
-		if diff := lN - rN; t.opts.weights == nil && (diff < -1 || diff > 1) {
-			return 0, 0, 0, fmt.Errorf("core: node %d unbalanced split %d/%d", n.ID, lN, rN)
-		}
-		return 1 + min(lMin, rMin), 1 + max(lMax, rMax), lN + rN, nil
-	}
-	dMin, dMax, n, err := walk(ChildRef{Node: t.Root})
-	if err != nil {
-		return err
-	}
-	if n != t.Sub.N() {
-		return fmt.Errorf("core: tree covers %d of %d regions", n, t.Sub.N())
-	}
-	// Weighted trees intentionally trade height balance for expected depth.
-	if t.opts.weights == nil && dMax-dMin > 1 {
-		return fmt.Errorf("core: leaf levels differ by %d (> 1)", dMax-dMin)
-	}
-	return nil
-}
-
-// ExpectedDepth returns the expected number of nodes visited by a point
-// query when region r is queried with probability weights[r] (normalized
-// internally). With nil weights the access distribution is uniform over
-// regions.
-func (t *Tree) ExpectedDepth(weights []float64) float64 {
-	if t.Root == nil {
-		return 0
-	}
-	var total float64
-	w := func(r int) float64 {
-		if weights == nil {
-			return 1
-		}
-		return weights[r]
-	}
-	for r := 0; r < t.Sub.N(); r++ {
-		total += w(r)
-	}
-	if total == 0 {
-		return 0
-	}
-	var sum float64
-	var walk func(c ChildRef, depth int)
-	walk = func(c ChildRef, depth int) {
-		if c.IsData() {
-			sum += w(c.Data) * float64(depth)
-			return
-		}
-		walk(c.Node.Left, depth+1)
-		walk(c.Node.Right, depth+1)
-	}
-	walk(ChildRef{Node: t.Root}, 0)
-	return sum / total
 }

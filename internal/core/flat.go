@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"airindex/internal/geom"
-	"airindex/internal/region"
 	"airindex/internal/wire"
 )
 
@@ -53,10 +52,6 @@ type polySpan struct {
 // at query time and uncanon recovers the original coordinates bit-for-bit
 // for wire encoding.
 type FlatTree struct {
-	// Sub is the underlying subdivision when the tree was flattened from a
-	// build in this process; nil after a bare snapshot load. Point location
-	// never needs it; window queries do.
-	Sub *region.Subdivision
 
 	// N is the number of data regions below the root.
 	N int
@@ -82,7 +77,7 @@ func flatRef(c ChildRef) int32 {
 // Flatten packs the built tree into its arena form. Nodes land in
 // breadth-first order (Nodes[i].ID == i already), so arena index == node id.
 func (t *Tree) Flatten() *FlatTree {
-	ft := &FlatTree{Sub: t.Sub, N: t.Sub.N()}
+	ft := &FlatTree{N: t.Sub.N()}
 	if t.Root == nil {
 		return ft
 	}
@@ -132,7 +127,7 @@ func (t *Tree) FlattenPatched(prev *FlatTree) *FlatTree {
 	if prev == nil {
 		return t.Flatten()
 	}
-	ft := &FlatTree{Sub: t.Sub, N: t.Sub.N()}
+	ft := &FlatTree{N: t.Sub.N()}
 	if t.Root == nil {
 		return ft
 	}
@@ -203,9 +198,6 @@ func (t *Tree) copyFlatSpans(ft, prev *FlatTree, n *Node) bool {
 	return true
 }
 
-// NumNodes returns the number of internal nodes in the arena.
-func (ft *FlatTree) NumNodes() int { return len(ft.nodes) }
-
 // rayParityLeft is Node.rayParityLeft over the arena: points are already
 // canonical, so only the query rotates.
 func (ft *FlatTree) rayParityLeft(n *FlatNode, p geom.Point) bool {
@@ -247,67 +239,6 @@ func (ft *FlatTree) Locate(p geom.Point) int {
 		}
 	}
 	return int(^ref)
-}
-
-// NearestSite mirrors Tree.NearestSite.
-func (ft *FlatTree) NearestSite(p geom.Point) int { return ft.Locate(p) }
-
-// SearchRect returns the ids of all data regions intersecting the window,
-// in ascending order — Tree.SearchRect over the arena. It needs the exact
-// region polygons, so it requires the subdivision (present unless the tree
-// came from a bare snapshot load).
-func (ft *FlatTree) SearchRect(w geom.Rect) []int {
-	if ft.Sub == nil {
-		panic("core: FlatTree.SearchRect requires the subdivision (tree loaded from a snapshot without one)")
-	}
-	if w.IsEmpty() {
-		return nil
-	}
-	if len(ft.nodes) == 0 {
-		if ft.N == 1 && w.Intersects(ft.Sub.Area) {
-			return []int{0}
-		}
-		return nil
-	}
-	var out []int
-	// Explicit stack; pushing right before left preserves the recursive
-	// left-then-right visit order (output is sorted anyway).
-	stack := make([]int32, 1, 64)
-	stack[0] = 0
-	for len(stack) > 0 {
-		ref := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if ref < 0 {
-			d := int(^ref)
-			if regionIntersectsRect(ft.Sub.Regions[d].Poly, w) {
-				out = append(out, d)
-			}
-			continue
-		}
-		n := &ft.nodes[ref]
-		lo, hi := canonInterval(n.Dim, w)
-		if hi < n.CutLo {
-			stack = append(stack, n.Left)
-			continue
-		}
-		if lo > n.CutHi {
-			stack = append(stack, n.Right)
-			continue
-		}
-		stack = append(stack, n.Right, n.Left)
-	}
-	insertionSortInts(out)
-	return out
-}
-
-// insertionSortInts sorts in place without the sort package's interface
-// allocation; window results are small and nearly ordered already.
-func insertionSortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
 
 // FlatPaged is the arena form of a paged D-tree: the flat tree plus pooled

@@ -7,29 +7,6 @@ import (
 	"airindex/internal/wire"
 )
 
-// FuzzUnmarshal feeds arbitrary bytes to the tree decoder: it must reject
-// or accept without panicking, and anything accepted must pass the
-// invariant checks (Unmarshal runs them itself).
-func FuzzUnmarshal(f *testing.F) {
-	tree, _, _ := buildVoronoiTree(f, 12, 601)
-	img, err := tree.Marshal()
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(img)
-	f.Add(img[:len(img)/2])
-	f.Add([]byte("DTRE"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		loaded, err := Unmarshal(data, tree.Sub)
-		if err != nil {
-			return
-		}
-		// Accepted images must answer queries without panicking.
-		loaded.Locate(geom.Pt(5000, 5000))
-	})
-}
-
 // FuzzClientLocate decodes point queries from mutated packet bytes: the
 // client must never panic or loop, whatever the corruption.
 func FuzzClientLocate(f *testing.F) {

@@ -103,14 +103,24 @@ func TestGridWindowQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Grid cells are the Voronoi cells of their centers, so the adjacency
+	// table that serves window queries covers the grid exactly.
+	sites := make([]geom.Point, sub.N())
+	for i := range sites {
+		sites[i] = sub.Regions[i].Poly.Bounds().Center()
+	}
+	adj, err := BuildAdjacency(sub, sub.Area, sites)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// A window exactly matching one cell must return it (plus neighbors
 	// touched along its boundary).
 	w := geom.Rect{MinX: 20, MinY: 40, MaxX: 40, MaxY: 60}
-	got := tree.SearchRect(w)
+	got := adj.Window(tree.Flatten().Locate(geom.Pt(30, 50)), w)
 	want := sub.Locate(geom.Pt(30, 50))
 	found := false
 	for _, id := range got {
-		if id == want {
+		if int(id) == want {
 			found = true
 		}
 	}

@@ -47,14 +47,6 @@ type Delta struct {
 	Fresh   int // nodes re-evaluated from their subsets
 }
 
-// DirtyFraction is Fresh/Total, the fraction of the tree that was rebuilt.
-func (d Delta) DirtyFraction() float64 {
-	if d.Total == 0 {
-		return 0
-	}
-	return float64(d.Fresh) / float64(d.Total)
-}
-
 // NewIncremental creates an incremental builder; opts apply to every
 // generation and must match the from-scratch builds being compared against.
 func NewIncremental(opts ...BuildOption) *Incremental {

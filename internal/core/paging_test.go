@@ -82,7 +82,7 @@ func TestPagedTraceStartsAtRootPacket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rootPk := paged.Layout.FirstPacket(tree.Root.ID)
+	rootPk := int(paged.Layout.PacketsOf(tree.Root.ID)[0])
 	rng := rand.New(rand.NewSource(44))
 	for i := 0; i < 500; i++ {
 		p := geom.Pt(area.MinX+rng.Float64()*area.W(), area.MinY+rng.Float64()*area.H())
@@ -193,7 +193,7 @@ func TestPointersStayForward(t *testing.T) {
 			if c.IsData() {
 				continue
 			}
-			if paged.Layout.FirstPacket(c.Node.ID) < paged.Layout.FirstPacket(n.ID) {
+			if paged.Layout.PacketsOf(c.Node.ID)[0] < paged.Layout.PacketsOf(n.ID)[0] {
 				backward++
 			}
 		}

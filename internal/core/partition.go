@@ -132,7 +132,7 @@ func (b *builder) finishCandidate(st style, sorted []int32, k int, cutLo, cutHi 
 			pruned = true
 			continue // entirely to the left of (or on) the line: prune
 		}
-		if b.opts.pruneParallel && a.Y == c.Y {
+		if a.Y == c.Y {
 			// Exactly parallel to the query ray (an axis-aligned service-
 			// border piece): the crossing test can never count it, so it is
 			// dead weight in the partition.

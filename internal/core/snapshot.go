@@ -8,7 +8,6 @@ import (
 	"os"
 
 	"airindex/internal/geom"
-	"airindex/internal/region"
 	"airindex/internal/wire"
 )
 
@@ -200,9 +199,7 @@ func snapChecksum(data []byte) uint32 {
 // LoadSnapshot parses and validates a snapshot produced by Snapshot. Every
 // count is checked against the slab length before any allocation and every
 // index against its pool, so arbitrary (truncated, corrupted, version-
-// skewed) input yields an error, never a panic. The returned index has no
-// subdivision attached (FlatTree.Sub is nil): point queries and packet
-// re-encoding work; window queries need AttachSubdivision.
+// skewed) input yields an error, never a panic.
 func LoadSnapshot(data []byte) (*FlatPaged, error) {
 	le := binary.LittleEndian
 	if len(data) < snapHeaderSize {
@@ -420,16 +417,6 @@ func (fp *FlatPaged) validate() error {
 			return fmt.Errorf("core: occupied %d exceeds capacity", o)
 		}
 	}
-	return nil
-}
-
-// AttachSubdivision re-binds the exact region geometry after a snapshot
-// load, enabling window queries.
-func (fp *FlatPaged) AttachSubdivision(sub *region.Subdivision) error {
-	if sub.N() != fp.Flat.N {
-		return fmt.Errorf("core: subdivision has %d regions, snapshot %d", sub.N(), fp.Flat.N)
-	}
-	fp.Flat.Sub = sub
 	return nil
 }
 

@@ -91,34 +91,6 @@ func TestSnapshotFile(t *testing.T) {
 	}
 }
 
-func TestSnapshotAttachSubdivision(t *testing.T) {
-	sub, _ := testutil.RandomVoronoi(t, 30, 8)
-	tree, err := Build(sub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	paged, err := tree.Page(wire.DTreeParams(256))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp, err := LoadSnapshot(paged.Flatten().Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	other, _ := testutil.RandomVoronoi(t, 31, 9)
-	if err := fp.AttachSubdivision(other); err == nil {
-		t.Error("attaching a mismatched subdivision should fail")
-	}
-	if err := fp.AttachSubdivision(sub); err != nil {
-		t.Fatal(err)
-	}
-	w := geom.Rect{MinX: 1000, MinY: 1000, MaxX: 4000, MaxY: 4000}
-	got, want := fp.Flat.SearchRect(w), tree.SearchRect(w)
-	if len(got) != len(want) {
-		t.Fatalf("window after attach: %v, want %v", got, want)
-	}
-}
-
 // TestSnapshotRejectsDamage flips, truncates and version-skews the slab;
 // every mutation must be rejected with an error (the fuzz target explores
 // this space much more broadly).

@@ -1,80 +1,11 @@
 package core
 
-import (
-	"sort"
-
-	"airindex/internal/geom"
-)
-
-// This file extends the D-tree beyond the paper's point queries with window
-// (range) queries: report every data region intersecting an axis-aligned
-// rectangle. The descent rule generalizes Algorithm 2: a window entirely at
-// or below CutLo lies in the lefthand subspace, entirely at or above CutHi
-// in the righthand one, and a window straddling the interlocking band must
-// explore both children. Candidate regions are verified against the exact
-// region polygons, so the result is precise, not conservative.
-
-// canonInterval returns the window's extent along the canonical x-axis of
-// dimension d.
-func canonInterval(d Dimension, w geom.Rect) (lo, hi float64) {
-	if d == DimX {
-		return -w.MaxY, -w.MinY
-	}
-	return w.MinX, w.MaxX
-}
-
-// SearchRect returns the ids of all data regions intersecting the window,
-// in ascending order. Regions touching the window only at their boundary
-// are included.
-func (t *Tree) SearchRect(w geom.Rect) []int {
-	if w.IsEmpty() {
-		return nil
-	}
-	if t.Root == nil {
-		if t.Sub.N() == 1 && w.Intersects(t.Sub.Area) {
-			return []int{0}
-		}
-		return nil
-	}
-	var out []int
-	var walk func(c ChildRef)
-	walk = func(c ChildRef) {
-		if c.IsData() {
-			if regionIntersectsRect(t.Sub.Regions[c.Data].Poly, w) {
-				out = append(out, c.Data)
-			}
-			return
-		}
-		n := c.Node
-		lo, hi := canonInterval(n.Dim, w)
-		// Strict comparisons: a window touching the cut line exactly may
-		// still touch regions of the other subspace at their boundary.
-		if hi < n.CutLo {
-			walk(n.Left)
-			return
-		}
-		if lo > n.CutHi {
-			walk(n.Right)
-			return
-		}
-		walk(n.Left)
-		walk(n.Right)
-	}
-	walk(ChildRef{Node: t.Root})
-	sort.Ints(out)
-	return out
-}
+import "airindex/internal/geom"
 
 // RegionIntersectsRect reports whether a region polygon and a query window
 // share any point (boundary touches included) — the exact membership test
 // window-query oracles score air answers against.
 func RegionIntersectsRect(pg geom.Polygon, w geom.Rect) bool {
-	return regionIntersectsRect(pg, w)
-}
-
-// regionIntersectsRect reports whether the polygon and rectangle share any
-// point (boundary touches included).
-func regionIntersectsRect(pg geom.Polygon, w geom.Rect) bool {
 	if !pg.Bounds().Intersects(w) {
 		return false
 	}
@@ -100,10 +31,3 @@ func regionIntersectsRect(pg geom.Polygon, w geom.Rect) bool {
 	}
 	return false
 }
-
-// NearestSite returns the data region whose generating point set would be
-// nearest under the subdivision's scope semantics — operationally, the
-// region containing p (valid scopes are exactly the nearest-neighbor cells
-// in the paper's LDIS model). It exists so callers using the D-tree as a
-// nearest-neighbor index need no geometry of their own.
-func (t *Tree) NearestSite(p geom.Point) int { return t.Locate(p) }

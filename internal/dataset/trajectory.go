@@ -1,7 +1,6 @@
 package dataset
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -41,18 +40,6 @@ func (t *Trajectory) At(cycle int) geom.Point {
 
 // Cycles returns the number of sampled cycles.
 func (t *Trajectory) Cycles() int { return len(t.Positions) }
-
-// MarshalTrajectories serializes a fleet for a reproducible run record.
-func MarshalTrajectories(ts []Trajectory) ([]byte, error) { return json.Marshal(ts) }
-
-// UnmarshalTrajectories restores a fleet written by MarshalTrajectories.
-func UnmarshalTrajectories(data []byte) ([]Trajectory, error) {
-	var ts []Trajectory
-	if err := json.Unmarshal(data, &ts); err != nil {
-		return nil, err
-	}
-	return ts, nil
-}
 
 // RandomWaypoint generates the classic random-waypoint model inside area:
 // pick a uniform target and a uniform per-leg speed in [speedMin, speedMax]

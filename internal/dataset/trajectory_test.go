@@ -59,25 +59,6 @@ func TestTrajectoryAtParks(t *testing.T) {
 	}
 }
 
-func TestTrajectorySerializationRoundTrip(t *testing.T) {
-	fleet, err := Fleet("commuter", trajArea, 5, 64, 999, 50, 700)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := MarshalTrajectories(fleet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := UnmarshalTrajectories(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Go prints float64 shortest-round-trip, so the restore is bit-exact.
-	if !reflect.DeepEqual(fleet, back) {
-		t.Fatal("fleet did not survive the JSON round trip bit-for-bit")
-	}
-}
-
 func TestFleetSeedsDiffer(t *testing.T) {
 	fleet, err := Fleet("waypoint", trajArea, 4, 32, 5, 50, 700)
 	if err != nil {

@@ -209,9 +209,6 @@ func (x *Index) CycleLen() int { return x.cycleLen }
 // Segments returns the number of data segments (the organization's m).
 func (x *Index) Segments() int { return len(x.segments) }
 
-// IndexPacketsPerBlock returns the packets of one replicated part.
-func (x *Index) IndexPacketsPerBlock() int { return x.rep.PacketCount }
-
 // TotalIndexPackets returns index packets per cycle (replicated and local).
 func (x *Index) TotalIndexPackets() int {
 	total := len(x.segments) * x.rep.PacketCount

@@ -220,19 +220,23 @@ func (b *Built) buildIndexes(capacity int) ([]Index, error) {
 	// pointer tree stays behind as construction intermediate and oracle.
 	fp := dp.Flatten()
 	if trp == nil {
-		return []Index{dtreeIndex{fp}, rstarIndex{ra}}, nil
+		return []Index{dtreeIndex{"D-tree", fp}, rstarIndex{ra}}, nil
 	}
 	return []Index{
-		dtreeIndex{fp},
+		dtreeIndex{"D-tree", fp},
 		trianIndex{trp},
 		trapIndex{tpp},
 		rstarIndex{ra},
 	}, nil
 }
 
-type dtreeIndex struct{ fp *core.FlatPaged }
+// dtreeIndex serves a D-tree from its flat arena under a curve label.
+type dtreeIndex struct {
+	name string
+	fp   *core.FlatPaged
+}
 
-func (d dtreeIndex) Name() string                     { return "D-tree" }
+func (d dtreeIndex) Name() string                     { return d.name }
 func (d dtreeIndex) IndexPackets() int                { return d.fp.IndexPackets() }
 func (d dtreeIndex) SizeBytes() int                   { return d.fp.SizeBytes() }
 func (d dtreeIndex) Locate(p geom.Point) (int, []int) { return d.fp.Locate(p) }

@@ -5,10 +5,11 @@ import (
 	"testing"
 
 	"airindex/internal/dataset"
+	"airindex/internal/wire"
 )
 
 // TestBuildWithWorkersDeterministic checks the concurrent multi-family
-// build end to end: at any build worker count the D-tree marshals to the
+// build end to end: at any build worker count the D-tree snapshots to the
 // same bytes and the paged index families report the same broadcast sizes.
 func TestBuildWithWorkersDeterministic(t *testing.T) {
 	ds := dataset.Uniform(180, 3)
@@ -19,10 +20,11 @@ func TestBuildWithWorkersDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		data, err := b.DTree.Marshal()
+		paged, err := b.DTree.Page(wire.DTreeParams(256))
 		if err != nil {
-			t.Fatalf("workers=%d: marshal: %v", workers, err)
+			t.Fatalf("workers=%d: page: %v", workers, err)
 		}
+		data := paged.Flatten().Snapshot()
 		indexes, err := b.Indexes(256)
 		if err != nil {
 			t.Fatalf("workers=%d: indexes: %v", workers, err)

@@ -64,8 +64,9 @@ func RunDistributed(ds dataset.Dataset, cfg Config) ([]Measurement, error) {
 		if err != nil {
 			return nil, err
 		}
-		m := broadcast.OptimalM(paged.IndexPackets(), dataPackets)
-		sched, err := broadcast.NewSchedule(paged.IndexPackets(), sub.N(), bp, m)
+		fp := paged.Flatten()
+		m := broadcast.OptimalM(fp.IndexPackets(), dataPackets)
+		sched, err := broadcast.NewSchedule(fp.IndexPackets(), sub.N(), bp, m)
 		if err != nil {
 			return nil, err
 		}
@@ -74,7 +75,7 @@ func RunDistributed(ds dataset.Dataset, cfg Config) ([]Measurement, error) {
 			var buf []int
 			for i := lo; i < hi; i++ {
 				sq := &streams.idx[i]
-				bucket, trace := paged.LocateInto(sq.p, buf)
+				bucket, trace := fp.LocateInto(sq.p, buf)
 				buf = trace
 				c, err := sched.Access(sq.u*cycleLen,
 					broadcast.SearchTrace{Bucket: bucket, IndexOffsets: trace})
@@ -89,7 +90,7 @@ func RunDistributed(ds dataset.Dataset, cfg Config) ([]Measurement, error) {
 		}
 		lat, tuneIdx, tuneTotal := reduceCosts(costs)
 		out = append(out, distMeasurement(ds.Name, "D-tree (1,m)", capacity,
-			m*paged.IndexPackets(), dataPackets, m,
+			m*fp.IndexPackets(), dataPackets, m,
 			lat/qf, tuneIdx/qf, tuneTotal/qf, optLatency, noIdxTune))
 
 		// Distributed indexing.

@@ -64,8 +64,8 @@ func RunSkewed(ds dataset.Dataset, cfg Config, theta float64) ([]Measurement, er
 			return nil, err
 		}
 		indexes := []Index{
-			ablationIndex{"balanced", bp, bp.Locate, bp.LocateInto},
-			ablationIndex{"weighted", wp, wp.Locate, wp.LocateInto},
+			dtreeIndex{"balanced", bp.Flatten()},
+			dtreeIndex{"weighted", wp.Flatten()},
 		}
 		ms, err := measureIndexes(b, sampler, indexes, capacity, cfg)
 		if err != nil {

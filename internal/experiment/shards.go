@@ -138,13 +138,14 @@ func runFlatBaseline(ds dataset.Dataset, sub *region.Subdivision, capacity int, 
 	if err != nil {
 		return ShardPoint{}, err
 	}
+	fp := paged.Flatten()
 	buildSecs := time.Since(start).Seconds()
 
 	n := sub.N()
 	bucketPackets := params.DataBucketPackets()
 	dataPackets := n * bucketPackets
-	m := broadcast.OptimalM(paged.IndexPackets(), dataPackets)
-	sched, err := broadcast.NewSchedule(paged.IndexPackets(), n, bucketPackets, m)
+	m := broadcast.OptimalM(fp.IndexPackets(), dataPackets)
+	sched, err := broadcast.NewSchedule(fp.IndexPackets(), n, bucketPackets, m)
 	if err != nil {
 		return ShardPoint{}, err
 	}
@@ -155,7 +156,7 @@ func runFlatBaseline(ds dataset.Dataset, sub *region.Subdivision, capacity int, 
 		var buf []int
 		for i := lo; i < hi; i++ {
 			sq := &queries[i]
-			bucket, trace := paged.LocateInto(sq.p, buf)
+			bucket, trace := fp.LocateInto(sq.p, buf)
 			buf = trace
 			if bucket < 0 {
 				return fmt.Errorf("query %v unresolved", sq.p)

@@ -104,8 +104,8 @@ func restoreShard(dir *Directory, ch int, rect geom.Rect, clips []clippedRegion,
 	if err != nil {
 		return nil, fmt.Errorf("fabric: shard %d: %w", ch, err)
 	}
-	if err := fp.AttachSubdivision(sub); err != nil {
-		return nil, fmt.Errorf("fabric: shard %d snapshot does not match the clipped site set: %w", ch, err)
+	if sub.N() != fp.Flat.N {
+		return nil, fmt.Errorf("fabric: shard %d snapshot does not match the clipped site set: subdivision has %d regions, snapshot %d", ch, sub.N(), fp.Flat.N)
 	}
 	sc, err := shardChannel(dir, ch, rect, fp.Params.PacketCapacity, opts, sites)
 	if err != nil {

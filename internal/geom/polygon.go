@@ -92,24 +92,6 @@ func (pg Polygon) Contains(p Point) bool {
 	return inside
 }
 
-// ContainsStrict reports whether p lies strictly inside the polygon,
-// excluding the boundary.
-func (pg Polygon) ContainsStrict(p Point) bool {
-	n := len(pg)
-	inside := false
-	for i := 0; i < n; i++ {
-		j := (i + 1) % n
-		e := Segment{pg[i], pg[j]}
-		if e.Contains(p) {
-			return false
-		}
-		if e.CrossesRightwardRay(p) {
-			inside = !inside
-		}
-	}
-	return inside
-}
-
 // Edges returns the directed edges of the polygon in ring order.
 func (pg Polygon) Edges() []Segment {
 	n := len(pg)

@@ -107,10 +107,6 @@ func (r Rect) ExtendPoint(p Point) Rect {
 	return r.Union(Rect{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y})
 }
 
-// Enlargement returns the area increase needed for r to cover s, the
-// quantity minimized by R-tree subtree choice.
-func (r Rect) Enlargement(s Rect) float64 { return r.Union(s).Area() - r.Area() }
-
 // Corners returns the four corners of the rectangle in counter-clockwise
 // order starting from (MinX, MinY).
 func (r Rect) Corners() [4]Point {

@@ -7,17 +7,8 @@ type Segment struct {
 	A, B Point
 }
 
-// Seg is shorthand for constructing a Segment.
-func Seg(a, b Point) Segment { return Segment{A: a, B: b} }
-
-// Reverse returns the segment with endpoints swapped.
-func (s Segment) Reverse() Segment { return Segment{A: s.B, B: s.A} }
-
 // Len returns the Euclidean length of the segment.
 func (s Segment) Len() float64 { return s.A.Dist(s.B) }
-
-// Mid returns the midpoint of the segment.
-func (s Segment) Mid() Point { return Lerp(s.A, s.B, 0.5) }
 
 // Bounds returns the axis-aligned bounding rectangle of the segment.
 func (s Segment) Bounds() Rect {
@@ -34,17 +25,6 @@ func (s Segment) Contains(p Point) bool {
 	}
 	b := s.Bounds()
 	return p.X >= b.MinX-Eps && p.X <= b.MaxX+Eps && p.Y >= b.MinY-Eps && p.Y <= b.MaxY+Eps
-}
-
-// YAt returns the y-coordinate of the (extended) line through the segment at
-// the given x. For a vertical segment it returns the y of endpoint A.
-func (s Segment) YAt(x float64) float64 {
-	dx := s.B.X - s.A.X
-	if math.Abs(dx) <= Eps {
-		return s.A.Y
-	}
-	t := (x - s.A.X) / dx
-	return s.A.Y + t*(s.B.Y-s.A.Y)
 }
 
 // Intersects reports whether segments s and t share at least one point

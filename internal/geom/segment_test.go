@@ -10,12 +10,6 @@ func TestSegmentBasics(t *testing.T) {
 	if got := s.Len(); got != 5 {
 		t.Errorf("Len = %v", got)
 	}
-	if got := s.Mid(); got != Pt(2, 1.5) {
-		t.Errorf("Mid = %v", got)
-	}
-	if got := s.Reverse(); got.A != s.B || got.B != s.A {
-		t.Errorf("Reverse = %v", got)
-	}
 	b := s.Bounds()
 	if b.MinX != 0 || b.MaxX != 4 || b.MinY != 0 || b.MaxY != 3 {
 		t.Errorf("Bounds = %+v", b)
@@ -35,17 +29,6 @@ func TestSegmentContains(t *testing.T) {
 	}
 	if s.Contains(Pt(5, 6)) {
 		t.Error("off-line point should not be contained")
-	}
-}
-
-func TestSegmentYAt(t *testing.T) {
-	s := Seg(Pt(0, 0), Pt(10, 20))
-	if got := s.YAt(5); got != 10 {
-		t.Errorf("YAt(5) = %v", got)
-	}
-	v := Seg(Pt(3, 1), Pt(3, 9))
-	if got := v.YAt(3); got != 1 {
-		t.Errorf("vertical YAt = %v (want endpoint A's y)", got)
 	}
 }
 

@@ -53,9 +53,6 @@ func NewQueue(capacity int, policy Policy, blockTimeout time.Duration, m *Metric
 	}
 }
 
-// Cap returns the ring capacity.
-func (q *Queue) Cap() int { return len(q.buf) }
-
 // Depth returns the number of queued operations.
 func (q *Queue) Depth() int {
 	q.mu.Lock()

@@ -11,20 +11,13 @@ type BoundaryScratch struct {
 	epoch int32
 }
 
-// BoundarySegments returns the boundary edges of the union of the given
-// regions: every edge owned by a region in the set whose twin either does
-// not exist (service-area border) or belongs to a region outside the set.
-// This is the "extent" of a subspace in the D-tree partition algorithm
-// (Algorithm 1, line 3); the extent may consist of several closed loops.
-func (s *Subdivision) BoundarySegments(ids []int) []geom.Segment {
-	var sc BoundaryScratch
-	return s.BoundarySegmentsInto(ids, &sc, nil)
-}
-
-// BoundarySegmentsInto is BoundarySegments with caller-owned scratch and
-// output slice (appended to), for hot paths: no maps, no per-call
-// allocation once the scratch and output have grown to steady state. The
-// segment order is identical to BoundarySegments.
+// BoundarySegmentsInto appends to out the boundary edges of the union of
+// the given regions: every edge owned by a region in the set whose twin
+// either does not exist (service-area border) or belongs to a region
+// outside the set. This is the "extent" of a subspace in the D-tree
+// partition algorithm (Algorithm 1, line 3); the extent may consist of
+// several closed loops. The scratch is caller-owned, so a hot path makes
+// no per-call allocation once scratch and output reach steady state.
 func (s *Subdivision) BoundarySegmentsInto(ids []int, sc *BoundaryScratch, out []geom.Segment) []geom.Segment {
 	if int32(len(sc.mark)) <= s.maxKey {
 		sc.mark = make([]int32, s.maxKey+1)
@@ -60,27 +53,6 @@ func (s *Subdivision) BoundarySegmentsInto(ids []int, sc *BoundaryScratch, out [
 // on the other side (-1 on the service-area border). Callers must not
 // modify the returned slice.
 func (s *Subdivision) NbrKeys(id int) []int32 { return s.nbrKey[id] }
-
-// SharedBorder returns the segments separating the two given region sets:
-// edges owned by a region in left whose twin belongs to a region in right.
-func (s *Subdivision) SharedBorder(left, right []int) []geom.Segment {
-	inRight := make(map[int32]bool, len(right))
-	for _, id := range right {
-		inRight[int32(s.Key(id))] = true
-	}
-	var out []geom.Segment
-	for _, id := range left {
-		ring := s.rings[id]
-		nbr := s.nbrKey[id]
-		n := len(ring)
-		for j := 0; j < n; j++ {
-			if k := nbr[j]; k >= 0 && inRight[k] {
-				out = append(out, geom.Segment{A: s.Verts[ring[j]], B: s.Verts[ring[(j+1)%n]]})
-			}
-		}
-	}
-	return out
-}
 
 // UniqueEdges returns every undirected edge of the subdivision exactly once,
 // together with the regions above/below resolution needed by the trapezoidal

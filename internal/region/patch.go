@@ -82,10 +82,6 @@ func NewPatcher(area geom.Rect) *Patcher {
 	}
 }
 
-// Broken reports whether a previous Patch failed midway; the Patcher must
-// be discarded and re-bootstrapped.
-func (p *Patcher) Broken() bool { return p.broken }
-
 func (p *Patcher) cellOf(pt geom.Point) [2]int64 {
 	return [2]int64{int64(math.Floor(pt.X / p.tol)), int64(math.Floor(pt.Y / p.tol))}
 }

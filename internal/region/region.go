@@ -50,11 +50,11 @@ type Subdivision struct {
 	// mapping (region index is its own key), which New produces.
 	keyOf []int32
 	// maxKey is the largest key value in keyOf (N-1 under identity);
-	// BoundarySegments sizes its membership scratch from it.
+	// BoundarySegmentsInto sizes its membership scratch from it.
 	maxKey int32
 	// nbrKey holds, per region and ring edge j (from ring[j] to ring[j+1]),
 	// the stable key of the region on the other side, or -1 on the
-	// service-area border. It is the adjacency relation BoundarySegments
+	// service-area border. It is the adjacency relation BoundarySegmentsInto
 	// walks; unlike twin it survives region renumbering, so patched
 	// generations share the slices of unchanged regions.
 	nbrKey [][]int32
@@ -76,12 +76,8 @@ const DefaultWeldTol = 1e-5
 type Option func(*buildConfig)
 
 type buildConfig struct {
-	weldTol   float64
 	insertCol bool
 }
-
-// WithWeldTol overrides the vertex-welding tolerance.
-func WithWeldTol(tol float64) Option { return func(c *buildConfig) { c.weldTol = tol } }
 
 // WithTJunctionRepair enables insertion of canonical vertices that lie in
 // the interior of another region's edge (T-junctions), which hand-authored
@@ -92,7 +88,7 @@ func WithTJunctionRepair() Option { return func(c *buildConfig) { c.insertCol = 
 // forced counter-clockwise, and their vertices welded. The i-th polygon
 // becomes region ID i.
 func New(area geom.Rect, polys []geom.Polygon, opts ...Option) (*Subdivision, error) {
-	cfg := buildConfig{weldTol: DefaultWeldTol}
+	var cfg buildConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -108,7 +104,7 @@ func New(area geom.Rect, polys []geom.Polygon, opts ...Option) (*Subdivision, er
 		cleaned[i] = c
 	}
 
-	w := newWelder(cfg.weldTol)
+	w := newWelder(DefaultWeldTol)
 	rings := make([][]int, len(cleaned))
 	for i, pg := range cleaned {
 		ring := make([]int, 0, len(pg))
@@ -203,9 +199,6 @@ func (s *Subdivision) edgeOwners() map[[2]int]int {
 // N returns the number of regions.
 func (s *Subdivision) N() int { return len(s.Regions) }
 
-// Ring returns the canonical vertex-index ring of region id.
-func (s *Subdivision) Ring(id int) []int { return s.rings[id] }
-
 // Neighbor returns the region on the other side of the directed edge (u,v)
 // owned by some region, or -1 when (v,u) is unowned (service-area boundary).
 func (s *Subdivision) Neighbor(u, v int) int {
@@ -274,9 +267,6 @@ func (s *Subdivision) Validate() error {
 	}
 	return nil
 }
-
-// TotalDataRegions mirrors the paper's N.
-func (s *Subdivision) TotalDataRegions() int { return len(s.Regions) }
 
 func onRectBorder(p geom.Point, r geom.Rect) bool {
 	const tol = 1e-6

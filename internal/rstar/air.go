@@ -24,7 +24,6 @@ type AirIndex struct {
 	shapePackets [][]int // region id -> packet offsets of its shape node
 	packetCount  int
 	occupied     []int
-	sectioned    bool // shape layer trails the tree (BuildAirSectioned)
 }
 
 // EntrySize is the wire size of one R*-tree entry: an MBR (4 coordinates)
@@ -140,9 +139,6 @@ func (a *AirIndex) Locate(p geom.Point) (int, []int) {
 // buffer across millions of queries without per-query allocation. The
 // returned slice aliases trace's backing array when capacity suffices.
 func (a *AirIndex) LocateInto(p geom.Point, trace []int) (int, []int) {
-	if a.sectioned {
-		return a.locateSectioned(p)
-	}
 	w := airWalker{a: a, p: p, trace: trace[:0]}
 	id := w.walk(a.Tree.root)
 	return id, w.trace

@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"airindex/internal/region"
-	"airindex/internal/wire"
 )
 
 // BulkLoadSTR builds a packed R-tree with the Sort-Tile-Recursive algorithm
@@ -65,60 +62,4 @@ func packLevel(entries []Entry, m, level int) []*node {
 		}
 	}
 	return out
-}
-
-// OverlapFactor measures directory quality: the average, over leaf entries,
-// of how many same-level sibling rectangles overlap each entry's rectangle.
-// Lower is better; it predicts the number of subtrees a point query visits.
-func (t *Tree) OverlapFactor() float64 {
-	var sum float64
-	var count int
-	var walk func(n *node)
-	walk = func(n *node) {
-		for i, e := range n.entries {
-			for j, o := range n.entries {
-				if i != j && e.Rect.Intersects(o.Rect) {
-					sum++
-				}
-			}
-			count++
-			if e.Child != nil {
-				walk(e.Child)
-			}
-		}
-	}
-	walk(t.root)
-	if count == 0 {
-		return 0
-	}
-	return sum / float64(count)
-}
-
-// BuildAirSTR is BuildAir with STR bulk loading instead of one-by-one R*
-// insertion (construction-quality ablation for the baseline).
-func BuildAirSTR(sub *region.Subdivision, params wire.Params) (*AirIndex, error) {
-	if err := params.Validate(); err != nil {
-		return nil, err
-	}
-	capacity := NodeCapacity(params)
-	if capacity < 2 {
-		return nil, fmt.Errorf("rstar: packet capacity %d holds %d entries (< 2)", params.PacketCapacity, capacity)
-	}
-	items := make([]Entry, sub.N())
-	for i := range items {
-		items[i] = Entry{Rect: sub.Regions[i].Bounds(), Data: i}
-	}
-	t, err := BulkLoadSTR(items, capacity)
-	if err != nil {
-		return nil, err
-	}
-	a := &AirIndex{
-		Tree:         t,
-		Sub:          sub,
-		Params:       params,
-		nodePacket:   make(map[*node]int),
-		shapePackets: make([][]int, sub.N()),
-	}
-	a.layout()
-	return a, nil
 }

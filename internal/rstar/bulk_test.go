@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"airindex/internal/geom"
-	"airindex/internal/testutil"
-	"airindex/internal/wire"
 )
 
 func TestBulkLoadSTRStructure(t *testing.T) {
@@ -83,87 +81,11 @@ func TestBulkLoadSTRSearchMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestSTRHasLessOverlapThanDynamic(t *testing.T) {
-	sub, _ := testutil.RandomVoronoi(t, 400, 203)
-	params := wire.RStarParams(256)
-	dyn, err := BuildAir(sub, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	str, err := BuildAirSTR(sub, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	do, so := dyn.Tree.OverlapFactor(), str.Tree.OverlapFactor()
-	t.Logf("overlap factor: dynamic R* %.3f, STR %.3f", do, so)
-	if so > do*1.5 {
-		t.Errorf("STR overlap %.3f much worse than dynamic %.3f", so, do)
-	}
-	// Both must answer correctly.
-	rng := rand.New(rand.NewSource(204))
-	for i := 0; i < 2000; i++ {
-		p := geom.Pt(rng.Float64()*10000, rng.Float64()*10000)
-		got, trace := str.Locate(p)
-		if got < 0 || !sub.Regions[got].Poly.Contains(p) {
-			t.Fatalf("STR air query %v: region %d", p, got)
-		}
-		if len(trace) == 0 {
-			t.Fatal("empty trace")
-		}
-	}
-}
-
 func TestBulkLoadErrors(t *testing.T) {
 	if _, err := BulkLoadSTR(nil, 8); err == nil {
 		t.Error("empty bulk load should fail")
 	}
 	if _, err := BulkLoadSTR([]Entry{{}}, 1); err == nil {
 		t.Error("max entries 1 should fail")
-	}
-}
-
-func TestSectionedLayoutCorrectAndCostlier(t *testing.T) {
-	sub, _ := testutil.RandomVoronoi(t, 250, 205)
-	params := wire.RStarParams(256)
-	inline, err := BuildAir(sub, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sectioned, err := BuildAirSectioned(sub, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Global greedy packing of the shape section saves the per-leaf
-	// packing slack, so the sectioned layout is never larger.
-	if sectioned.IndexPackets() > inline.IndexPackets() {
-		t.Errorf("sectioned %d packets larger than inline %d", sectioned.IndexPackets(), inline.IndexPackets())
-	}
-	rng := rand.New(rand.NewSource(206))
-	var inlineReads, sectionedReads float64
-	const q = 4000
-	for i := 0; i < q; i++ {
-		p := geom.Pt(rng.Float64()*10000, rng.Float64()*10000)
-		gi, ti := inline.Locate(p)
-		gs, ts := sectioned.Locate(p)
-		if gi < 0 || gs < 0 {
-			t.Fatalf("unresolved query %v", p)
-		}
-		if gi != gs && !sub.Regions[gs].Poly.Contains(p) {
-			t.Fatalf("sectioned answered %d, inline %d at %v", gs, gi, p)
-		}
-		inlineReads += float64(len(ti))
-		sectionedReads += float64(len(ts))
-		// The sectioned trace must be forward-monotone on the channel.
-		for j := 1; j < len(ts); j++ {
-			if ts[j] <= ts[j-1] {
-				t.Fatalf("sectioned trace not monotone: %v", ts)
-			}
-		}
-	}
-	inlineReads /= q
-	sectionedReads /= q
-	t.Logf("avg tuning: inline %.2f, sectioned %.2f", inlineReads, sectionedReads)
-	if sectionedReads <= inlineReads {
-		t.Errorf("sectioned layout (%.2f) should cost more than inline (%.2f)", sectionedReads, inlineReads)
 	}
 }

@@ -2,33 +2,11 @@ package rstar
 
 import (
 	"container/heap"
-	"fmt"
 	"math"
 	"sort"
 
 	"airindex/internal/geom"
 )
-
-// SearchPoint returns the data ids of all entries whose rectangles contain
-// p, in depth-first entry order.
-func (t *Tree) SearchPoint(p geom.Point) []int {
-	var out []int
-	var walk func(n *node)
-	walk = func(n *node) {
-		for _, e := range n.entries {
-			if !e.Rect.Contains(p) {
-				continue
-			}
-			if n.isLeaf() {
-				out = append(out, e.Data)
-			} else {
-				walk(e.Child)
-			}
-		}
-	}
-	walk(t.root)
-	return out
-}
 
 // SearchRect returns the data ids of all entries whose rectangles intersect
 // the window, in depth-first entry order.
@@ -79,36 +57,10 @@ func (h *nnHeap) Pop() interface{} {
 	return it
 }
 
-// NearestNeighbors returns the ids of the k data rectangles nearest to p
-// (by rectangle distance), best-first.
-func (t *Tree) NearestNeighbors(p geom.Point, k int) []int {
-	if k <= 0 || t.size == 0 {
-		return nil
-	}
-	h := &nnHeap{}
-	for _, e := range t.root.entries {
-		heap.Push(h, nnItem{minDist2(p, e.Rect), e, t.root.isLeaf()})
-	}
-	var out []int
-	for h.Len() > 0 && len(out) < k {
-		it := heap.Pop(h).(nnItem)
-		if it.leaf {
-			out = append(out, it.entry.Data)
-			continue
-		}
-		child := it.entry.Child
-		for _, e := range child.entries {
-			heap.Push(h, nnItem{minDist2(p, e.Rect), e, child.isLeaf()})
-		}
-	}
-	return out
-}
-
 // KNNSites returns the ids of the k entries whose *sites* are nearest to p,
 // ordered deterministically by (site distance², id). site maps an entry's
 // data id to its generating point, which must lie inside the entry's
-// rectangle so the MBR distance stays a valid lower bound. Unlike
-// NearestNeighbors (rectangle distance, heap-order ties), this is an exact
+// rectangle so the MBR distance stays a valid lower bound. It is an exact
 // oracle for the broadcast adjacency walk: equal-distance ties break by id.
 func (t *Tree) KNNSites(p geom.Point, k int, site func(int) geom.Point) []int {
 	if k <= 0 || t.size == 0 {
@@ -166,119 +118,4 @@ func (t *Tree) KNNSites(p geom.Point, k int, site func(int) geom.Point) []int {
 		out = append(out, cands[i].id)
 	}
 	return out
-}
-
-// Delete removes the entry with the given rectangle and data id, returning
-// whether it was found. Underfull nodes are dissolved and their entries
-// reinserted (the classic R-tree CondenseTree).
-func (t *Tree) Delete(r geom.Rect, data int) bool {
-	var path []*node
-	leaf, idx := t.findLeaf(t.root, r, data, &path)
-	if leaf == nil {
-		return false
-	}
-	leaf.entries = append(leaf.entries[:idx], leaf.entries[idx+1:]...)
-	t.size--
-
-	// Condense: walk back up, dissolving underfull nodes.
-	type orphan struct {
-		entry Entry
-		level int
-	}
-	var orphans []orphan
-	n := leaf
-	for len(path) > 0 {
-		parent := path[len(path)-1]
-		path = path[:len(path)-1]
-		if len(n.entries) < t.min {
-			for i := range parent.entries {
-				if parent.entries[i].Child == n {
-					parent.entries = append(parent.entries[:i], parent.entries[i+1:]...)
-					break
-				}
-			}
-			for _, e := range n.entries {
-				orphans = append(orphans, orphan{e, n.level})
-			}
-		}
-		n = parent
-	}
-	t.fixParentRects()
-	for _, o := range orphans {
-		t.reinsertedAt = map[int]bool{}
-		t.insertAtLevel(o.entry, o.level)
-	}
-	// Shrink the root while it has a single child.
-	for !t.root.isLeaf() && len(t.root.entries) == 1 {
-		t.root = t.root.entries[0].Child
-	}
-	return true
-}
-
-func (t *Tree) findLeaf(n *node, r geom.Rect, data int, path *[]*node) (*node, int) {
-	if n.isLeaf() {
-		for i, e := range n.entries {
-			if e.Data == data && e.Rect == r {
-				return n, i
-			}
-		}
-		return nil, -1
-	}
-	*path = append(*path, n)
-	for _, e := range n.entries {
-		if e.Rect.ContainsRect(r) {
-			if leaf, i := t.findLeaf(e.Child, r, data, path); leaf != nil {
-				return leaf, i
-			}
-		}
-	}
-	*path = (*path)[:len(*path)-1]
-	return nil, -1
-}
-
-// CheckInvariants verifies structural R-tree properties: fan-out bounds
-// (root exempt), covering rectangles tight, uniform leaf depth.
-func (t *Tree) CheckInvariants() error {
-	if t.size == 0 {
-		return nil
-	}
-	var walk func(n *node) error
-	walk = func(n *node) error {
-		if n != t.root {
-			if len(n.entries) < t.min || len(n.entries) > t.max {
-				return fmt.Errorf("rstar: node at level %d has %d entries outside [%d,%d]", n.level, len(n.entries), t.min, t.max)
-			}
-		} else if len(n.entries) > t.max {
-			return fmt.Errorf("rstar: root has %d entries > max %d", len(n.entries), t.max)
-		}
-		for _, e := range n.entries {
-			if n.isLeaf() {
-				if e.Child != nil {
-					return fmt.Errorf("rstar: leaf entry with child")
-				}
-				continue
-			}
-			if e.Child == nil {
-				return fmt.Errorf("rstar: internal entry without child")
-			}
-			if e.Child.level != n.level-1 {
-				return fmt.Errorf("rstar: level gap %d -> %d", n.level, e.Child.level)
-			}
-			got := e.Child.rect()
-			if !rectsAlmostEqual(got, e.Rect) {
-				return fmt.Errorf("rstar: stale covering rect %+v != %+v", e.Rect, got)
-			}
-			if err := walk(e.Child); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return walk(t.root)
-}
-
-func rectsAlmostEqual(a, b geom.Rect) bool {
-	const tol = 1e-9
-	return math.Abs(a.MinX-b.MinX) <= tol && math.Abs(a.MinY-b.MinY) <= tol &&
-		math.Abs(a.MaxX-b.MaxX) <= tol && math.Abs(a.MaxY-b.MaxY) <= tol
 }

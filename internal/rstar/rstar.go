@@ -83,12 +83,6 @@ func New(maxEntries, minEntries int) (*Tree, error) {
 // Len returns the number of data entries in the tree.
 func (t *Tree) Len() int { return t.size }
 
-// MaxEntries returns the node fan-out limit.
-func (t *Tree) MaxEntries() int { return t.max }
-
-// MinEntries returns the minimum node fill.
-func (t *Tree) MinEntries() int { return t.min }
-
 // Height returns the number of levels (1 for a lone leaf root).
 func (t *Tree) Height() int { return t.root.level + 1 }
 

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-	"testing/quick"
 
 	"airindex/internal/geom"
 )
@@ -117,115 +116,5 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 		if len(got) != len(want) {
 			t.Fatalf("window %v: %d hits, want %d", w, len(got), len(want))
 		}
-	}
-}
-
-func TestNearestNeighborsMatchBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	tr, _ := New(6, 0)
-	var rects []geom.Rect
-	for i := 0; i < 300; i++ {
-		r := randRect(rng)
-		rects = append(rects, r)
-		tr.Insert(r, i)
-	}
-	for q := 0; q < 200; q++ {
-		p := geom.Pt(rng.Float64()*1100, rng.Float64()*1100)
-		k := 1 + rng.Intn(10)
-		got := tr.NearestNeighbors(p, k)
-		if len(got) != k {
-			t.Fatalf("kNN returned %d of %d", len(got), k)
-		}
-		// Compare distances (ids may tie).
-		type di struct {
-			d  float64
-			id int
-		}
-		all := make([]di, len(rects))
-		for i, r := range rects {
-			all[i] = di{minDist2(p, r), i}
-		}
-		sort.Slice(all, func(a, b int) bool { return all[a].d < all[b].d })
-		for i, id := range got {
-			if gd, wd := minDist2(p, rects[id]), all[i].d; gd-wd > 1e-9 && wd-gd > 1e-9 {
-				t.Fatalf("kNN[%d] dist %v, want %v", i, gd, wd)
-			}
-		}
-	}
-	if got := tr.NearestNeighbors(geom.Pt(0, 0), 0); got != nil {
-		t.Error("k=0 should return nil")
-	}
-}
-
-func TestDeleteAndCondense(t *testing.T) {
-	rng := rand.New(rand.NewSource(54))
-	tr, _ := New(5, 2)
-	var rects []geom.Rect
-	for i := 0; i < 200; i++ {
-		r := randRect(rng)
-		rects = append(rects, r)
-		tr.Insert(r, i)
-	}
-	perm := rng.Perm(200)
-	for k, i := range perm {
-		if !tr.Delete(rects[i], i) {
-			t.Fatalf("delete %d failed", i)
-		}
-		if tr.Len() != 200-k-1 {
-			t.Fatalf("Len = %d after %d deletes", tr.Len(), k+1)
-		}
-		if k%20 == 0 {
-			if err := tr.CheckInvariants(); err != nil {
-				t.Fatalf("after %d deletes: %v", k+1, err)
-			}
-		}
-		// The deleted entry must be gone.
-		for _, id := range tr.SearchPoint(rects[i].Center()) {
-			if id == i {
-				t.Fatalf("entry %d still findable after delete", i)
-			}
-		}
-	}
-	if tr.Len() != 0 {
-		t.Fatalf("tree not empty: %d", tr.Len())
-	}
-	if tr.Delete(rects[0], 0) {
-		t.Error("deleting from empty tree should fail")
-	}
-}
-
-func TestInsertDeleteInterleavedQuick(t *testing.T) {
-	type op struct {
-		Insert bool
-		Idx    uint8
-	}
-	rng := rand.New(rand.NewSource(55))
-	rects := make([]geom.Rect, 256)
-	for i := range rects {
-		rects[i] = randRect(rng)
-	}
-	f := func(ops []op) bool {
-		tr, _ := New(4, 2)
-		live := map[int]bool{}
-		for _, o := range ops {
-			i := int(o.Idx)
-			if o.Insert && !live[i] {
-				tr.Insert(rects[i], i)
-				live[i] = true
-			} else if !o.Insert && live[i] {
-				if !tr.Delete(rects[i], i) {
-					return false
-				}
-				delete(live, i)
-			}
-		}
-		if tr.Len() != len(live) {
-			return false
-		}
-		return tr.CheckInvariants() == nil
-	}
-	cfg := &quick.Config{MaxCount: 60, Rand: rng}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
 	}
 }

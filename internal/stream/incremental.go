@@ -209,9 +209,14 @@ func (c *Compiler) Compile(keys []int, polys []geom.Polygon, dirty, removed []in
 
 // full compiles the regions from scratch through a fresh Patcher bootstrap
 // (coordinate-identical to region.New, and leaving the compiler able to
-// patch forward) and retains the generation state.
+// patch forward) and retains the generation state. The previous program
+// survives the reset so a fallback cut that keeps the bucket geometry
+// still shares its data-CRC table; the previous arena does not, because a
+// fresh build splices nothing.
 func (c *Compiler) full(keys []int, polys []geom.Polygon) (*Cut, error) {
+	prev := c.prog
 	c.Reset()
+	c.prog = prev
 	c.patch = region.NewPatcher(c.ch.Area)
 	sub, _, err := c.patch.Patch(keys, polys, keys, nil)
 	if err != nil {

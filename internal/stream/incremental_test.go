@@ -67,15 +67,15 @@ func randomOps(rng *rand.Rand, sw *Swapper, batch int) []SiteOp {
 	return ops
 }
 
-// TestRenderPatchedSharesDataCRC pins what the incremental render path
-// shares: a cut that keeps the bucket geometry (capacity, bucket count,
+// TestRenderPatchedSharesDataCRC pins what the render path shares across
+// cuts: a cut that keeps the bucket geometry (capacity, bucket count,
 // packets per bucket) takes the previous generation's data-CRC table by
 // reference and computes fresh index CRCs; a cut that adds or removes a
-// bucket rebuilds the data table. Either way the cycle is byte-identical,
-// frame by frame, to a cold render of the same program, and its CRC
-// tables hold the cold render's values. 400 sites keep every batch below
-// the full-rebuild fraction: a fallback cut starts from a fresh compiler
-// and renders cold.
+// bucket rebuilds the data table. Both hold for incremental cuts and for
+// fallback cuts, whose batches dirty more than incrFullFraction of the
+// sites and so rebuild the tree from scratch. Either way the cycle is
+// byte-identical, frame by frame, to a cold render of the same program,
+// and its CRC tables hold the cold render's values.
 func TestRenderPatchedSharesDataCRC(t *testing.T) {
 	const capacity = 256
 	sites := testutil.RandomSites(testArea, 400, 8101)
@@ -84,10 +84,33 @@ func TestRenderPatchedSharesDataCRC(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(8102))
-	shared, rebuilt := 0, 0
-	for step := 0; step < 16; step++ {
+	shared, rebuilt, fallbackShared := 0, 0, 0
+	for step := 0; step < 20; step++ {
+		ops := randomOps(rng, sw, 1+rng.Intn(3))
+		fallback := step >= 16
+		if fallback {
+			// Moves keep the bucket count; adds and removes change it.
+			ops = moveOps(rng, sw, 160)
+			if step%2 == 1 {
+				ops = randomOps(rng, sw, 160)
+			}
+			// Every added site and every moved or removed one owns a dirty
+			// cell, so touching more than incrFullFraction of the live sites
+			// forces the full path.
+			touched, adds := map[int]bool{}, 0
+			for _, op := range ops {
+				if op.Kind == OpAdd {
+					adds++
+				} else {
+					touched[op.ID] = true
+				}
+			}
+			if float64(len(touched)+adds) <= incrFullFraction*float64(sw.Len()) {
+				t.Fatalf("step %d: %d touched sites do not force a fallback", step, len(touched)+adds)
+			}
+		}
 		prev := sw.Program()
-		if _, _, err := sw.Apply(randomOps(rng, sw, 1+rng.Intn(3))); err != nil {
+		if _, _, err := sw.Apply(ops); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
 		next := sw.Program()
@@ -99,6 +122,9 @@ func TestRenderPatchedSharesDataCRC(t *testing.T) {
 				t.Fatalf("step %d: index CRCs shared with the previous generation", step)
 			}
 			shared++
+			if fallback {
+				fallbackShared++
+			}
 		} else {
 			if sharesDataCRC(prev.rendered, next.rendered) || len(next.rendered.dataCRC) != next.Sched.DataPackets() {
 				t.Fatalf("step %d: %d -> %d buckets but the data-CRC table was not rebuilt", step, prev.Sched.NumBuckets, next.Sched.NumBuckets)
@@ -121,8 +147,8 @@ func TestRenderPatchedSharesDataCRC(t *testing.T) {
 		}
 		requireProgramsIdentical(t, "step", next, cold)
 	}
-	if shared == 0 || rebuilt == 0 {
-		t.Fatalf("%d shared and %d rebuilt data tables; the test needs both", shared, rebuilt)
+	if shared == 0 || rebuilt == 0 || fallbackShared == 0 {
+		t.Fatalf("%d shared (%d after a fallback) and %d rebuilt data tables; the test needs all three", shared, fallbackShared, rebuilt)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // subdivision, returning the broadcast program together with the flat arena
 // it was rendered from. The arena is the serving representation: queries run
 // over it allocation-free, and its snapshot restores the identical program
-// without re-running construction (ProgramFromSnapshot).
+// without re-running construction (ProgramFromSnapshotFile).
 func CompileDTree(sub *region.Subdivision, capacity, m int) (*Program, *core.FlatPaged, error) {
 	cut, err := (&Channel{Area: sub.Area, Capacity: capacity, M: m}).Build(sub, nil)
 	if err != nil {
@@ -89,23 +89,10 @@ func Assemble(prefix [][]byte, fp *core.FlatPaged, m int, data func(dst []byte, 
 	return prog, nil
 }
 
-// ProgramFromSnapshot restores a broadcast program from a flat-index
-// snapshot slab (core.Snapshot), skipping tree construction and paging
+// ProgramFromSnapshotFile restores a broadcast program from a flat-index
+// snapshot file (core.Snapshot), skipping tree construction and paging
 // entirely. The restored program broadcasts cycles byte-identical to those
 // of the server that wrote the snapshot.
-func ProgramFromSnapshot(data []byte, m int) (*Program, *core.FlatPaged, error) {
-	fp, err := core.LoadSnapshot(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	prog, err := ProgramFromFlat(fp, m)
-	if err != nil {
-		return nil, nil, err
-	}
-	return prog, fp, nil
-}
-
-// ProgramFromSnapshotFile is ProgramFromSnapshot over a file.
 func ProgramFromSnapshotFile(path string, m int) (*Program, *core.FlatPaged, error) {
 	fp, err := core.LoadSnapshotFile(path)
 	if err != nil {

@@ -47,7 +47,11 @@ func TestSnapshotRestoreByteIdenticalCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	restored, rfp, err := ProgramFromSnapshot(fp.Snapshot(), 0)
+	rfp, err := core.LoadSnapshot(fp.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := ProgramFromFlat(rfp, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

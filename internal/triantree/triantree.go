@@ -29,22 +29,8 @@ type Tree struct {
 	Nodes []*Node
 }
 
-// Option configures construction.
-type Option func(*config)
-
-type config struct {
-	tmin int
-}
-
-// WithTMin overrides the coarsening threshold (default DefaultTMin).
-func WithTMin(t int) Option { return func(c *config) { c.tmin = t } }
-
 // Build constructs Kirkpatrick's hierarchy over the subdivision.
-func Build(sub *region.Subdivision, opts ...Option) (*Tree, error) {
-	cfg := config{tmin: DefaultTMin}
-	for _, o := range opts {
-		o(&cfg)
-	}
+func Build(sub *region.Subdivision) (*Tree, error) {
 	tg := newTriangulation(sub.Verts)
 	for _, c := range sub.Area.Corners() {
 		// Corners are canonical subdivision vertices (each belongs to some
@@ -80,7 +66,7 @@ func Build(sub *region.Subdivision, opts ...Option) (*Tree, error) {
 
 	// Coarsening rounds: remove an independent set of low-degree vertices
 	// and re-triangulate their stars.
-	for len(tg.live) > cfg.tmin {
+	for len(tg.live) > DefaultTMin {
 		removable := tg.independentRemovableSet()
 		if len(removable) == 0 {
 			break
@@ -92,7 +78,7 @@ func Build(sub *region.Subdivision, opts ...Option) (*Tree, error) {
 				return nil, err
 			}
 			progress = true
-			if len(tg.live) <= cfg.tmin {
+			if len(tg.live) <= DefaultTMin {
 				break
 			}
 		}

@@ -118,26 +118,6 @@ func TestPagedLocateMatchesBinary(t *testing.T) {
 	}
 }
 
-func TestTMinOption(t *testing.T) {
-	sub, _ := testutil.RandomVoronoi(t, 60, 66)
-	big, err := Build(sub, WithTMin(40))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(big.Root.Children) > 40 {
-		t.Errorf("root children %d exceed tmin 40", len(big.Root.Children))
-	}
-	small, err := Build(sub, WithTMin(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A smaller threshold must not stop coarsening earlier (more rounds).
-	if len(small.Root.Children) > len(big.Root.Children) {
-		t.Errorf("tmin 2 left more root children (%d) than tmin 40 (%d)",
-			len(small.Root.Children), len(big.Root.Children))
-	}
-}
-
 func TestNodeSizeModel(t *testing.T) {
 	params := wire.DecompositionParams(256)
 	base := &Node{Region: 3}

@@ -49,7 +49,6 @@ type Maintainer struct {
 	dirtyList  []int
 	baseAlive  []bool // alive[] snapshot at BeginBatch
 	removed    []int  // ids live at BeginBatch, dead now
-	rebuilds   int    // cells recomputed since BeginBatch (incl. clean results)
 
 	grid *siteGrid
 	clip clipper // buffers of the serial clip loop the updates run
@@ -127,7 +126,6 @@ func NewMaintainer(area geom.Rect, sites []geom.Point) (*Maintainer, error) {
 // marked dirty; the metadata is still replaced, because an identical
 // polygon can arise from a different clip sequence.
 func (m *Maintainer) setCell(j int, cell geom.Polygon, meta cellMeta) {
-	m.rebuilds++
 	for _, s := range m.meta[j].clipped {
 		m.clippedBy[s] = dropID(m.clippedBy[s], int32(j))
 	}
@@ -187,7 +185,6 @@ func (m *Maintainer) BeginBatch() {
 	m.dirtyEpoch++
 	m.dirtyList = m.dirtyList[:0]
 	m.removed = m.removed[:0]
-	m.rebuilds = 0
 	m.baseAlive = append(m.baseAlive[:0], m.alive...)
 }
 
@@ -211,11 +208,6 @@ func (m *Maintainer) BatchDelta() (dirty, removed []int) {
 	sort.Ints(removed)
 	return dirty, removed
 }
-
-// BatchRebuilds reports how many cell recomputations the current batch ran,
-// including rebuilds that came out bit-identical (observability: the
-// conservative affected-set size vs the true dirty set).
-func (m *Maintainer) BatchRebuilds() int { return m.rebuilds }
 
 // maybeRegrid re-dimensions the grid when the live population has drifted
 // far from what the buckets were sized for.
@@ -241,14 +233,6 @@ func (m *Maintainer) Site(id int) (geom.Point, error) {
 		return geom.Point{}, fmt.Errorf("voronoi: no live site %d", id)
 	}
 	return m.sites[id], nil
-}
-
-// Cell returns the current valid scope of site id.
-func (m *Maintainer) Cell(id int) (geom.Polygon, error) {
-	if id < 0 || id >= len(m.sites) || !m.alive[id] {
-		return nil, fmt.Errorf("voronoi: no live site %d", id)
-	}
-	return m.cells[id].Clone(), nil
 }
 
 // grow extends the per-site-id arrays for a new id.

@@ -96,16 +96,6 @@ func (l *Layout) PacketsOf(id int) []int32 {
 	return l.sparse[id]
 }
 
-// FirstPacket returns the first packet offset of node id, or -1 when the
-// node is not placed.
-func (l *Layout) FirstPacket(id int) int {
-	pk := l.PacketsOf(id)
-	if len(pk) == 0 {
-		return -1
-	}
-	return int(pk[0])
-}
-
 // SizeBytes returns the total occupied bytes across all packets.
 func (l *Layout) SizeBytes() int {
 	var s int

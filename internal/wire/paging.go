@@ -249,30 +249,3 @@ func page(nodes []NodeSpec, capacity int, parentAffinity, mergeLeaves bool) (*La
 
 	return newLayout(capacity, count, occupied, packetNodes, place), nil
 }
-
-// BFSOrder produces a breadth-first broadcast order over a tree or DAG given
-// the root and a children accessor; each node is emitted once, at its first
-// discovery, with Parent set to the discovering node. The returned specs
-// have Size/Leaf filled by the size and leaf callbacks.
-func BFSOrder(root int, children func(int) []int, size func(int) int, leaf func(int) bool) []NodeSpec {
-	seen := map[int]bool{root: true}
-	queue := []int{root}
-	parent := map[int]int{root: -1}
-	var out []NodeSpec
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		ch := children(id)
-		out = append(out, NodeSpec{
-			ID: id, Size: size(id), Parent: parent[id], Children: ch, Leaf: leaf(id),
-		})
-		for _, c := range ch {
-			if !seen[c] {
-				seen[c] = true
-				parent[c] = id
-				queue = append(queue, c)
-			}
-		}
-	}
-	return out
-}

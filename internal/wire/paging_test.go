@@ -166,30 +166,6 @@ func TestRandomTreePagingInvariants(t *testing.T) {
 	}
 }
 
-func TestBFSOrder(t *testing.T) {
-	children := map[int][]int{0: {1, 2}, 1: {3}, 2: {3, 4}}
-	specs := BFSOrder(0,
-		func(id int) []int { return children[id] },
-		func(id int) int { return 10 },
-		func(id int) bool { return len(children[id]) == 0 },
-	)
-	if len(specs) != 5 {
-		t.Fatalf("specs = %d, want 5 (node 3 emitted once)", len(specs))
-	}
-	pos := map[int]int{}
-	for i, s := range specs {
-		pos[s.ID] = i
-	}
-	for _, s := range specs {
-		if s.Parent >= 0 && pos[s.Parent] >= pos[s.ID] {
-			t.Fatalf("node %d before its parent %d", s.ID, s.Parent)
-		}
-	}
-	if specs[0].Parent != -1 {
-		t.Error("root parent should be -1")
-	}
-}
-
 func TestParamsPresets(t *testing.T) {
 	for _, p := range []Params{DTreeParams(512), DecompositionParams(512), RStarParams(512)} {
 		if err := p.Validate(); err != nil {
