@@ -101,9 +101,9 @@ func (r regionSpan) keyVal(k int) float64 {
 // scratch, the left-subspace ids, the extent, the kept segments of the
 // style being scored and of the best style so far, the canonical polygon
 // and clip buffers of the inter-prob band area, and the segment chainer.
-// Each task owns its scratch (pooled per build, never retained by the
-// tree), so evaluate runs map-free and, once the buffers are warm,
-// allocates only the winner's polylines.
+// Each task owns its scratch (kept on the builder's free list between
+// tasks, never retained by the tree), so evaluate runs map-free and, once
+// the buffers are warm, allocates only the winner's polylines.
 type buildScratch struct {
 	mark   []int32
 	epoch  int32
@@ -123,7 +123,32 @@ type builder struct {
 	opts  buildOptions
 	keys  []int         // enabled subset slots, in option order
 	sem   chan struct{} // spawn tokens; nil = sequential build
-	pool  sync.Pool     // of *buildScratch
+
+	// free holds the scratch of finished tasks for later ones. It dies
+	// with the builder, so a finished build's scratch is garbage at the
+	// next collection; a sync.Pool would keep it through two.
+	mu   sync.Mutex
+	free []*buildScratch
+}
+
+// scratch hands a task the scratch a finished task released, or a new one.
+func (b *builder) scratch() *buildScratch {
+	b.mu.Lock()
+	if k := len(b.free); k > 0 {
+		sc := b.free[k-1]
+		b.free = b.free[:k-1]
+		b.mu.Unlock()
+		return sc
+	}
+	b.mu.Unlock()
+	return &buildScratch{mark: make([]int32, len(b.spans))}
+}
+
+// release returns a finished task's scratch to the free list.
+func (b *builder) release(sc *buildScratch) {
+	b.mu.Lock()
+	b.free = append(b.free, sc)
+	b.mu.Unlock()
 }
 
 // Build constructs the D-tree for a subdivision by recursively partitioning
@@ -183,11 +208,9 @@ func Build(sub *region.Subdivision, opts ...BuildOption) (*Tree, error) {
 	if workers > 1 {
 		b.sem = make(chan struct{}, workers-1)
 	}
-	b.pool.New = func() interface{} { return &buildScratch{mark: make([]int32, sub.N())} }
-
-	sc := b.pool.Get().(*buildScratch)
+	sc := b.scratch()
 	ref, err := b.split(root, sc)
-	b.pool.Put(sc)
+	b.release(sc)
 	if err != nil {
 		return nil, err
 	}
@@ -249,9 +272,9 @@ func (b *builder) split(sub subset, sc *buildScratch) (ChildRef, error) {
 			go func() {
 				defer wg.Done()
 				defer func() { <-b.sem }()
-				lsc := b.pool.Get().(*buildScratch)
+				lsc := b.scratch()
 				left, lerr = b.split(leftSub, lsc)
-				b.pool.Put(lsc)
+				b.release(lsc)
 			}()
 			right, rerr = b.split(rightSub, sc)
 			wg.Wait()

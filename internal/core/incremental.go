@@ -257,15 +257,14 @@ func (inc *Incremental) Rebuild(sub *region.Subdivision, dirtyKeys []int) (*Tree
 		orders[k] = merged
 	}
 
-	b.pool.New = func() interface{} { return &buildScratch{mark: make([]int32, n)} }
 	r := &rebuilder{
 		inc: inc, b: b,
 		newKeyOf: newKeyOf, newIdxOf: newIdxOf, dirty: dirty,
 		oldMark: make([]int32, maxKey+1),
 	}
-	sc := b.pool.Get().(*buildScratch)
+	sc := b.scratch()
 	ref, err := r.split(orders, sc)
-	b.pool.Put(sc)
+	b.release(sc)
 	if err != nil {
 		return nil, Delta{}, err
 	}

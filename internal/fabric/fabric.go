@@ -79,15 +79,13 @@ func equalClips(a, b []clippedRegion) bool {
 }
 
 // Shard is one channel's compiled broadcast: the clipped subdivision it
-// indexes, its D-tree, and the rendered-ready program whose index copies
-// carry the channel directory as a prefix.
+// indexes, its flat D-tree arena, and the rendered-ready program whose
+// index copies carry the channel directory as a prefix.
 type Shard struct {
 	Channel int
 	Rect    geom.Rect
 	Sub     *region.Subdivision
 	IDs     []int // local bucket -> global data-instance id
-	Tree    *core.Tree
-	Paged   *core.Paged
 	// Flat is the arena the shard serves queries from (Access/AccessInto)
 	// and encodes its packets from; its snapshot hands the shard's index to
 	// another process without a rebuild.
@@ -153,7 +151,7 @@ func shardChannel(dir *Directory, ch int, rect geom.Rect, capacity int, opts Opt
 		Area:         rect,
 		Capacity:     capacity,
 		Prefix:       prefix,
-		Stamp:        DataStamp,
+		GlobalIDs:    true,
 		BuildWorkers: opts.BuildWorkers,
 	}
 	if opts.Adjacency {
@@ -276,8 +274,6 @@ func newShard(ch int, rect geom.Rect, ids []int, clips []clippedRegion, cut *str
 		Rect:    rect,
 		Sub:     cut.Sub,
 		IDs:     ids,
-		Tree:    cut.Tree,
-		Paged:   cut.Paged,
 		Flat:    cut.Flat,
 		Prog:    cut.Prog,
 		clips:   clips,
@@ -293,23 +289,9 @@ func (f *Fabric) Programs() []*stream.Program {
 	return out
 }
 
-// DataStamp extends stream.BucketStamp with the global numbering: bytes
-// [0,8) carry the local bucket and packet ids exactly as BucketStamp does
-// (so stream.VerifyStampedData still applies), and bytes [8,12) of every
-// packet carry the region's global data-instance id, so a hopping client
-// reports answers in the global numbering without out-of-band state. Like
-// every data generator it fills in place and allocates nothing.
-func DataStamp(ids []int) func(dst []byte, bucket, pkt int) {
-	return func(dst []byte, bucket, pkt int) {
-		stream.BucketStamp(dst, bucket, pkt)
-		if bucket >= 0 && bucket < len(ids) && len(dst) >= 12 {
-			binary.LittleEndian.PutUint32(dst[8:], uint32(ids[bucket]))
-		}
-	}
-}
-
-// GlobalIDFromData extracts the global data-instance id DataStamp wrote
-// into a downloaded bucket.
+// GlobalIDFromData extracts the global data-instance id a shard's data
+// packets carry in bytes [8,12) (stream.Program.IDs) from a downloaded
+// bucket.
 func GlobalIDFromData(data []byte) (int, error) {
 	if len(data) < 12 {
 		return 0, fmt.Errorf("fabric: bucket data %d bytes, no global id", len(data))

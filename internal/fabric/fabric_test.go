@@ -1,12 +1,14 @@
 package fabric
 
 import (
+	"io"
 	"math/rand"
 	"testing"
 
 	"airindex/internal/core"
 	"airindex/internal/dataset"
 	"airindex/internal/geom"
+	"airindex/internal/stream"
 	"airindex/internal/voronoi"
 	"airindex/internal/wire"
 )
@@ -175,7 +177,7 @@ func TestFabricBitIdenticalToSingleChannel(t *testing.T) {
 					p := randomPoint(rng, ds.Area)
 					want, _ := flat.Locate(p)
 					ch := f.Dir.Route(p)
-					local, _ := f.Shards[ch].Paged.Locate(p)
+					local, _ := f.Shards[ch].Flat.Locate(p)
 					if local < 0 {
 						t.Fatalf("%s S=%d cap=%d: %v unresolved in shard %d", ds.Name, S, capacity, p, ch)
 					}
@@ -245,19 +247,48 @@ func TestFabricAccessAccounting(t *testing.T) {
 	}
 }
 
+// TestDataStampCarriesGlobalID pins the shard data stamp on the air: every
+// bucket a client downloads from a shard's broadcast carries its local
+// bucket and packet ids (stream.VerifyStampedData) and, in bytes [8,12),
+// the bucket's global data-instance id.
 func TestDataStampCarriesGlobalID(t *testing.T) {
-	ids := []int{42, 7, 1000000}
-	stamp := DataStamp(ids)
-	payload := make([]byte, 64)
-	for bucket := range ids {
-		clear(payload)
-		stamp(payload, bucket, 0)
-		got, err := GlobalIDFromData(payload)
-		if err != nil {
+	ds := dataset.Uniform(60, 19)
+	const capacity = 128
+	f, err := Build(ds.Area, ds.Sites, 2, capacity, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sh := range f.Shards {
+		pr, pw := io.Pipe()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			sh.Prog.Transmit(pw, 0, nil) //nolint:errcheck // ends when the reader closes
+		}()
+		t.Cleanup(func() {
+			pr.Close()
+			<-done
+		})
+		c := stream.NewClient(pr, capacity)
+		var res stream.Result
+		if err := c.Probe(&res); err != nil {
 			t.Fatal(err)
 		}
-		if got != ids[bucket] {
-			t.Fatalf("bucket %d stamped global %d, want %d", bucket, got, ids[bucket])
+		for bucket, id := range sh.IDs {
+			data, err := c.FetchBucket(bucket, &res)
+			if err != nil {
+				t.Fatalf("shard %d bucket %d: %v", sh.Channel, bucket, err)
+			}
+			if err := stream.VerifyStampedData(data, capacity, bucket); err != nil {
+				t.Fatalf("shard %d: %v", sh.Channel, err)
+			}
+			got, err := GlobalIDFromData(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != id {
+				t.Fatalf("shard %d bucket %d stamped global %d, want %d", sh.Channel, bucket, got, id)
+			}
 		}
 	}
 	if _, err := GlobalIDFromData(make([]byte, 4)); err == nil {

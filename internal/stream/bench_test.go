@@ -4,10 +4,15 @@ import (
 	"bytes"
 	"io"
 	"math"
+	"math/rand"
+	"net"
 	"testing"
 
 	"airindex/internal/channel"
+	"airindex/internal/dataset"
+	"airindex/internal/geom"
 	"airindex/internal/testutil"
+	"airindex/internal/voronoi"
 )
 
 func benchProgram(b *testing.B, n, capacity int) *Program {
@@ -101,9 +106,8 @@ func requireZeroAllocTransmit(t *testing.T, prog *Program, ch *channel.Channel) 
 
 // TestTransmitHotPathZeroAlloc pins the zero-allocation contract of the
 // instrumented transmit path: with metrics enabled, transmitting on the
-// perfect-channel path allocates nothing — for a single channel's stamped
-// program and for a fabric shard's, whose data generator writes global ids
-// into every data frame it synthesizes.
+// perfect-channel path allocates nothing — for a single channel's program
+// and for a fabric shard's, whose data frames carry global ids.
 func TestTransmitHotPathZeroAlloc(t *testing.T) {
 	for name, prog := range zeroAllocPrograms(t) {
 		t.Run(name, func(t *testing.T) { requireZeroAllocTransmit(t, prog, nil) })
@@ -221,4 +225,63 @@ func BenchmarkRenderCycle(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkLoopbackQuery measures wall-clock query-to-answer over the real
+// stream, the way a client sees it: a Server on 127.0.0.1 broadcasting the
+// 10k-site, 128 B program at full speed (dataset.LargeUniform(10000), the
+// live benchmark's broadcast) and one Client issuing closed-loop point
+// queries at uniform random points. Every answer is checked: its bucket is
+// the arena's answer for the point, and its data carries the bucket's
+// stamp (VerifyStampedData). ns/op is per query; frames/s is the server's
+// transmit rate over the timed queries.
+func BenchmarkLoopbackQuery(b *testing.B) {
+	const capacity = 128
+	ds := dataset.LargeUniform(10_000)
+	sub, err := voronoi.Subdivision(ds.Area, ds.Sites)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog, fp, err := CompileDTree(sub, capacity, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := NewServer(ln, prog)
+	if err != nil {
+		b.Fatal(err)
+	}
+	go srv.Serve() //nolint:errcheck
+	defer srv.Close()
+	c, err := Dial(ln.Addr().String(), capacity)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	rng := rand.New(rand.NewSource(1))
+	query := func() {
+		p := geom.Pt(ds.Area.MinX+rng.Float64()*ds.Area.W(), ds.Area.MinY+rng.Float64()*ds.Area.H())
+		res, err := c.Query(p)
+		if err != nil {
+			b.Fatalf("query %v: %v", p, err)
+		}
+		if want, _ := fp.Locate(p); res.Bucket != want {
+			b.Fatalf("query %v: bucket %d, the arena says %d", p, res.Bucket, want)
+		}
+		if err := VerifyStampedData(res.Data, capacity, res.Bucket); err != nil {
+			b.Fatalf("query %v: %v", p, err)
+		}
+	}
+	query() // tune in
+	m := srv.Metrics()
+	frames := m.FramesWritten.Load()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		query()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(m.FramesWritten.Load()-frames)/b.Elapsed().Seconds(), "frames/s")
 }

@@ -165,9 +165,10 @@ func Dial(addr string, capacity int) (*Client, error) {
 	return c, nil
 }
 
-// rxBufSize is the client's read-buffer size: one read syscall per ~64 KB
-// of broadcast, and the span one skim can doze through.
-const rxBufSize = 64 << 10
+// rxBufSize is the client's receive span: the read-buffer size, so one
+// read syscall per ~256 KB of broadcast, and the most one skim can doze
+// through. It matches the transmit span (txBufSize).
+const rxBufSize = 256 << 10
 
 // NewClient wraps any frame stream (e.g. one end of net.Pipe in tests).
 // The read buffer holds at least one whole frame, so payloads can be

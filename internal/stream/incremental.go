@@ -25,8 +25,8 @@ import (
 // fabric shard (keys are global data-instance ids of the clipped cells).
 
 // Channel describes one (1, m) broadcast channel: what every generation
-// compiled for it shares. A single channel leaves Prefix and Stamp nil; a
-// fabric shard sets them to its directory and its global-id stamp.
+// compiled for it shares. A single channel leaves Prefix nil and GlobalIDs
+// unset; a fabric shard sets them to its directory and to true.
 type Channel struct {
 	// Area is the channel's service rectangle: the outer boundary of its
 	// tiling and the area of its adjacency table.
@@ -36,11 +36,12 @@ type Channel struct {
 	M int
 	// Prefix leads every index copy, ahead of the appendix and the tree.
 	Prefix [][]byte
-	// Stamp, when set, builds a generation's data generator from its
-	// region -> key mapping; the keys are then global data-instance ids,
-	// which the adjacency table carries too. Nil broadcasts BucketStamp
-	// payloads, whose data-CRC table a cut shares across generations.
-	Stamp func(keys []int) func(dst []byte, bucket, pkt int)
+	// GlobalIDs marks the keys as global data-instance ids: every data
+	// packet carries its bucket's key (Program.IDs), and so does the
+	// adjacency table. Without them a data payload is a pure function of
+	// its bucket and packet, so a cut shares the data-CRC table across
+	// generations.
+	GlobalIDs bool
 	// SiteOf, when set, makes every generation carry the region-adjacency
 	// table (continuous queries), resolving a region's key to its site.
 	SiteOf func(key int) (geom.Point, error)
@@ -53,8 +54,6 @@ type Channel struct {
 // i-th key the generation was compiled from.
 type Cut struct {
 	Sub   *region.Subdivision
-	Tree  *core.Tree
-	Paged *core.Paged
 	Flat  *core.FlatPaged
 	Prog  *Program
 	Stats CutStats
@@ -93,7 +92,7 @@ func (ch *Channel) Program(sub *region.Subdivision, keys []int, fp *core.FlatPag
 		if err != nil {
 			return nil, err
 		}
-		if ch.Stamp != nil {
+		if ch.GlobalIDs {
 			adj.IDs = make([]int32, len(keys))
 			for i, key := range keys {
 				adj.IDs[i] = int32(key)
@@ -106,15 +105,11 @@ func (ch *Channel) Program(sub *region.Subdivision, keys []int, fp *core.FlatPag
 			return nil, err
 		}
 	}
-	if ch.Stamp != nil {
-		return Assemble(ch.Prefix, fp, ch.M, ch.Stamp(keys))
+	var ids []int
+	if ch.GlobalIDs {
+		ids = keys
 	}
-	prog, err := Assemble(ch.Prefix, fp, ch.M, BucketStamp)
-	if err != nil {
-		return nil, err
-	}
-	prog.stamped = true
-	return prog, nil
+	return Assemble(ch.Prefix, fp, ch.M, ids)
 }
 
 // Build compiles a subdivision from scratch — build, page, flatten,
@@ -139,7 +134,7 @@ func (ch *Channel) finish(sub *region.Subdivision, keys []int, tree *core.Tree, 
 	if err != nil {
 		return nil, err
 	}
-	return &Cut{Sub: sub, Tree: tree, Paged: paged, Flat: fp, Prog: prog}, nil
+	return &Cut{Sub: sub, Flat: fp, Prog: prog}, nil
 }
 
 // incrFullFraction is the dirty-region fraction above which a cut falls
@@ -252,16 +247,16 @@ func (c *Compiler) incremental(keys []int, polys []geom.Polygon, dirty, removed 
 
 // finish completes a built tree against the retained generation — arena
 // patch-in-place and data-CRC sharing — and retains it as the next cut's
-// base. A stamped program is rendered here, sharing the previous cycle's
-// data-CRC table; any other program's data payloads depend on the
-// generation's keys, so it renders in full when it is published
+// base. A program without global ids is rendered here, sharing the
+// previous cycle's data-CRC table; one with them carries the generation's
+// keys in its data payloads, so it renders in full when it is published
 // (Server.Swap).
 func (c *Compiler) finish(sub *region.Subdivision, keys []int, tree *core.Tree) (*Cut, error) {
 	cut, err := c.ch.finish(sub, keys, tree, c.flat)
 	if err != nil {
 		return nil, err
 	}
-	if cut.Prog.stamped {
+	if cut.Prog.IDs == nil {
 		if c.prog != nil {
 			rc, err := renderPatched(cut.Prog, c.prog)
 			if err != nil {
@@ -278,18 +273,18 @@ func (c *Compiler) finish(sub *region.Subdivision, keys []int, tree *core.Tree) 
 }
 
 // renderPatched renders p's cycle against the previous generation's. When
-// both programs carry the canonical stamped data generator — so a data
-// payload, and its CRC, is a pure function of (bucket, packet) and never of
-// the generation — and keep the capacity, the bucket count and the packets
-// per bucket, the data-CRC table is the previous generation's: it is
-// indexed by data packet, not by cycle position, so neither a drifted
-// schedule (the encoded tree grew or shrank past a packet boundary) nor a
-// new m changes it. The new cycle then shares that table by reference and
+// neither program carries global ids — so a data payload, and its CRC, is
+// a pure function of (bucket, packet) and never of the generation — and
+// they keep the capacity, the bucket count and the packets per bucket, the
+// data-CRC table is the previous generation's: it is indexed by data
+// packet, not by cycle position, so neither a drifted schedule (the
+// encoded tree grew or shrank past a packet boundary) nor a new m changes
+// it. The new cycle then shares that table by reference and
 // computes only its index CRCs. Anything else falls back to a full
 // render. TestRenderPatchedSharesDataCRC pins both outcomes against a cold
 // render.
 func renderPatched(p, prev *Program) (*renderedCycle, error) {
-	if prev.rendered == nil || !p.stamped || !prev.stamped ||
+	if prev.rendered == nil || p.IDs != nil || prev.IDs != nil ||
 		p.Capacity != prev.Capacity ||
 		p.Sched.NumBuckets != prev.Sched.NumBuckets ||
 		p.Sched.BucketPackets != prev.Sched.BucketPackets {

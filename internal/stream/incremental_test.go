@@ -136,7 +136,7 @@ func TestRenderPatchedSharesDataCRC(t *testing.T) {
 			Capacity:     next.Capacity,
 			IndexPackets: next.IndexPackets,
 			Sched:        next.Sched,
-			Data:         next.Data,
+			IDs:          next.IDs,
 		}
 		crc, err := cold.Rendered()
 		if err != nil {

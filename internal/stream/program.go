@@ -25,7 +25,7 @@ func CompileDTree(sub *region.Subdivision, capacity, m int) (*Program, *core.Fla
 // NewDTreeProgram assembles a complete broadcast program for a subdivision:
 // a paged and encoded D-tree, a (1, m) schedule (optimal m when m <= 0),
 // and synthetic data payloads whose first bytes identify the bucket (so
-// clients and tests can verify what they downloaded).
+// clients and tests can verify what they downloaded; VerifyStampedData).
 func NewDTreeProgram(sub *region.Subdivision, capacity, m int) (*Program, error) {
 	prog, _, err := CompileDTree(sub, capacity, m)
 	return prog, err
@@ -34,7 +34,7 @@ func NewDTreeProgram(sub *region.Subdivision, capacity, m int) (*Program, error)
 // ProgramFromFlat assembles a single-channel broadcast program from a flat
 // paged index — the shared tail of a fresh compile and a snapshot restore,
 // so both paths put byte-identical cycles on the air. Its data packets carry
-// BucketStamp payloads.
+// no global ids.
 func ProgramFromFlat(fp *core.FlatPaged, m int) (*Program, error) {
 	return (&Channel{M: m}).Program(nil, nil, fp)
 }
@@ -45,9 +45,10 @@ func ProgramFromFlat(fp *core.FlatPaged, m int) (*Program, error) {
 // on a single channel), and the appendix is present when the arena carries
 // a region-adjacency table — its packet 0 names the appendix length and the
 // tree root follows right behind, so a point-query client skips it with
-// QueryShifted. data fills the bucket payloads (Program.Data). m <= 0
-// picks the optimal number of index copies per cycle.
-func Assemble(prefix [][]byte, fp *core.FlatPaged, m int, data func(dst []byte, bucket, pkt int)) (*Program, error) {
+// QueryShifted. ids, when set, are the buckets' global data-instance ids
+// the data packets carry (Program.IDs). m <= 0 picks the optimal number of
+// index copies per cycle.
+func Assemble(prefix [][]byte, fp *core.FlatPaged, m int, ids []int) (*Program, error) {
 	tree, err := fp.EncodePackets()
 	if err != nil {
 		return nil, err
@@ -81,7 +82,7 @@ func Assemble(prefix [][]byte, fp *core.FlatPaged, m int, data func(dst []byte, 
 		Capacity:     capacity,
 		IndexPackets: packets,
 		Sched:        sched,
-		Data:         data,
+		IDs:          ids,
 	}
 	if err := prog.Validate(); err != nil {
 		return nil, err
@@ -105,15 +106,21 @@ func ProgramFromSnapshotFile(path string, m int) (*Program, *core.FlatPaged, err
 	return prog, fp, nil
 }
 
-// BucketStamp is the data generator that stamps every data packet with
-// its bucket id and packet number, for end-to-end verification: bytes
-// [0,4) carry the bucket and [4,8) the packet, and the rest stays zero.
-func BucketStamp(dst []byte, bucket, pkt int) {
-	binary.LittleEndian.PutUint32(dst[0:], uint32(bucket))
-	binary.LittleEndian.PutUint32(dst[4:], uint32(pkt))
+// putData fills data packet pkt of bucket into dst, which holds zeros:
+// bytes [0,4) carry the bucket and [4,8) the packet, for end-to-end
+// verification (VerifyStampedData), and with ids bytes [8,12) carry the
+// bucket's global data-instance id, so a fabric client reports answers in
+// the global numbering without out-of-band state. The transmitter and the
+// CRC table both fill payloads here, so the two cannot disagree.
+func putData(dst []byte, ids []int, bucket, pkt int) {
+	binary.LittleEndian.PutUint64(dst, uint64(uint32(bucket))|uint64(uint32(pkt))<<32)
+	if ids != nil && len(dst) >= 12 {
+		binary.LittleEndian.PutUint32(dst[8:], uint32(ids[bucket]))
+	}
 }
 
-// VerifyStampedData checks a downloaded bucket against BucketStamp.
+// VerifyStampedData checks the bucket and packet ids every packet of a
+// downloaded bucket carries in its first 8 bytes.
 func VerifyStampedData(data []byte, capacity, bucket int) error {
 	if len(data)%capacity != 0 || len(data) == 0 {
 		return fmt.Errorf("stream: downloaded %d bytes, not a whole number of %d-byte packets", len(data), capacity)

@@ -12,27 +12,27 @@ import (
 // and the generation in the header, the frame transmitted at slot s is
 // identical to the frame at slot s % cycleLen. Almost none of that frame
 // needs to be stored, though: an index frame's payload is an IndexPackets
-// entry, the same in all m copies; a data frame's payload is what the
-// program's data generator fills in; and the next-index delta is the
-// frame's distance to the end of its copy segment, which the schedule
-// gives. The one part that costs real work per frame is the payload CRC.
-// So renderedCycle keeps no frames at all: it keeps one payload CRC per
-// index offset and one per data packet, and the transmitter synthesizes
-// every frame straight into the connection's write buffer from those four
-// sources.
+// entry, the same in all m copies; a data frame's payload is its bucket
+// and packet ids plus, on a fabric shard, the bucket's global id
+// (putData); and the next-index delta is the frame's distance to the end
+// of its copy segment, which the schedule gives. The one part that costs
+// real work per frame is the payload CRC. So renderedCycle keeps no frames
+// at all: it keeps one payload CRC per index offset and one per data
+// packet, and the transmitter synthesizes every frame straight into the
+// connection's write buffer from those four sources.
 //
 // A data packet's CRC depends only on its bucket, its packet number and
-// the data generator, never on where the packet sits in the cycle. So a
-// generation cut that keeps the stamped generator and the bucket geometry
-// shares the previous generation's data-CRC table by reference
-// (renderPatched) and computes only the index CRCs. The tables are
-// immutable once built and are shared read-only by every connection
+// the bucket's global id, never on where the packet sits in the cycle. So
+// a generation cut without global ids that keeps the capacity and the
+// bucket geometry shares the previous generation's data-CRC table by
+// reference (renderPatched) and computes only the index CRCs. The tables
+// are immutable once built and are shared read-only by every connection
 // goroutine and by later generations.
 type renderedCycle struct {
-	index    [][]byte                          // the program's index packets, by offset in a copy
-	data     func(dst []byte, bucket, pkt int) // nil: zero payloads
-	indexCRC []uint32                          // payload CRC of each index offset
-	dataCRC  []uint32                          // payload CRC of data packet bucket*bucketPackets + pkt
+	index    [][]byte // the program's index packets, by offset in a copy
+	ids      []int    // the program's per-bucket global ids (nil: none)
+	indexCRC []uint32 // payload CRC of each index offset
+	dataCRC  []uint32 // payload CRC of data packet bucket*bucketPackets + pkt
 	// starts holds the cycle position of each index copy, ascending, and
 	// the cycle length last: copy j's segment (the copy and the data
 	// segment behind it) is [starts[j], starts[j+1]).
@@ -65,7 +65,7 @@ func (rc *renderedCycle) copyAt(pos int) int {
 
 // renderCycle computes p's payload-CRC tables. With shared set, the data
 // table is taken from it by reference — shared must belong to a program
-// with the same capacity, bucket geometry and data generator
+// with the same capacity and bucket geometry, neither carrying global ids
 // (renderPatched) — and only the index CRCs are computed. Byte identity
 // of the transmitted frames with the frame-at-a-time wire path is pinned
 // by TestTransmitMatchesLegacy.
@@ -76,7 +76,7 @@ func renderCycle(p *Program, shared *renderedCycle) (*renderedCycle, error) {
 	s := p.Sched
 	rc := &renderedCycle{
 		index:         p.IndexPackets,
-		data:          p.Data,
+		ids:           p.IDs,
 		indexCRC:      make([]uint32, len(p.IndexPackets)),
 		starts:        make([]int, s.M+1),
 		bucketPackets: s.BucketPackets,
@@ -103,9 +103,7 @@ func renderCycle(p *Program, shared *renderedCycle) (*renderedCycle, error) {
 	payload := make([]byte, p.Capacity)
 	for d := range rc.dataCRC {
 		clear(payload)
-		if p.Data != nil {
-			p.Data(payload, d/s.BucketPackets, d%s.BucketPackets)
-		}
+		putData(payload, p.IDs, d/s.BucketPackets, d%s.BucketPackets)
 		rc.dataCRC[d] = Checksum(payload)
 	}
 	return rc, nil
@@ -202,7 +200,7 @@ func (t *transmitter) flush() error {
 // run covers at least one slot.
 //
 // Each frame is synthesized in place in the write buffer: its header, its
-// payload (copied from the index packet, or filled by the data generator)
+// payload (copied from the index packet, or the data stamp putData writes)
 // and its CRC from the table. The same loop serves the perfect channel
 // and the fault channel. A fault channel judges each frame in the
 // writer's own bytes: the middleware may flip payload bits in place, and a
@@ -235,7 +233,7 @@ func (t *transmitter) transmitRun(abs, rel, limit int, gen uint32) (int, error) 
 	w := len(t.buf)
 	if !isIndex {
 		bucket, pkt = d/rc.bucketPackets, d%rc.bucketPackets
-		// Data payloads are filled over zeros; one bulk clear of the run's
+		// Data payloads are stamped over zeros; one bulk clear of the run's
 		// frames is far cheaper than one per frame.
 		clear(buf[w : w+n*fs])
 	}
@@ -247,9 +245,7 @@ func (t *transmitter) transmitRun(abs, rel, limit int, gen uint32) (int, error) 
 			copy(f[headerSize:], rc.index[off+k])
 		} else {
 			putHeader(f, KindData, uint32(abs+k), DataSeq(bucket, pkt), payloadLen, uint16(end-pos-k), gen, rc.dataCRC[d+k])
-			if rc.data != nil {
-				rc.data(f[headerSize:], bucket, pkt)
-			}
+			putData(f[headerSize:], rc.ids, bucket, pkt)
 			if pkt++; pkt == rc.bucketPackets {
 				bucket, pkt = bucket+1, 0
 			}

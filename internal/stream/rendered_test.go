@@ -2,10 +2,12 @@ package stream
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math"
 	"math/rand"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -57,9 +59,13 @@ func (p *Program) frameAt(slot int) (Header, []byte) {
 	bucket, pkt := p.Sched.BucketAt(pos)
 	h.Kind = KindData
 	h.Seq = DataSeq(bucket, pkt)
+	// The data stamp, field by field: bucket and packet ids in bytes [0,8)
+	// and, on a program with global ids, the bucket's id in bytes [8,12).
 	payload := make([]byte, p.Capacity)
-	if p.Data != nil {
-		p.Data(payload, bucket, pkt)
+	binary.LittleEndian.PutUint32(payload[0:], uint32(bucket))
+	binary.LittleEndian.PutUint32(payload[4:], uint32(pkt))
+	if p.IDs != nil && p.Capacity >= 12 {
+		binary.LittleEndian.PutUint32(payload[8:], uint32(p.IDs[bucket]))
 	}
 	return h, payload
 }
@@ -158,8 +164,8 @@ func TestRenderedCycleMatchesFrameAt(t *testing.T) {
 
 // ShardPrograms returns successive generations of one fabric shard's
 // program at the given capacity: a directory prefix and an adjacency
-// appendix in every index copy, and fabric.DataStamp global ids in every
-// data packet. The fabric imports this package, so the external test file
+// appendix in every index copy, and global ids (Program.IDs) in every data
+// packet. The fabric imports this package, so the external test file
 // shard_programs_test.go sets it.
 var ShardPrograms func(tb testing.TB, capacity int) []*Program
 
@@ -214,8 +220,8 @@ func sharesDataCRC(a, b *renderedCycle) bool {
 // the data-CRC table, under Gilbert–Elliott loss plus corruption, and from
 // a live server pacing every frame. A fabric shard's generations run the
 // same perfect, lossy and swap checks: their index copies lead with the
-// directory and the adjacency appendix, and their data generator writes
-// global ids, so a CRC table built from the wrong generator shows here.
+// directory and the adjacency appendix, and their data packets carry
+// global ids, so a CRC table built without them shows here.
 func TestTransmitMatchesLegacy(t *testing.T) {
 	const capacity = 128
 	sub, _ := testutil.RandomVoronoi(t, 90, 8403)
@@ -379,5 +385,121 @@ func TestRenderedSize(t *testing.T) {
 	}
 	if want := 4*(prog.Sched.IndexPackets+prog.Sched.DataPackets()) + 8*(prog.Sched.M+1); size != want {
 		t.Errorf("size = %d, want %d", size, want)
+	}
+}
+
+// writeRecord is one Write a server connection made: its length, and the
+// server's wire counters when it was made.
+type writeRecord struct {
+	n             int
+	frames, bytes int64
+}
+
+// recordingListener hands the server connections whose every Write is
+// recorded with the server's wire counters at that moment.
+type recordingListener struct {
+	net.Listener
+	m      func() *Metrics
+	mu     sync.Mutex
+	writes []writeRecord
+}
+
+func (l *recordingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &recordingConn{Conn: c, l: l}, nil
+}
+
+type recordingConn struct {
+	net.Conn
+	l *recordingListener
+}
+
+func (c *recordingConn) Write(p []byte) (int, error) {
+	m := c.l.m()
+	c.l.mu.Lock()
+	c.l.writes = append(c.l.writes, writeRecord{len(p), m.FramesWritten.Load(), m.BytesWritten.Load()})
+	c.l.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+// TestTransmitWriteContract pins how a server connection writes: at full
+// speed every Write is a whole number of frames and at most one transmit
+// span, and all but the last fill the span as far as whole frames go; with
+// real-time pacing every Write is exactly one frame, flushed on its slot
+// tick. Either way the wire counters are exact after every flush: each
+// Write sees the counters cover every earlier Write, and once the
+// connection is gone they cover them all.
+func TestTransmitWriteContract(t *testing.T) {
+	sub, _ := testutil.RandomVoronoi(t, 40, 283)
+	prog, err := NewDTreeProgram(sub, 128, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := headerSize + prog.Capacity
+	fullSpan := txBufSize / fs * fs
+	for _, tc := range []struct {
+		name   string
+		slot   time.Duration
+		frames int // frames the receiver reads before hanging up
+	}{
+		{"full-speed", 0, 5 * fullSpan / fs},
+		{"paced", time.Microsecond, 300},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			rl := &recordingListener{Listener: ln}
+			srv, err := NewServer(rl, prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rl.m = srv.Metrics
+			srv.SlotDuration = tc.slot
+			go srv.Serve() //nolint:errcheck
+			conn, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			conn.SetReadDeadline(time.Now().Add(30 * time.Second)) //nolint:errcheck
+			if _, err := io.ReadFull(conn, make([]byte, tc.frames*fs)); err != nil {
+				t.Fatal(err)
+			}
+			conn.Close()
+			srv.Close()
+
+			writes := rl.writes
+			if len(writes) < 2 {
+				t.Fatalf("%d writes; the test needs several", len(writes))
+			}
+			var frames, bytes int64
+			for i, w := range writes {
+				switch {
+				case w.n%fs != 0 || w.n == 0:
+					t.Fatalf("write %d: %d bytes is not a whole number of %d-byte frames", i, w.n, fs)
+				case tc.slot > 0 && w.n != fs:
+					t.Fatalf("paced write %d: %d bytes, want one %d-byte frame", i, w.n, fs)
+				case tc.slot == 0 && w.n > txBufSize:
+					t.Fatalf("write %d: %d bytes exceeds the %d-byte span", i, w.n, txBufSize)
+				case tc.slot == 0 && i < len(writes)-1 && w.n != fullSpan:
+					t.Fatalf("write %d: %d bytes, want a full %d-byte span", i, w.n, fullSpan)
+				}
+				if w.frames != frames || w.bytes != bytes {
+					t.Fatalf("write %d: counters at %d frames / %d bytes, earlier writes carried %d / %d",
+						i, w.frames, w.bytes, frames, bytes)
+				}
+				frames += int64(w.n / fs)
+				bytes += int64(w.n)
+			}
+			m := srv.Metrics()
+			if m.FramesWritten.Load() != frames || m.BytesWritten.Load() != bytes {
+				t.Fatalf("counters at %d frames / %d bytes after the last flush, writes carried %d / %d",
+					m.FramesWritten.Load(), m.BytesWritten.Load(), frames, bytes)
+			}
+		})
 	}
 }

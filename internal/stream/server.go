@@ -16,11 +16,12 @@ import (
 	"airindex/internal/channel"
 )
 
-// txBufSize is the transmit write-buffer size shared by the live server
-// and Program.Transmit, so the loss experiments and the live server
-// measure the same I/O batching (one syscall per ~64 KB instead of per
-// frame).
-const txBufSize = 64 << 10
+// txBufSize is the transmit span: the write-buffer size shared by the live
+// server and Program.Transmit, so the loss experiments and the live server
+// measure the same I/O batching. One write syscall carries ~256 KB of
+// frames; at 64 KB the read and write syscalls took over half the CPU of
+// a loopback point query (EXPERIMENTS.md, "Span-batched air path").
+const txBufSize = 256 << 10
 
 // ErrServerClosed is returned by Serve after Close or Shutdown, so callers
 // can tell a deliberate stop from an accept failure (net/http's
@@ -28,21 +29,17 @@ const txBufSize = 64 << 10
 var ErrServerClosed = errors.New("stream: server closed")
 
 // Program is the broadcast content: the encoded index packets, the (1, m)
-// schedule that orders them with the data, and the data payload source.
+// schedule that orders them with the data, and the global ids the data
+// payloads carry.
 type Program struct {
 	Capacity     int
 	IndexPackets [][]byte
 	Sched        *broadcast.Schedule
-	// Data fills the payload of one packet of one bucket into dst, which
-	// holds Capacity zero bytes. It runs on every data frame transmitted,
-	// so it must not allocate or retain dst. Nil broadcasts zero payloads.
-	Data func(dst []byte, bucket, pkt int)
-
-	// stamped marks Data as the canonical BucketStamp generator, whose
-	// payload bytes are a pure function of (bucket, pkt) — the property the
-	// incremental render path (renderPatched) needs to reuse the data-CRC
-	// table across generations.
-	stamped bool
+	// IDs, when set, holds each bucket's global data-instance id (a fabric
+	// shard's local bucket -> global numbering). Every data payload carries
+	// its bucket and packet ids in bytes [0,8), and with IDs the bucket's
+	// global id in bytes [8,12); the rest is zero (putData).
+	IDs []int
 
 	renderOnce sync.Once
 	rendered   *renderedCycle
@@ -58,7 +55,7 @@ func (p *Program) setRendered(rc *renderedCycle) {
 
 // Rendered returns the program's immutable rendered cycle — its payload-CRC
 // tables — building it on first use. It is safe for concurrent use by any
-// number of connections. Mutating Capacity, IndexPackets, Sched or Data
+// number of connections. Mutating Capacity, IndexPackets, Sched or IDs
 // after the first transmission is not supported.
 func (p *Program) Rendered() (*renderedCycle, error) {
 	p.renderOnce.Do(func() {
@@ -80,11 +77,14 @@ func (p *Program) RenderedSize() (frames, bytes int, err error) {
 
 // Validate checks internal consistency.
 func (p *Program) Validate() error {
-	if p.Capacity <= 0 {
-		return fmt.Errorf("stream: capacity %d", p.Capacity)
+	if p.Capacity < 8 {
+		return fmt.Errorf("stream: capacity %d cannot hold the 8-byte data stamp", p.Capacity)
 	}
 	if p.Sched == nil {
 		return fmt.Errorf("stream: nil schedule")
+	}
+	if p.IDs != nil && len(p.IDs) != p.Sched.NumBuckets {
+		return fmt.Errorf("stream: %d global ids for %d buckets", len(p.IDs), p.Sched.NumBuckets)
 	}
 	if len(p.IndexPackets) == 0 {
 		return fmt.Errorf("stream: a broadcast program needs at least one index packet")
@@ -318,10 +318,10 @@ func (w *deadlineWriter) Write(p []byte) (int, error) {
 // streamTo broadcasts frames to one connection until it errors or the
 // server stops. Frames are synthesized in runs straight into the
 // connection's write buffer from the program and its shared CRC tables —
-// the transmit path performs no per-frame allocation. Writes are
-// buffered (one syscall per ~64 KB instead of per frame); with real-time
-// pacing every run is one frame, flushed on its slot tick. The wire
-// counters are published on every flush and on every exit.
+// the transmit path performs no per-frame allocation. Writes go out in
+// spans (one syscall per ~256 KB, txBufSize); with real-time pacing every
+// run is one frame, flushed on its slot tick. The wire counters are
+// published on every flush and on every exit.
 //
 // Every cycle boundary starts a run; there the goroutine checks for a
 // swapped program and, when draining, exits — so a graceful shutdown always

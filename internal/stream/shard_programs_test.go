@@ -18,7 +18,7 @@ func init() { stream.ShardPrograms = shardPrograms }
 // shardPrograms returns three successive generations of channel 0 of a
 // two-shard fabric with adjacency over 120 random sites: every index copy
 // carries the directory prefix and the adjacency appendix, and every data
-// packet the DataStamp global id. The later generations come from random
+// packet its bucket's global id. The later generations come from random
 // single-site moves that recompiled channel 0.
 func shardPrograms(tb testing.TB, capacity int) []*stream.Program {
 	tb.Helper()

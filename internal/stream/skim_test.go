@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"reflect"
@@ -100,20 +101,65 @@ type oracleClient interface {
 	FetchBucket(bucket int, res *Result) ([]byte, error)
 }
 
+// lenReader is a stream source that reports how many of its bytes it has
+// not handed out yet.
+type lenReader interface {
+	io.Reader
+	Len() int
+}
+
 // pair runs one receive path of each kind over its own copy of the same
 // bytes.
 type pair struct {
-	stream   []byte
-	cli, ref *bytes.Reader
-	c        *Client
-	r        *refClient
+	stream []byte
+	cli    lenReader
+	ref    *bytes.Reader
+	c      *Client
+	r      *refClient
 }
 
 func newPair(stream []byte, capacity int) *pair {
-	p := &pair{stream: stream, cli: bytes.NewReader(stream), ref: bytes.NewReader(stream)}
+	return newPairOver(bytes.NewReader(stream), stream, capacity)
+}
+
+// newPairOver is newPair with the Client reading stream through cli.
+func newPairOver(cli lenReader, stream []byte, capacity int) *pair {
+	p := &pair{stream: stream, cli: cli, ref: bytes.NewReader(stream)}
 	p.c = NewClient(p.cli, capacity)
 	p.r = newRefClient(p.ref, capacity)
 	return p
+}
+
+// chunkReader serves a byte stream in short reads of seeded random sizes,
+// the way a TCP socket hands a receiver whatever has arrived: a third of
+// the reads are at most one frame, a third at most 16 KB, and a third up
+// to one and a half receive spans (cut to the room the caller offers). So
+// headers and payloads straddle the read-buffer fills at odd offsets.
+type chunkReader struct {
+	r     *bytes.Reader
+	rng   *rand.Rand
+	frame int
+	short int // reads that returned fewer bytes than the caller asked for
+}
+
+func (c *chunkReader) Len() int { return c.r.Len() }
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	limit := c.frame
+	switch c.rng.Intn(3) {
+	case 1:
+		limit = 16 << 10
+	case 2:
+		limit = rxBufSize + rxBufSize/2
+	}
+	k := 1 + c.rng.Intn(limit)
+	if k < len(p) {
+		p = p[:k]
+		if k < c.r.Len() {
+			c.short++
+		}
+	}
+	return c.r.Read(p)
 }
 
 // positions reports how many stream bytes each path has consumed (read
@@ -242,6 +288,34 @@ func runScript(tb testing.TB, p *pair, seed int64, buckets, maxOps int) (ok int,
 // exactly what the frame-by-frame reference returns, exchange by exchange,
 // down to the stream position, including at the truncated end.
 func TestSkimMatchesReference(t *testing.T) {
+	runSkimCases(t, func(stream []byte, _ int64, capacity int) *pair { return newPair(stream, capacity) })
+}
+
+// TestSkimMatchesReferenceChunked runs the same cases with the Client
+// reading through a chunkReader: under short, odd-sized reads, frames that
+// straddle a read-buffer fill must not change a single exchange.
+func TestSkimMatchesReferenceChunked(t *testing.T) {
+	var readers []*chunkReader
+	runSkimCases(t, func(stream []byte, seed int64, capacity int) *pair {
+		cr := &chunkReader{r: bytes.NewReader(stream), rng: rand.New(rand.NewSource(seed)), frame: headerSize + capacity}
+		readers = append(readers, cr)
+		return newPairOver(cr, stream, capacity)
+	})
+	short := 0
+	for _, cr := range readers {
+		short += cr.short
+	}
+	if short == 0 {
+		t.Fatal("the chunked reader never returned a short read")
+	}
+	t.Logf("%d short reads over %d streams", short, len(readers))
+}
+
+// runSkimCases drives the receive-path identity cases, each over streams
+// from three start phases and longer than one receive span, with the
+// Client and the reference paired by pairOf (the stream, a seed, the
+// capacity).
+func runSkimCases(t *testing.T, pairOf func(stream []byte, seed int64, capacity int) *pair) {
 	const capacity = 128
 	sub1, _ := testutil.RandomVoronoi(t, 150, 2101)
 	sub2, _ := testutil.RandomVoronoi(t, 170, 2102)
@@ -256,6 +330,9 @@ func TestSkimMatchesReference(t *testing.T) {
 	frame := headerSize + capacity
 	cycle := prog1.Sched.CycleLen()
 	n := 14 * cycle * frame
+	if n <= rxBufSize {
+		t.Fatalf("a %d-byte stream fits one %d-byte receive span", n, rxBufSize)
+	}
 	// Each case names the recovery counter its faults must drive, so the
 	// identity is checked on the paths that matter, not only on clean air.
 	cases := []struct {
@@ -284,7 +361,7 @@ func TestSkimMatchesReference(t *testing.T) {
 			var ok int
 			var sum Result
 			for _, start := range []int{0, cycle/2 + 7, cycle - 2} {
-				k, s := runScript(t, newPair(tc.stream(start), capacity), int64(start)+11, sub1.N(), 200)
+				k, s := runScript(t, pairOf(tc.stream(start), int64(start)+11, capacity), int64(start)+11, sub1.N(), 200)
 				ok += k
 				sum.DozedFrames += s.DozedFrames
 				sum.LostSlots += s.LostSlots
