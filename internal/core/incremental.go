@@ -53,9 +53,6 @@ func NewIncremental(opts ...BuildOption) *Incremental {
 	return &Incremental{buildOpts: append([]BuildOption(nil), opts...)}
 }
 
-// Tree returns the latest built tree.
-func (inc *Incremental) Tree() *Tree { return inc.tree }
-
 // Full builds the tree from scratch and retains the state Rebuild patches.
 func (inc *Incremental) Full(sub *region.Subdivision) (*Tree, error) {
 	t, err := Build(sub, inc.buildOpts...)

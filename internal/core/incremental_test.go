@@ -102,10 +102,11 @@ func TestIncrementalRebuildMatchesBuild(t *testing.T) {
 	for _, seed := range []int64{3, 11, 77} {
 		d, sub := newChurnDriver(t, 48, seed)
 		inc := NewIncremental()
-		if _, err := inc.Full(sub); err != nil {
+		full, err := inc.Full(sub)
+		if err != nil {
 			t.Fatalf("full build: %v", err)
 		}
-		prevFlat := inc.Tree().Flatten()
+		prevFlat := full.Flatten()
 		var spliced, total int
 		for step := 0; step < 20; step++ {
 			batch := 1 + d.rng.Intn(3)

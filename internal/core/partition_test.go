@@ -88,26 +88,26 @@ func TestPartitionSeparatesSubspaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	var walk func(c ChildRef)
-	var centroidsUnder func(c ChildRef) []geom.Point
-	centroidsUnder = func(c ChildRef) []geom.Point {
+	var interiorsUnder func(c ChildRef) []geom.Point
+	interiorsUnder = func(c ChildRef) []geom.Point {
 		if c.IsData() {
-			return []geom.Point{sub.Regions[c.Data].Poly.Centroid()}
+			return []geom.Point{interiorPoint(sub.Regions[c.Data].Poly)}
 		}
-		return append(centroidsUnder(c.Node.Left), centroidsUnder(c.Node.Right)...)
+		return append(interiorsUnder(c.Node.Left), interiorsUnder(c.Node.Right)...)
 	}
 	walk = func(c ChildRef) {
 		if c.IsData() {
 			return
 		}
 		n := c.Node
-		for _, p := range centroidsUnder(n.Left) {
+		for _, p := range interiorsUnder(n.Left) {
 			if got := n.side(p); got != n.Left {
-				t.Fatalf("node %d: left centroid %v routed right", n.ID, p)
+				t.Fatalf("node %d: left interior point %v routed right", n.ID, p)
 			}
 		}
-		for _, p := range centroidsUnder(n.Right) {
+		for _, p := range interiorsUnder(n.Right) {
 			if got := n.side(p); got != n.Right {
-				t.Fatalf("node %d: right centroid %v routed left", n.ID, p)
+				t.Fatalf("node %d: right interior point %v routed left", n.ID, p)
 			}
 		}
 		walk(n.Left)

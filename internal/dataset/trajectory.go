@@ -38,9 +38,6 @@ func (t *Trajectory) At(cycle int) geom.Point {
 	return t.Positions[cycle]
 }
 
-// Cycles returns the number of sampled cycles.
-func (t *Trajectory) Cycles() int { return len(t.Positions) }
-
 // RandomWaypoint generates the classic random-waypoint model inside area:
 // pick a uniform target and a uniform per-leg speed in [speedMin, speedMax]
 // (distance units per cycle), walk straight at that speed, then pick the

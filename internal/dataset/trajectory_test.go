@@ -24,8 +24,8 @@ func TestTrajectoryDeterministicAndBounded(t *testing.T) {
 		if c := tc.gen(43); reflect.DeepEqual(a.Positions, c.Positions) {
 			t.Fatalf("%s: different seeds produced identical trajectories", tc.name)
 		}
-		if a.Cycles() != 200 {
-			t.Fatalf("%s: %d cycles, want 200", tc.name, a.Cycles())
+		if len(a.Positions) != 200 {
+			t.Fatalf("%s: %d cycles, want 200", tc.name, len(a.Positions))
 		}
 		for i, p := range a.Positions {
 			if !trajArea.Contains(p) {

@@ -220,11 +220,6 @@ func (x *Index) TotalIndexPackets() int {
 	return total
 }
 
-// DataPackets returns data packets per cycle.
-func (x *Index) DataPackets() int {
-	return x.Tree.Sub.N() * x.Params.DataBucketPackets()
-}
-
 // Cost is the outcome of one simulated access.
 type Cost struct {
 	Bucket    int

@@ -48,9 +48,10 @@ func TestStructure(t *testing.T) {
 			t.Fatalf("depth %d: %d buckets of %d", d, count, tree.Sub.N())
 		}
 		// Cycle accounting.
-		if idx.CycleLen() != idx.TotalIndexPackets()+idx.DataPackets() {
+		data := idx.Tree.Sub.N() * idx.Params.DataBucketPackets()
+		if idx.CycleLen() != idx.TotalIndexPackets()+data {
 			t.Fatalf("depth %d: cycle %d != index %d + data %d",
-				d, idx.CycleLen(), idx.TotalIndexPackets(), idx.DataPackets())
+				d, idx.CycleLen(), idx.TotalIndexPackets(), data)
 		}
 	}
 }

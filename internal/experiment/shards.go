@@ -183,17 +183,13 @@ func runFlatBaseline(ds dataset.Dataset, sub *region.Subdivision, capacity int, 
 	return pt, nil
 }
 
-// runShardCell compiles an S-channel fabric over the shared global
-// subdivision and runs the hopping access protocol over the shared query
-// stream with deterministic random entry channels, verifying every answer
-// against the global ground truth.
+// runShardCell compiles an S-channel fabric from the dataset's sites and
+// runs the hopping access protocol over the shared query stream with
+// deterministic random entry channels, verifying every answer against the
+// global ground truth.
 func runShardCell(ds dataset.Dataset, sub *region.Subdivision, capacity, S int, queries []shardQuery, cfg Config) (ShardPoint, error) {
 	start := time.Now()
-	dir, rects, _, err := fabric.Partition(ds.Area, ds.Sites, S)
-	if err != nil {
-		return ShardPoint{}, err
-	}
-	f, err := fabric.FromSubdivision(sub, nil, dir, rects, capacity, fabric.Options{BuildWorkers: cfg.BuildWorkers})
+	f, err := fabric.Build(ds.Area, ds.Sites, S, capacity, fabric.Options{BuildWorkers: cfg.BuildWorkers})
 	if err != nil {
 		return ShardPoint{}, err
 	}

@@ -30,20 +30,14 @@ func (c Cost) TotalTuning() int {
 	return c.TuneProbe + c.TuneDirectory + c.TuneIndex + c.TuneData
 }
 
-// Access simulates the hopping access protocol on a perfect channel:
+// AccessInto simulates the hopping access protocol on a perfect channel:
 // probe the entry channel at time t = u * cycleLen(entry) (u in [0, 1)),
 // read the channel directory at the head of the next index copy, hop to
 // the owning shard when it differs — a fresh probe there, charged exactly
 // like the first — then run the D-tree descent against that shard's index
 // copy (offsets shifted past the directory prefix) and download the
-// bucket. The returned trace slice is reusable scratch.
-func (f *Fabric) Access(p geom.Point, entry int, u float64) (Cost, error) {
-	c, _, err := f.AccessInto(p, entry, u, nil)
-	return c, err
-}
-
-// AccessInto is Access with a caller-owned trace buffer (zero-allocation
-// inner loops in the shard sweep).
+// bucket. trace is caller-owned scratch (zero-allocation inner loops in
+// the shard sweep); the grown buffer is returned for reuse.
 func (f *Fabric) AccessInto(p geom.Point, entry int, u float64, trace []int) (Cost, []int, error) {
 	if entry < 0 || entry >= len(f.Shards) {
 		return Cost{}, trace, fmt.Errorf("fabric: entry channel %d of %d", entry, len(f.Shards))

@@ -48,19 +48,6 @@ func clipShard(ids []int, polys []geom.Polygon, rect geom.Rect) []clippedRegion 
 	return out
 }
 
-// globalCells lists a global subdivision's regions for clipShard.
-// globalIDs maps region index to global data-instance id; nil means the
-// identity (region index is the id).
-func globalCells(sub *region.Subdivision, globalIDs []int) ([]int, []geom.Polygon) {
-	if globalIDs == nil {
-		globalIDs = make([]int, sub.N())
-		for i := range globalIDs {
-			globalIDs[i] = i
-		}
-	}
-	return globalIDs, regionPolys(sub)
-}
-
 func equalClips(a, b []clippedRegion) bool {
 	if len(a) != len(b) {
 		return false
@@ -161,11 +148,12 @@ func shardChannel(dir *Directory, ch int, rect geom.Rect, capacity int, opts Opt
 }
 
 // Build partitions the sites into S shards and compiles the whole fabric
-// from scratch: global Voronoi diagram, kd partition, and one D-tree
-// program per shard. S = 1 degenerates to a single channel that still
-// carries a one-leaf directory.
+// from scratch: the sites' raw Voronoi cells, the kd partition, and one
+// D-tree program per shard, welded from that shard's clipped cells alone.
+// S = 1 degenerates to a single channel that still carries a one-leaf
+// directory.
 func Build(area geom.Rect, sites []geom.Point, S, capacity int, opts Options) (*Fabric, error) {
-	sub, err := voronoi.Subdivision(area, sites)
+	cells, err := voronoi.Cells(area, sites)
 	if err != nil {
 		return nil, err
 	}
@@ -173,19 +161,22 @@ func Build(area geom.Rect, sites []geom.Point, S, capacity int, opts Options) (*
 	if err != nil {
 		return nil, err
 	}
-	return fromSubdivision(sub, nil, dir, rects, capacity, opts, siteOfSlice(sites))
+	return fromCells(siteIDs(len(sites)), cells, dir, rects, capacity, opts, siteOfSlice(sites))
 }
 
-// FromSubdivision compiles a fabric from an existing global subdivision
-// (the swapper's incremental snapshots enter here). globalIDs maps region
-// index to global data-instance id (nil = identity). A subdivision carries
-// no site locations, so Options.Adjacency is an error here; Build and
-// NewSwapper compile adjacency fabrics.
-func FromSubdivision(sub *region.Subdivision, globalIDs []int, dir *Directory, rects []geom.Rect, capacity int, opts Options) (*Fabric, error) {
-	return fromSubdivision(sub, globalIDs, dir, rects, capacity, opts, nil)
+// siteIDs is the identity numbering of n sites: cell i is site i's.
+func siteIDs(n int) []int {
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	return ids
 }
 
-func fromSubdivision(sub *region.Subdivision, globalIDs []int, dir *Directory, rects []geom.Rect, capacity int, opts Options, sites siteOf) (*Fabric, error) {
+// fromCells compiles a fabric from raw Voronoi cells (ids[i] owns
+// polys[i], ids ascending): every shard clips the cells to its rectangle
+// and welds its pieces once, in its own compile.
+func fromCells(ids []int, polys []geom.Polygon, dir *Directory, rects []geom.Rect, capacity int, opts Options, sites siteOf) (*Fabric, error) {
 	if len(rects) != dir.S {
 		return nil, fmt.Errorf("fabric: %d rects for %d channels", len(rects), dir.S)
 	}
@@ -201,7 +192,6 @@ func fromSubdivision(sub *region.Subdivision, globalIDs []int, dir *Directory, r
 		Rects:      rects,
 		Shards:     make([]*Shard, dir.S),
 	}
-	ids, polys := globalCells(sub, globalIDs)
 	var wg sync.WaitGroup
 	errs := make([]error, dir.S)
 	for ch := 0; ch < dir.S; ch++ {

@@ -213,7 +213,7 @@ func TestFabricAccessAccounting(t *testing.T) {
 		p := randomPoint(rng, ds.Area)
 		entry := rng.Intn(4)
 		u := rng.Float64()
-		c, err := f.Access(p, entry, u)
+		c, _, err := f.AccessInto(p, entry, u, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

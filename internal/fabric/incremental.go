@@ -4,34 +4,26 @@ import (
 	"sort"
 
 	"airindex/internal/geom"
-	"airindex/internal/region"
 )
 
-// Incremental shard cuts. The naive reconfiguration loop re-snapshots the
-// whole global diagram and re-clips every shard per Apply batch, then
-// recompiles each touched shard from scratch. The incremental path keeps
-// three pieces of cross-generation state and touches only what the batch's
-// dirty cells reach:
+// Incremental shard cuts. The naive reconfiguration loop re-clips every
+// shard from all live cells per Apply batch, then recompiles each touched
+// shard from scratch. The incremental path keeps three pieces of
+// cross-generation state and touches only what the batch's dirty cells
+// reach:
 //
 //	maintainer batch delta -> per-cell dirty bounding boxes (old cell union
 //	new cell) prefilter the shards a batch can possibly touch -> patchClips
-//	re-clips only the changed cells against a touched shard's rectangle and
-//	splices the rest of the previous clip sequence -> each touched shard's
-//	stream.Compiler — the very compiler the single channel runs — rebuilds
-//	only the dirty subtrees and patches the flat arena.
+//	re-clips only the changed raw cells against a touched shard's rectangle
+//	and splices the rest of the previous clip sequence -> each touched
+//	shard's stream.Compiler — the very compiler the single channel runs —
+//	welds the pieces, rebuilds only the dirty subtrees and patches the flat
+//	arena.
 //
+// Nothing is welded before the clip, so each channel welds a cell once.
 // Every product is pinned byte-identical to a from-scratch fabric build of
-// the same live set, and a shard none of the dirty boxes reach skips the
+// the same live cells, and a shard none of the dirty boxes reach skips the
 // cut entirely — generation number, clips, program, and all.
-
-// regionPolys extracts a subdivision's canonical polygons in region order.
-func regionPolys(sub *region.Subdivision) []geom.Polygon {
-	out := make([]geom.Polygon, len(sub.Regions))
-	for i, r := range sub.Regions {
-		out[i] = r.Poly
-	}
-	return out
-}
 
 // cellChange is one globally changed cell of an Apply batch: its id, where
 // it used to be (the previous generation's cell bounds), and — unless it

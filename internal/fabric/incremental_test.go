@@ -11,13 +11,19 @@ import (
 	"airindex/internal/stream"
 )
 
-// randomBatch draws one Apply batch against the swapper's live ids, never
-// reusing an id already removed earlier in the same batch.
+// randomBatch draws one Apply batch of uniform points against the
+// swapper's live ids.
 func randomBatch(rng *rand.Rand, sw *Swapper, ds *dataset.Dataset, batch int) []stream.SiteOp {
+	return siteBatch(rng, sw, batch, func() geom.Point { return randomPoint(rng, ds.Area) })
+}
+
+// siteBatch draws one Apply batch of adds, removes and moves to points
+// from point, never reusing an id already removed earlier in the batch.
+func siteBatch(rng *rand.Rand, sw *Swapper, batch int, point func() geom.Point) []stream.SiteOp {
 	live := sw.LiveSiteIDs()
 	ops := make([]stream.SiteOp, 0, batch)
 	for i := 0; i < batch; i++ {
-		p := randomPoint(rng, ds.Area)
+		p := point()
 		switch op := rng.Intn(3); {
 		case op == 0 || len(live) < 8:
 			ops = append(ops, stream.SiteOp{Kind: stream.OpAdd, P: p})
@@ -33,15 +39,13 @@ func randomBatch(rng *rand.Rand, sw *Swapper, ds *dataset.Dataset, batch int) []
 }
 
 // requireShardsMatchFresh compares every shard of the swapper against a
-// from-scratch fabric build of the live set: same bucket numbering, byte-
-// identical index packets, byte-identical flat arena snapshots.
+// from-scratch fabric build of the live set's raw cells: same bucket
+// numbering, byte-identical index packets, byte-identical flat arena
+// snapshots.
 func requireShardsMatchFresh(t *testing.T, label string, sw *Swapper) {
 	t.Helper()
-	sub, globalIDs, err := sw.maint.Snapshot()
-	if err != nil {
-		t.Fatalf("%s: snapshot: %v", label, err)
-	}
-	fresh, err := FromSubdivision(sub, globalIDs, sw.dir, sw.rects, sw.capacity, sw.opts)
+	ids, polys := sw.maint.LiveCells()
+	fresh, err := fromCells(ids, polys, sw.dir, sw.rects, sw.capacity, sw.opts, sw.maint.Site)
 	if err != nil {
 		t.Fatalf("%s: fresh build: %v", label, err)
 	}

@@ -6,8 +6,9 @@
 // routes it to the shard that owns its location. Latency then scales with
 // one shard's cycle instead of the whole service area's, while the sharded
 // answer stays bit-identical to the single-channel answer: each shard
-// indexes the global Voronoi cells clipped to its rectangle, so the region
-// a point resolves to is the same cell of the same diagram.
+// indexes the raw global Voronoi cells clipped to its rectangle, welded by
+// the shard itself, so the region a point resolves to is the same cell of
+// the same diagram.
 package fabric
 
 import (

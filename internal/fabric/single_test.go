@@ -268,7 +268,7 @@ func TestContinuousOracleUnderChurn(t *testing.T) {
 		go func(ti int, sess *Continuous) {
 			defer wg.Done()
 			traj := trajs[ti]
-			for cycle := 0; cycle < traj.Cycles(); cycle++ {
+			for cycle := 0; cycle < len(traj.Positions); cycle++ {
 				p := traj.At(cycle)
 				out, err := sess.Step(p)
 				if err != nil {
@@ -308,7 +308,7 @@ func TestContinuousRevalidationMatchesFresh(t *testing.T) {
 	traj := dataset.RandomWaypoint(testArea, 24, 7102, 150, 450)
 
 	var incrTuning, freshTuning int
-	for cycle := 0; cycle < traj.Cycles(); cycle++ {
+	for cycle := 0; cycle < len(traj.Positions); cycle++ {
 		p := traj.At(cycle)
 		a, err := incr.Step(p)
 		if err != nil {
@@ -397,7 +397,7 @@ func TestContinuousLossy(t *testing.T) {
 		q := stream.ContinuousQuery{WindowW: 2400, WindowH: 2000, K: 3}
 		sess := NewContinuous(fc, stream.ModeIncremental, q)
 		traj := dataset.RandomWaypoint(sub.Area, 10, spec.Seed, 200, 700)
-		for cycle := 0; cycle < traj.Cycles(); cycle++ {
+		for cycle := 0; cycle < len(traj.Positions); cycle++ {
 			p := traj.At(cycle)
 			out, err := sess.Step(p)
 			if err != nil {
@@ -468,7 +468,7 @@ func TestSingleChannelOneProbePerCycle(t *testing.T) {
 	for _, mode := range []stream.ContinuousMode{stream.ModeIncremental, stream.ModeFresh} {
 		sess := NewContinuous(pipeAir(t, []*stream.Program{sw.Program()}, capacity), mode, q)
 		traj := dataset.RandomWaypoint(testArea, 12, 7402, 150, 450)
-		for cycle := 0; cycle < traj.Cycles(); cycle++ {
+		for cycle := 0; cycle < len(traj.Positions); cycle++ {
 			out, err := sess.Step(traj.At(cycle))
 			if err != nil {
 				t.Fatalf("mode %d cycle %d: %v", mode, cycle, err)

@@ -15,7 +15,7 @@ import (
 // the sharded fabric: WriteSnapshotDir persists every shard's flat arena as
 // one DTARENA1 slab, and RestoreSnapshotDir brings the fabric back without
 // rebuilding a single D-tree. The restore recomputes only the cheap
-// geometry — the global Voronoi diagram, the kd partition and the per-shard
+// geometry — the raw Voronoi cells, the kd partition and the per-shard
 // clips, which pin the bucket->global-id mapping and structurally validate
 // each loaded arena — then re-encodes packets straight from the restored
 // slabs. Because the arena bytes are exactly the writer's and packet
@@ -47,10 +47,8 @@ func (f *Fabric) WriteSnapshotDir(dir string) error {
 // loaded arena passes the DTARENA1 structural checks plus a region-count
 // match against the shard's freshly clipped subdivision, so a stale or
 // misdirected snapshot fails loudly instead of serving wrong geometry.
-// Restored shards carry no *core.Tree or *core.Paged — only the flat arena
-// that serving and packet encoding need.
 func RestoreSnapshotDir(area geom.Rect, sites []geom.Point, S int, dir string, opts Options) (*Fabric, error) {
-	sub, err := voronoi.Subdivision(area, sites)
+	cells, err := voronoi.Cells(area, sites)
 	if err != nil {
 		return nil, err
 	}
@@ -64,14 +62,14 @@ func RestoreSnapshotDir(area geom.Rect, sites []geom.Point, S int, dir string, o
 		Rects:  rects,
 		Shards: make([]*Shard, S),
 	}
-	ids, polys := globalCells(sub, nil)
+	ids := siteIDs(len(sites))
 	var wg sync.WaitGroup
 	errs := make([]error, S)
 	for ch := 0; ch < S; ch++ {
 		wg.Add(1)
 		go func(ch int) {
 			defer wg.Done()
-			clips := clipShard(ids, polys, rects[ch])
+			clips := clipShard(ids, cells, rects[ch])
 			f.Shards[ch], errs[ch] = restoreShard(d, ch, rects[ch], clips, SnapshotPath(dir, ch), opts, siteOfSlice(sites))
 		}(ch)
 	}

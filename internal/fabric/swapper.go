@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"airindex/internal/geom"
-	"airindex/internal/region"
 	"airindex/internal/stream"
 	"airindex/internal/voronoi"
 )
@@ -25,11 +24,13 @@ type ShardGeneration struct {
 // and an Apply batch rebuilds and republishes only the shards whose
 // clipped content actually changed — churn confined to one shard's
 // interior leaves every other channel's broadcast untouched, generation
-// number and all. Each cut is incremental end to end: the batch's dirty
-// cells prefilter the touched shards by bounding box, patchClips re-clips
-// only those cells, and each touched shard's retained compiler rebuilds
-// only the dirty D-tree subtrees and arena ranges — byte-identical to a
-// from-scratch fabric build. The partition (rects and directory) is fixed
+// number and all. Shards clip the maintainer's raw cells, and each shard's
+// compiler is the only place its pieces are welded. Each cut is
+// incremental end to end: the batch's dirty cells prefilter the touched
+// shards by bounding box, patchClips re-clips only those cells, and each
+// touched shard's retained compiler rebuilds only the dirty D-tree
+// subtrees and arena ranges — byte-identical to a from-scratch fabric
+// build of the live cells. The partition (rects and directory) is fixed
 // for the swapper's lifetime, so client routing is generation-invariant.
 type Swapper struct {
 	capacity int
@@ -43,12 +44,6 @@ type Swapper struct {
 	gens  []map[uint32]*ShardGeneration
 	srvs  []*stream.Server
 	comps []*stream.Compiler
-	// gpatch maintains the canonical global subdivision across batches —
-	// shards clip the *welded* polygons (exactly what a from-scratch
-	// Snapshot + clipShard sees), not the maintainer's raw cells, whose
-	// coordinates can differ in the last ulp where welding canonicalizes
-	// near-coincident corners.
-	gpatch *region.Patcher
 	// bounds caches every live cell's bounding box (site id -> bounds of
 	// the cell as of the last published cut); together with a dirty cell's
 	// new bounds it forms the churn footprint the shard prefilter tests.
@@ -94,17 +89,8 @@ func NewSwapper(area geom.Rect, sites []geom.Point, S, capacity int, opts Option
 		sw.comps[ch] = stream.NewCompiler(sc)
 	}
 	ids, polys := maint.LiveCells()
-	sw.gpatch = region.NewPatcher(area)
-	gsub, _, err := sw.gpatch.Patch(ids, polys, ids, nil)
-	if err != nil {
-		return nil, err
-	}
-	if err := gsub.Validate(); err != nil {
-		return nil, err
-	}
-	canon := regionPolys(gsub)
 	for i, id := range ids {
-		sw.bounds[id] = canon[i].Bounds()
+		sw.bounds[id] = polys[i].Bounds()
 	}
 	var wg sync.WaitGroup
 	errs := make([]error, S)
@@ -112,7 +98,7 @@ func NewSwapper(area geom.Rect, sites []geom.Point, S, capacity int, opts Option
 		wg.Add(1)
 		go func(ch int) {
 			defer wg.Done()
-			sh, _, err := sw.cut(ch, clipShard(ids, canon, rects[ch]), nil, nil)
+			sh, _, err := sw.cut(ch, clipShard(ids, polys, rects[ch]), nil, nil)
 			if err != nil {
 				errs[ch] = err
 				return
@@ -133,9 +119,6 @@ func NewSwapper(area geom.Rect, sites []geom.Point, S, capacity int, opts Option
 
 // Shards returns the channel count.
 func (sw *Swapper) Shards() int { return len(sw.cur) }
-
-// Directory returns the fixed routing directory.
-func (sw *Swapper) Directory() *Directory { return sw.dir }
 
 // DirPackets returns the directory prefix length in packets.
 func (sw *Swapper) DirPackets() int { return sw.dir.PacketCount(sw.capacity) }
@@ -219,17 +202,17 @@ type pendingShard struct {
 	removed []int
 }
 
-// collectChanges turns the batch's canonical dirty and removed id sets
-// into per-cell churn footprints over the canonical polygons. liveIDs is
-// ascending, so dirty ids (also ascending) resolve by binary search.
-func (sw *Swapper) collectChanges(dirty, removed []int, liveIDs []int, canon []geom.Polygon) []*cellChange {
+// collectChanges turns the batch's dirty and removed id sets into per-cell
+// churn footprints over the live cells. liveIDs is ascending, so dirty ids
+// (also ascending) resolve by binary search.
+func (sw *Swapper) collectChanges(dirty, removed []int, liveIDs []int, livePolys []geom.Polygon) []*cellChange {
 	changes := make([]*cellChange, 0, len(dirty)+len(removed))
 	for _, id := range dirty {
 		i := sort.SearchInts(liveIDs, id)
 		if i >= len(liveIDs) || liveIDs[i] != id {
 			continue // defensive: a dirty id must be live
 		}
-		cc := &cellChange{id: id, poly: canon[i], nb: canon[i].Bounds()}
+		cc := &cellChange{id: id, poly: livePolys[i], nb: livePolys[i].Bounds()}
 		if ob, ok := sw.bounds[id]; ok {
 			cc.old, cc.hasOld = ob, true
 		}
@@ -271,14 +254,14 @@ func (sw *Swapper) pendingIncremental(changes []*cellChange) []pendingShard {
 }
 
 // pendingReconcile is the recovery work list after a failed Apply: rescan
-// every shard's clips from the canonical cells and rebuild the ones that
-// drifted from what is published, resetting every compiler first (a failed
-// batch may have advanced compiler state past the published generation).
-func (sw *Swapper) pendingReconcile(liveIDs []int, canon []geom.Polygon) []pendingShard {
+// every shard's clips from the live cells and rebuild the ones that drifted
+// from what is published, resetting every compiler first (a failed batch
+// may have advanced compiler state past the published generation).
+func (sw *Swapper) pendingReconcile(liveIDs []int, livePolys []geom.Polygon) []pendingShard {
 	var pending []pendingShard
 	for ch := range sw.cur {
 		sw.comps[ch].Reset()
-		clips := clipShard(liveIDs, canon, sw.rects[ch])
+		clips := clipShard(liveIDs, livePolys, sw.rects[ch])
 		if equalClips(clips, sw.cur[ch].Shard.clips) {
 			continue
 		}
@@ -321,35 +304,11 @@ func (sw *Swapper) Apply(ops []stream.SiteOp) (gens []uint32, ids []int, err err
 	}
 	liveIDs, livePolys := sw.maint.LiveCells()
 	reconcile := sw.stale
-	// Advance the canonical global tiling; shards clip canonical polygons,
-	// and the canonical dirty set (welding can shrink or grow the raw one)
-	// is what decides which cells actually changed.
-	var canon []geom.Polygon
-	var canonDirty []int
-	if !reconcile {
-		gsub, cd, perr := sw.gpatch.Patch(liveIDs, livePolys, dirty, removed)
-		if perr != nil {
-			reconcile = true
-		} else {
-			canon, canonDirty = regionPolys(gsub), cd
-		}
-	}
-	if reconcile {
-		// Recovery: re-bootstrap the canonical tiling from scratch — always
-		// sound, and canonical identity keeps unchanged shards' clips exact.
-		sw.gpatch = region.NewPatcher(sw.maint.Area())
-		gsub, _, perr := sw.gpatch.Patch(liveIDs, livePolys, liveIDs, nil)
-		if perr != nil {
-			sw.stale = true
-			return gens, ids, perr
-		}
-		canon = regionPolys(gsub)
-	}
 	var pending []pendingShard
 	if reconcile {
-		pending = sw.pendingReconcile(liveIDs, canon)
+		pending = sw.pendingReconcile(liveIDs, livePolys)
 	} else {
-		pending = sw.pendingIncremental(sw.collectChanges(canonDirty, removed, liveIDs, canon))
+		pending = sw.pendingIncremental(sw.collectChanges(dirty, removed, liveIDs, livePolys))
 	}
 	// Until every rebuild and publish lands, the published fabric may
 	// trail the maintainer; any early return leaves the flag set for the
@@ -408,16 +367,16 @@ func (sw *Swapper) Apply(ops []stream.SiteOp) (gens []uint32, ids []int, err err
 	if reconcile {
 		sw.bounds = make(map[int]geom.Rect, len(liveIDs))
 		for i, id := range liveIDs {
-			sw.bounds[id] = canon[i].Bounds()
+			sw.bounds[id] = livePolys[i].Bounds()
 		}
 	} else {
 		for _, id := range removed {
 			delete(sw.bounds, id)
 		}
-		for _, id := range canonDirty {
+		for _, id := range dirty {
 			i := sort.SearchInts(liveIDs, id)
 			if i < len(liveIDs) && liveIDs[i] == id {
-				sw.bounds[id] = canon[i].Bounds()
+				sw.bounds[id] = livePolys[i].Bounds()
 			}
 		}
 	}

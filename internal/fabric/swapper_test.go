@@ -101,11 +101,8 @@ func TestSwapperMatchesFreshBuild(t *testing.T) {
 			t.Fatalf("batch %d: %v", batch, err)
 		}
 	}
-	sub, globalIDs, err := sw.maint.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := FromSubdivision(sub, globalIDs, sw.dir, sw.rects, capacity, sw.opts)
+	ids, polys := sw.maint.LiveCells()
+	fresh, err := fromCells(ids, polys, sw.dir, sw.rects, capacity, sw.opts, sw.maint.Site)
 	if err != nil {
 		t.Fatal(err)
 	}

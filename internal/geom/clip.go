@@ -9,9 +9,6 @@ type HalfPlane struct {
 // inside the half-plane.
 func (h HalfPlane) Side(p Point) float64 { return h.A*p.X + h.B*p.Y - h.C }
 
-// Contains reports whether p satisfies the half-plane inequality within Eps.
-func (h HalfPlane) Contains(p Point) bool { return h.Side(p) <= Eps }
-
 // Bisector returns the half-plane of points at least as close to a as to b,
 // i.e. the Voronoi dominance region of site a over site b.
 func Bisector(a, b Point) HalfPlane {

@@ -9,13 +9,13 @@ import (
 func TestBisectorHalfPlane(t *testing.T) {
 	a, b := Pt(0, 0), Pt(10, 0)
 	h := Bisector(a, b)
-	if !h.Contains(Pt(2, 3)) {
+	if h.Side(Pt(2, 3)) > Eps {
 		t.Error("point nearer a should be in a's dominance region")
 	}
-	if h.Contains(Pt(8, -1)) {
+	if h.Side(Pt(8, -1)) <= Eps {
 		t.Error("point nearer b should not be in a's dominance region")
 	}
-	if !h.Contains(Pt(5, 100)) {
+	if h.Side(Pt(5, 100)) > Eps {
 		t.Error("equidistant point should be included (closed half-plane)")
 	}
 }

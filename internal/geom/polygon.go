@@ -50,28 +50,6 @@ func (pg Polygon) Bounds() Rect {
 	return RectFromPoints(pg...)
 }
 
-// Centroid returns the area centroid of the polygon. For degenerate
-// (zero-area) polygons it falls back to the vertex average.
-func (pg Polygon) Centroid() Point {
-	var cx, cy, a float64
-	n := len(pg)
-	for i := 0; i < n; i++ {
-		j := (i + 1) % n
-		cr := pg[i].Cross(pg[j])
-		cx += (pg[i].X + pg[j].X) * cr
-		cy += (pg[i].Y + pg[j].Y) * cr
-		a += cr
-	}
-	if a > -Eps && a < Eps {
-		var s Point
-		for _, p := range pg {
-			s = s.Add(p)
-		}
-		return s.Scale(1 / float64(n))
-	}
-	return Point{cx / (3 * a), cy / (3 * a)}
-}
-
 // Contains reports whether p lies inside the polygon or on its boundary.
 // Interior membership uses even-odd ray crossing with the half-open edge
 // rule; boundary points are detected explicitly so that queries landing
@@ -122,18 +100,6 @@ func (pg Polygon) IsConvex() bool {
 	}
 	return true
 }
-
-// MinX returns the leftmost x-coordinate of the polygon.
-func (pg Polygon) MinX() float64 { return pg.Bounds().MinX }
-
-// MaxX returns the rightmost x-coordinate of the polygon.
-func (pg Polygon) MaxX() float64 { return pg.Bounds().MaxX }
-
-// MinY returns the lowest y-coordinate of the polygon.
-func (pg Polygon) MinY() float64 { return pg.Bounds().MinY }
-
-// MaxY returns the uppermost y-coordinate of the polygon.
-func (pg Polygon) MaxY() float64 { return pg.Bounds().MaxY }
 
 // Dedup returns the polygon with consecutive (near-)duplicate vertices and
 // the wrap-around duplicate removed. It is applied after clipping, which can

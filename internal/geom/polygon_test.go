@@ -97,22 +97,6 @@ func TestPolygonContainsNonConvex(t *testing.T) {
 	}
 }
 
-func TestPolygonCentroidInsideConvex(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for i := 0; i < 300; i++ {
-		pg := randConvex(rng, 3+rng.Intn(8))
-		if len(pg) < 3 {
-			continue
-		}
-		if !pg.Contains(pg.Centroid()) {
-			t.Fatalf("centroid %v outside convex polygon %v", pg.Centroid(), pg)
-		}
-		if !pg.IsConvex() {
-			t.Fatalf("hull not convex: %v", pg)
-		}
-	}
-}
-
 func TestPolygonDedup(t *testing.T) {
 	pg := Polygon{Pt(0, 0), Pt(0, 0), Pt(10, 0), Pt(10, 10), Pt(10, 10), Pt(0, 10), Pt(0, 0)}
 	d := pg.Dedup()

@@ -143,7 +143,7 @@ func TestPipelineCutsAndCoalesces(t *testing.T) {
 	if out >= in {
 		t.Fatalf("CoalescedOut = %d, want < %d (moves must fold)", out, in)
 	}
-	if lat := p.m.OpLatencyNS.Count(); lat != out {
+	if lat := p.m.OpLatencyNS.Snapshot().Count; lat != out {
 		t.Fatalf("latency observations = %d, want one per applied op (%d)", lat, out)
 	}
 }

@@ -78,10 +78,6 @@ func (h *Histogram) Observe(v int64) {
 	h.ring[i&h.mask].Store(v)
 }
 
-// Count returns the total number of observations ever recorded (not just
-// those still in the ring).
-func (h *Histogram) Count() int64 { return int64(h.next.Load()) }
-
 // HistogramSnapshot summarizes the ring's current contents.
 type HistogramSnapshot struct {
 	Count  int64   `json:"count"`  // observations ever recorded

@@ -83,9 +83,6 @@ func New(maxEntries, minEntries int) (*Tree, error) {
 // Len returns the number of data entries in the tree.
 func (t *Tree) Len() int { return t.size }
 
-// Height returns the number of levels (1 for a lone leaf root).
-func (t *Tree) Height() int { return t.root.level + 1 }
-
 // Insert adds a data rectangle.
 func (t *Tree) Insert(r geom.Rect, data int) {
 	t.reinsertedAt = map[int]bool{}

@@ -38,6 +38,6 @@ func TestSmokeRStarAir(t *testing.T) {
 			}
 			sumTrace += len(trace)
 		}
-		t.Logf("capacity=%d packets=%d avgTrace=%.2f height=%d", capacity, a.IndexPackets(), float64(sumTrace)/3000, a.Tree.Height())
+		t.Logf("capacity=%d packets=%d avgTrace=%.2f", capacity, a.IndexPackets(), float64(sumTrace)/3000)
 	}
 }

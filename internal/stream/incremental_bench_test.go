@@ -9,12 +9,13 @@ import (
 	"airindex/internal/testutil"
 )
 
-// The cut benchmarks measure the generation pipeline the issue bounds: an
-// Apply batch through the incremental path (dirty-subtree rebuild, arena
-// patching, frame-table reuse) versus what every cut cost before — a full
-// re-weld of the live set, a from-scratch D-tree compile, and a cold cycle
-// render. Results are recorded in BENCH_incr.json and the 50k/batch=16 tier
-// is gated in CI.
+// The cut benchmarks measure the generation pipeline: an Apply batch
+// through the incremental path (dirty-subtree rebuild, arena patching,
+// frame-table reuse) versus what every cut cost before — a full re-weld of
+// the live set, a from-scratch D-tree compile, and a cold cycle render.
+// Results are recorded in EXPERIMENTS.md, "Record: incremental generation
+// cuts", and CI's incremental-cut perf smoke gates the 10k single-move
+// cut.
 //
 // The gated tier uses move-only batches: the steady-state churn shape
 // (vehicles reporting new positions), under which the site count — and so

@@ -41,7 +41,7 @@ func TestServerAndClientObservability(t *testing.T) {
 	if got := cm.Queries.Load(); got != int64(len(points)) {
 		t.Fatalf("client queries counter = %d, want %d", got, len(points))
 	}
-	if got := cm.LatencySlots.Count(); got != int64(len(points)) {
+	if got := cm.LatencySlots.Snapshot().Count; got != int64(len(points)) {
 		t.Fatalf("latency histogram observed %d samples, want %d", got, len(points))
 	}
 	if s := cm.LatencySlots.Snapshot(); s.Min <= 0 {

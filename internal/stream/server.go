@@ -145,7 +145,7 @@ type Server struct {
 
 	// WriteTimeout bounds every underlying connection write. A receiver
 	// that cannot drain the broadcast for this long is evicted (counted in
-	// Evictions) instead of pinning a goroutine and its buffers forever.
+	// Metrics.Evictions) instead of pinning a goroutine and its buffers forever.
 	// Zero disables the deadline.
 	WriteTimeout time.Duration
 
@@ -226,9 +226,6 @@ func (s *Server) UseMetrics(m *Metrics) {
 		s.metrics = m
 	}
 }
-
-// Evictions reports how many slow clients were evicted by WriteTimeout.
-func (s *Server) Evictions() int64 { return s.metrics.Evictions.Load() }
 
 // RecoveredPanics reports how many connection goroutines panicked and were
 // contained without taking the server down.

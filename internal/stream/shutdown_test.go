@@ -172,7 +172,7 @@ func TestSlowClientEviction(t *testing.T) {
 	// Never read; once the TCP buffers fill, every further write must hit
 	// the deadline and evict us.
 	deadline := time.Now().Add(15 * time.Second)
-	for srv.Evictions() == 0 {
+	for srv.Metrics().Evictions.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("stalled client was never evicted")
 		}
