@@ -126,7 +126,6 @@ type System struct {
 	locate func(geom.Point) (int, []int)
 	idxPk  int
 	idxB   int
-	dtree  *core.Tree // set when Index == DTree (enables Trajectory)
 }
 
 // New derives Voronoi valid scopes for the sites and builds the configured
@@ -176,7 +175,6 @@ func NewFromSubdivision(sub *region.Subdivision, cfg Config) (*System, error) {
 		}
 		fp := pg.Flatten()
 		s.locate, s.idxPk, s.idxB = fp.Locate, fp.IndexPackets(), fp.SizeBytes()
-		s.dtree = t
 	case TrianTree:
 		t, err := triantree.Build(sub)
 		if err != nil {
@@ -281,10 +279,10 @@ type Leg struct {
 // changes — the continuous-query primitive for moving clients. It requires
 // the default D-tree index.
 func (s *System) Trajectory(a, b Point) ([]Leg, error) {
-	if s.dtree == nil {
+	if s.cfg.Index != DTree {
 		return nil, fmt.Errorf("airindex: trajectory queries require the D-tree index (got %v)", s.cfg.Index)
 	}
-	crossings, err := s.dtree.CrossedRegions(a, b)
+	crossings, err := core.CrossedRegions(s.sub, a, b)
 	if err != nil {
 		return nil, err
 	}

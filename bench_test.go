@@ -100,7 +100,8 @@ func benchFigure(b *testing.B, ds dataset.Dataset, metric experiment.Metric) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sched, err := broadcast.NewSchedule(paged.IndexPackets(), bl.Sub.N(), 2, 4)
+	fp := paged.Flatten()
+	sched, err := broadcast.NewSchedule(fp.IndexPackets(), bl.Sub.N(), 2, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func benchFigure(b *testing.B, ds dataset.Dataset, metric experiment.Metric) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := geom.Pt(area.MinX+rng.Float64()*area.W(), area.MinY+rng.Float64()*area.H())
-		id, trace := paged.Locate(p)
+		id, trace := fp.Locate(p)
 		if _, err := sched.Access(rng.Float64()*float64(sched.CycleLen()),
 			broadcast.SearchTrace{Bucket: id, IndexOffsets: trace}); err != nil {
 			b.Fatal(err)
@@ -251,11 +252,6 @@ func BenchmarkLocate(b *testing.B) {
 	}
 }
 
-func BenchmarkDTreeBinaryLocate(b *testing.B) {
-	bl := getBuilt(b, paperDatasets[0])
-	benchLocate(b, func(p geom.Point) (int, []int) { return bl.DTree.Locate(p), nil })
-}
-
 func BenchmarkDTreePaging(b *testing.B) {
 	tree := getBuilt(b, paperDatasets[0]).DTree
 	for _, capacity := range []int{64, 512, 2048} {
@@ -365,7 +361,7 @@ func BenchmarkClientCachePinning(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchLocate(b, paged.Locate)
+	benchLocate(b, paged.Flatten().Locate)
 }
 
 func BenchmarkStreamedQueryTCP(b *testing.B) {

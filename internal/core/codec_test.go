@@ -36,6 +36,8 @@ func TestEncodeFillsPacketsPerLayout(t *testing.T) {
 	}
 }
 
+// TestClientLocateMatchesPaged: the wire client decoding the encoded
+// packets answers every query with the arena's region and packet trace.
 func TestClientLocateMatchesPaged(t *testing.T) {
 	tree, _, area := buildVoronoiTree(t, 250, 92)
 	for _, capacity := range []int{64, 128, 512, 2048} {
@@ -43,40 +45,24 @@ func TestClientLocateMatchesPaged(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		packets, err := paged.EncodePackets()
+		fp := paged.Flatten()
+		packets, err := fp.EncodePackets()
 		if err != nil {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(93))
-		mismatch := 0
+		var buf []int
 		for i := 0; i < 4000; i++ {
 			p := geom.Pt(area.MinX+rng.Float64()*area.W(), area.MinY+rng.Float64()*area.H())
-			want, wantTrace := paged.Locate(p)
+			var want int
+			want, buf = fp.LocateInto(p, buf)
 			got, gotTrace, err := ClientLocate(packets, capacity, p)
 			if err != nil {
 				t.Fatalf("capacity %d: %v", capacity, err)
 			}
-			if got != want {
-				// float32 narrowing moves partition lines by ~1e-3 units;
-				// accept the neighbor region when the point is that close
-				// to its boundary.
-				if !nearRegionBoundary(tree, p, got, 0.05) {
-					t.Fatalf("capacity %d query %v: client %d, paged %d", capacity, p, got, want)
-				}
-				mismatch++
-				continue
+			if got != want || !sameTrace(gotTrace, buf) {
+				t.Fatalf("capacity %d query %v: client (%d, %v), arena (%d, %v)", capacity, p, got, gotTrace, want, buf)
 			}
-			if len(gotTrace) != len(wantTrace) {
-				t.Fatalf("capacity %d query %v: client trace %v, paged %v", capacity, p, gotTrace, wantTrace)
-			}
-			for j := range gotTrace {
-				if gotTrace[j] != wantTrace[j] {
-					t.Fatalf("capacity %d query %v: traces diverge: %v vs %v", capacity, p, gotTrace, wantTrace)
-				}
-			}
-		}
-		if mismatch > 8 {
-			t.Errorf("capacity %d: %d float32 boundary mismatches of 4000", capacity, mismatch)
 		}
 	}
 }

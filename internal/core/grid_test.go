@@ -116,7 +116,7 @@ func TestGridWindowQueries(t *testing.T) {
 	// A window exactly matching one cell must return it (plus neighbors
 	// touched along its boundary).
 	w := geom.Rect{MinX: 20, MinY: 40, MaxX: 40, MaxY: 60}
-	got := adj.Window(tree.Flatten().Locate(geom.Pt(30, 50)), w)
+	got := adj.Window(tree.Locate(geom.Pt(30, 50)), w)
 	want := sub.Locate(geom.Pt(30, 50))
 	found := false
 	for _, id := range got {

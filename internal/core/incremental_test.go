@@ -8,6 +8,7 @@ import (
 	"airindex/internal/geom"
 	"airindex/internal/region"
 	"airindex/internal/voronoi"
+	"airindex/internal/wire"
 )
 
 // churnDriver evolves a Voronoi tiling through a Maintainer + Patcher and
@@ -106,7 +107,8 @@ func TestIncrementalRebuildMatchesBuild(t *testing.T) {
 		if err != nil {
 			t.Fatalf("full build: %v", err)
 		}
-		prevFlat := full.Flatten()
+		params := wire.DTreeParams(128)
+		prevFlat := full.Flatten(params)
 		var spliced, total int
 		for step := 0; step < 20; step++ {
 			batch := 1 + d.rng.Intn(3)
@@ -142,8 +144,8 @@ func TestIncrementalRebuildMatchesBuild(t *testing.T) {
 
 			// The patched arena must equal a full Flatten of the same tree
 			// slab-for-slab (the snapshot encoder serializes these fields).
-			pf := got.FlattenPatched(prevFlat)
-			ff := want.Flatten()
+			pf := got.flatten(prevFlat, params)
+			ff := want.Flatten(params)
 			if len(pf.nodes) != len(ff.nodes) || len(pf.polys) != len(ff.polys) || len(pf.pts) != len(ff.pts) {
 				t.Fatalf("seed %d step %d: patched arena shape (%d,%d,%d) != full (%d,%d,%d)",
 					seed, step, len(pf.nodes), len(pf.polys), len(pf.pts), len(ff.nodes), len(ff.polys), len(ff.pts))

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"airindex/internal/geom"
 	"airindex/internal/wire"
 )
 
@@ -18,7 +17,15 @@ type Paged struct {
 // Page allocates the tree's nodes into packets. Nodes are placed in
 // breadth-first order: a node shares its parent's packet when it fits, and
 // leaf-level packets are greedily merged afterwards.
-func (t *Tree) Page(params wire.Params) (*Paged, error) {
+func (t *Tree) Page(params wire.Params) (*Paged, error) { return t.page(params, wire.TopDown) }
+
+// PageGreedy allocates the tree's nodes into packets sequentially in
+// breadth-first order without the parent-affinity placement and leaf
+// merging of Algorithm 3. It exists for the paging ablation in DESIGN.md.
+func (t *Tree) PageGreedy(params wire.Params) (*Paged, error) { return t.page(params, wire.Greedy) }
+
+// page lays the breadth-first node specs out with a wire pager.
+func (t *Tree) page(params wire.Params, place func([]wire.NodeSpec, int) (*wire.Layout, error)) (*Paged, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
@@ -30,12 +37,10 @@ func (t *Tree) Page(params wire.Params) (*Paged, error) {
 	parentOf[t.Root.ID] = -1
 	for _, n := range t.Nodes { // already breadth-first
 		var children []int
-		leaf := true
 		for _, c := range []ChildRef{n.Left, n.Right} {
 			if !c.IsData() {
 				children = append(children, c.Node.ID)
 				parentOf[c.Node.ID] = n.ID
-				leaf = false
 			}
 		}
 		specs = append(specs, wire.NodeSpec{
@@ -43,10 +48,10 @@ func (t *Tree) Page(params wire.Params) (*Paged, error) {
 			Size:     NodeSize(n, params),
 			Parent:   parentOf[n.ID],
 			Children: children,
-			Leaf:     leaf,
+			Leaf:     len(children) == 0,
 		})
 	}
-	layout, err := wire.TopDown(specs, params.PacketCapacity)
+	layout, err := place(specs, params.PacketCapacity)
 	if err != nil {
 		return nil, err
 	}
@@ -54,103 +59,6 @@ func (t *Tree) Page(params wire.Params) (*Paged, error) {
 		return nil, fmt.Errorf("core: paging produced invalid layout: %w", err)
 	}
 	return &Paged{Tree: t, Params: params, Layout: layout}, nil
-}
-
-// PageGreedy allocates the tree's nodes into packets sequentially in
-// breadth-first order without the parent-affinity placement and leaf
-// merging of Algorithm 3. It exists for the paging ablation in DESIGN.md.
-func (t *Tree) PageGreedy(params wire.Params) (*Paged, error) {
-	if err := params.Validate(); err != nil {
-		return nil, err
-	}
-	if t.Root == nil {
-		return &Paged{Tree: t, Params: params, Layout: wire.EmptyLayout(params.PacketCapacity)}, nil
-	}
-	specs := make([]wire.NodeSpec, 0, len(t.Nodes))
-	for _, n := range t.Nodes {
-		specs = append(specs, wire.NodeSpec{
-			ID: n.ID, Size: NodeSize(n, params), Leaf: n.Left.IsData() && n.Right.IsData(),
-		})
-	}
-	layout, err := wire.Greedy(specs, params.PacketCapacity)
-	if err != nil {
-		return nil, err
-	}
-	if err := layout.Validate(specs); err != nil {
-		return nil, fmt.Errorf("core: greedy paging produced invalid layout: %w", err)
-	}
-	return &Paged{Tree: t, Params: params, Layout: layout}, nil
-}
-
-// Locate answers a point query over the paged tree and returns the region
-// id together with the packet offsets the client downloads, in access
-// order. For a node spanning several packets, the first packet carries the
-// pointers, the band limits (RMC/LMC) and the head of the partition, so a
-// query outside the interlocking band descends after one packet; a query
-// inside the band must read the node's remaining packets to count ray
-// crossings (Section 4.4).
-func (pg *Paged) Locate(p geom.Point) (int, []int) {
-	return pg.LocateInto(p, nil)
-}
-
-// LocateInto is Locate appending the downloaded packet offsets into trace
-// (reset to length zero first), so Monte Carlo drivers can reuse one
-// buffer across millions of queries without per-query allocation. The
-// returned slice aliases trace's backing array when capacity suffices.
-func (pg *Paged) LocateInto(p geom.Point, trace []int) (int, []int) {
-	trace = trace[:0]
-	if pg.Tree.Root == nil {
-		return 0, trace
-	}
-	ref := ChildRef{Node: pg.Tree.Root}
-	for !ref.IsData() {
-		n := ref.Node
-		packets := pg.Layout.PacketsOf(n.ID)
-		trace = wire.AppendTraceOnce(trace, int(packets[0]))
-		cx := canonX(n.Dim, p)
-		switch {
-		case cx <= n.CutLo:
-			ref = n.Left
-		case cx >= n.CutHi:
-			ref = n.Right
-		default:
-			// Inside the interlocking band: the whole partition is needed.
-			for _, pk := range packets[1:] {
-				trace = wire.AppendTraceOnce(trace, int(pk))
-			}
-			if n.rayParityLeft(p) {
-				ref = n.Left
-			} else {
-				ref = n.Right
-			}
-		}
-	}
-	return ref.Data, trace
-}
-
-// LocateWithoutEarlyTermination answers a point query reading every packet
-// of every visited node, disabling the RMC/LMC first-packet shortcut of
-// Section 4.4 (ablation).
-func (pg *Paged) LocateWithoutEarlyTermination(p geom.Point) (int, []int) {
-	return pg.LocateWithoutEarlyTerminationInto(p, nil)
-}
-
-// LocateWithoutEarlyTerminationInto is the buffer-reusing variant of
-// LocateWithoutEarlyTermination, mirroring LocateInto.
-func (pg *Paged) LocateWithoutEarlyTerminationInto(p geom.Point, trace []int) (int, []int) {
-	trace = trace[:0]
-	if pg.Tree.Root == nil {
-		return 0, trace
-	}
-	ref := ChildRef{Node: pg.Tree.Root}
-	for !ref.IsData() {
-		n := ref.Node
-		for _, pk := range pg.Layout.PacketsOf(n.ID) {
-			trace = wire.AppendTraceOnce(trace, int(pk))
-		}
-		ref = n.side(p)
-	}
-	return ref.Data, trace
 }
 
 // IndexPackets returns the size of the paged index in packets.

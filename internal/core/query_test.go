@@ -8,6 +8,7 @@ import (
 	"airindex/internal/geom"
 	"airindex/internal/testutil"
 	"airindex/internal/voronoi"
+	"airindex/internal/wire"
 )
 
 func TestLocateMatchesBruteForceAcrossDatasets(t *testing.T) {
@@ -55,15 +56,21 @@ func mod1(v float64) float64 {
 	return v
 }
 
+// TestLocatePathVisitsLogNodes: the arena walk visits a root-to-leaf path
+// of at most the tree's height, each node a child of the one before, and
+// lands where the pointer tree does.
 func TestLocatePathVisitsLogNodes(t *testing.T) {
 	tree, _, area := buildVoronoiTree(t, 300, 33)
 	maxDepth := tree.Height()
+	ft := tree.Flatten(wire.DTreeParams(256))
 	rng := rand.New(rand.NewSource(34))
+	var path []int
 	for i := 0; i < 2000; i++ {
 		p := geom.Pt(area.MinX+rng.Float64()*area.W(), area.MinY+rng.Float64()*area.H())
-		id, path := tree.LocatePath(p)
+		path = path[:0]
+		id := ft.Descend(p, func(node int, _ bool) { path = append(path, node) })
 		if got := tree.Locate(p); got != id {
-			t.Fatalf("LocatePath and Locate disagree: %d vs %d", id, got)
+			t.Fatalf("arena walk and pointer Locate disagree: %d vs %d", id, got)
 		}
 		if len(path) > maxDepth {
 			t.Fatalf("path length %d exceeds height %d", len(path), maxDepth)
@@ -71,8 +78,13 @@ func TestLocatePathVisitsLogNodes(t *testing.T) {
 		if len(path) == 0 {
 			t.Fatal("empty path on a multi-region tree")
 		}
-		if path[0] != tree.Root {
+		if path[0] != tree.Root.ID {
 			t.Fatal("path must start at the root")
+		}
+		for k := 1; k < len(path); k++ {
+			if n := tree.Nodes[path[k-1]]; n.Left.Node != tree.Nodes[path[k]] && n.Right.Node != tree.Nodes[path[k]] {
+				t.Fatalf("path step %d -> %d is not a tree edge", path[k-1], path[k])
+			}
 		}
 	}
 }

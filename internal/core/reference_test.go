@@ -7,13 +7,16 @@ import (
 	"math"
 
 	"airindex/internal/geom"
+	"airindex/internal/wire"
 )
 
 // Test-side references for the shipped forms: the DTRE encoding is the
 // identity suites' canonical image of a pointer tree, CheckInvariants their
-// structural checker, ExpectedDepth the weighted-tree measure, and
+// structural checker, ExpectedDepth the weighted-tree measure,
 // Paged.EncodePackets the pointer-side encoder the flat arena's packets are
-// compared against.
+// compared against, and Tree.Locate / Paged.Locate the float64 pointer
+// descents (Algorithm 2 on the built tree, before the wire's float32
+// narrowing) the build and paging tests check against ground truth.
 
 // DTRE: a compact binary image of the built D-tree (topology, partitions,
 // band limits at full float64 precision), so two trees are equal exactly
@@ -292,4 +295,81 @@ func (pg *Paged) encodeNode(n *Node, ref func(ChildRef) (uint32, error)) ([]byte
 		}
 	}
 	return buf, nil
+}
+
+// side decides which subspace of node n the query point belongs to
+// (Algorithm 2, lines 4-26) at float64 precision: the canonical
+// x-coordinate against the band limits first, then the rightward-ray
+// crossing parity against the partition polylines for points inside the
+// interlocking band.
+func (n *Node) side(p geom.Point) ChildRef {
+	cx := canonX(n.Dim, p)
+	if cx <= n.CutLo {
+		return n.Left
+	}
+	if cx >= n.CutHi {
+		return n.Right
+	}
+	if n.rayParityLeft(p) {
+		return n.Left
+	}
+	return n.Right
+}
+
+// rayParityLeft reports whether a rightward ray (in the canonical frame)
+// from p crosses the partition an odd number of times, i.e. whether p lies
+// inside the lefthand subspace's extent.
+func (n *Node) rayParityLeft(p geom.Point) bool {
+	cp := canon(n.Dim, p)
+	num := 0
+	for _, pl := range n.Polylines {
+		for i := 0; i+1 < len(pl); i++ {
+			s := geom.Segment{A: canon(n.Dim, pl[i]), B: canon(n.Dim, pl[i+1])}
+			if s.CrossesRightwardRay(cp) {
+				num++
+			}
+		}
+	}
+	return num%2 == 1
+}
+
+// Locate returns the id of the data region containing p by descending the
+// pointer tree from the root.
+func (t *Tree) Locate(p geom.Point) int {
+	if t.Root == nil {
+		return 0 // single-region subdivision
+	}
+	ref := ChildRef{Node: t.Root}
+	for !ref.IsData() {
+		ref = ref.Node.side(p)
+	}
+	return ref.Data
+}
+
+// Locate answers a point query over the paged pointer tree with the
+// early-termination trace: a node's first packet always, its remaining
+// packets only for a query inside the interlocking band.
+func (pg *Paged) Locate(p geom.Point) (int, []int) {
+	return pg.LocateInto(p, nil)
+}
+
+// LocateInto is Locate appending into a reused trace buffer.
+func (pg *Paged) LocateInto(p geom.Point, trace []int) (int, []int) {
+	trace = trace[:0]
+	if pg.Tree.Root == nil {
+		return 0, trace
+	}
+	ref := ChildRef{Node: pg.Tree.Root}
+	for !ref.IsData() {
+		n := ref.Node
+		packets := pg.Layout.PacketsOf(n.ID)
+		trace = wire.AppendTraceOnce(trace, int(packets[0]))
+		if cx := canonX(n.Dim, p); cx > n.CutLo && cx < n.CutHi {
+			for _, pk := range packets[1:] {
+				trace = wire.AppendTraceOnce(trace, int(pk))
+			}
+		}
+		ref = n.side(p)
+	}
+	return ref.Data, trace
 }

@@ -4,15 +4,16 @@ import (
 	"fmt"
 
 	"airindex/internal/geom"
+	"airindex/internal/region"
 )
 
 // Continuous (trajectory) queries: a moving client wants to know which data
 // region is valid along a straight path and exactly where the answer
 // changes — the primitive behind location-dependent cache invalidation
 // (the paper's companion problem in reference [23]). Each boundary crossing
-// is found geometrically against the current region's ring and the next
-// region resolved with the D-tree itself, so a K-crossing trajectory costs
-// O(K log N) plus the crossing tests.
+// is found geometrically against the current region's ring and the region
+// beyond it resolved on the subdivision, so the answer is the ground truth
+// the broadcast index encodes.
 
 // Crossing is one leg of a trajectory: Region is valid from parameter T
 // (0 at the start point) until the next leg's T (or 1.0 for the last leg).
@@ -22,23 +23,26 @@ type Crossing struct {
 	At     geom.Point // entry location (the start point for the first leg)
 }
 
-// CrossedRegions returns the sequence of regions a straight trajectory from
-// a to b visits, in order, with entry parameters. Both endpoints must lie
-// inside the service area.
-func (t *Tree) CrossedRegions(a, b geom.Point) ([]Crossing, error) {
-	if !t.Sub.Area.Contains(a) || !t.Sub.Area.Contains(b) {
+// CrossedRegions returns the sequence of regions of sub a straight
+// trajectory from a to b visits, in order, with entry parameters. Both
+// endpoints must lie inside the service area.
+func CrossedRegions(sub *region.Subdivision, a, b geom.Point) ([]Crossing, error) {
+	if !sub.Area.Contains(a) || !sub.Area.Contains(b) {
 		return nil, fmt.Errorf("core: trajectory endpoints must lie in the service area")
 	}
 	const eps = 1e-9
-	cur := t.Locate(a)
+	cur := sub.Locate(a)
+	if cur < 0 {
+		return nil, fmt.Errorf("core: no region contains the trajectory start %v", a)
+	}
 	out := []Crossing{{Region: cur, T: 0, At: a}}
 	if a == b {
 		return out, nil
 	}
 	tcur := 0.0
-	for steps := 0; steps <= t.Sub.N()*4+16; steps++ {
+	for steps := 0; steps <= sub.N()*4+16; steps++ {
 		// The first exit from the current region strictly after tcur.
-		tNext, ok := exitParam(t.Sub.Regions[cur].Poly, a, b, tcur+eps)
+		tNext, ok := exitParam(sub.Regions[cur].Poly, a, b, tcur+eps)
 		if !ok || tNext >= 1 {
 			return out, nil
 		}
@@ -50,8 +54,8 @@ func (t *Tree) CrossedRegions(a, b geom.Point) ([]Crossing, error) {
 			if probe >= 1 {
 				return out, nil // the crossing grazes the very end
 			}
-			next = t.Locate(geom.Lerp(a, b, probe))
-			if next != cur {
+			next = sub.Locate(geom.Lerp(a, b, probe))
+			if next >= 0 && next != cur {
 				break
 			}
 			probe += (1 - tNext) / 1024 // grazing contact; push further
@@ -60,7 +64,7 @@ func (t *Tree) CrossedRegions(a, b geom.Point) ([]Crossing, error) {
 				break
 			}
 		}
-		if next == cur {
+		if next < 0 || next == cur {
 			tcur = probe
 			continue
 		}

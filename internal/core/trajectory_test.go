@@ -13,7 +13,7 @@ func TestCrossedRegionsMatchesSampling(t *testing.T) {
 	for trial := 0; trial < 120; trial++ {
 		a := geom.Pt(area.MinX+rng.Float64()*area.W(), area.MinY+rng.Float64()*area.H())
 		b := geom.Pt(area.MinX+rng.Float64()*area.W(), area.MinY+rng.Float64()*area.H())
-		legs, err := tree.CrossedRegions(a, b)
+		legs, err := CrossedRegions(tree.Sub, a, b)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -60,11 +60,11 @@ func TestCrossedRegionsMatchesSampling(t *testing.T) {
 func TestCrossedRegionsDegenerate(t *testing.T) {
 	tree, _, area := buildVoronoiTree(t, 40, 703)
 	p := geom.Pt(5000, 5000)
-	legs, err := tree.CrossedRegions(p, p)
+	legs, err := CrossedRegions(tree.Sub, p, p)
 	if err != nil || len(legs) != 1 {
 		t.Fatalf("point trajectory: %v %v", legs, err)
 	}
-	if _, err := tree.CrossedRegions(geom.Pt(-1, -1), p); err == nil {
+	if _, err := CrossedRegions(tree.Sub, geom.Pt(-1, -1), p); err == nil {
 		t.Error("outside start should fail")
 	}
 	_ = area
@@ -74,7 +74,7 @@ func TestCrossedRegionsWholeDiagonal(t *testing.T) {
 	tree, _, area := buildVoronoiTree(t, 200, 704)
 	a := geom.Pt(area.MinX+1, area.MinY+1)
 	b := geom.Pt(area.MaxX-1, area.MaxY-1)
-	legs, err := tree.CrossedRegions(a, b)
+	legs, err := CrossedRegions(tree.Sub, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}

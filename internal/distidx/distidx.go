@@ -40,8 +40,9 @@ type Index struct {
 	Params   wire.Params
 	CutDepth int
 
+	flat     *core.FlatTree // the tree's arena; clients descend it
 	rep      *wire.Layout
-	repNodes map[int]bool // node id -> in replicated part
+	nodeSeg  []int // node id -> its segment, or -1 in the replicated part
 	segments []segment
 	segOf    map[int]int // region id -> segment index
 	posOf    map[int]int // region id -> absolute slot of its first data packet
@@ -55,10 +56,11 @@ func New(tree *core.Tree, params wire.Params) (*Index, error) {
 		return nil, fmt.Errorf("distidx: single-region trees need no index")
 	}
 	height := tree.Height()
+	flat := tree.Flatten(params)
 	var best *Index
 	var bestScore float64
 	for d := 1; d < height; d++ {
-		idx, err := NewWithDepth(tree, params, d)
+		idx, err := newWithDepth(tree, flat, params, d)
 		if err != nil {
 			return nil, err
 		}
@@ -71,15 +73,15 @@ func New(tree *core.Tree, params wire.Params) (*Index, error) {
 		}
 	}
 	if best == nil {
-		return NewWithDepth(tree, params, 1)
+		return newWithDepth(tree, flat, params, 1)
 	}
 	return best, nil
 }
 
-// NewWithDepth builds the organization with an explicit cut depth: nodes at
-// depth < cutDepth are replicated in every block; each child crossing the
-// cut becomes a segment.
-func NewWithDepth(tree *core.Tree, params wire.Params, cutDepth int) (*Index, error) {
+// newWithDepth builds the organization with an explicit cut depth over the
+// tree and its arena: nodes at depth < cutDepth are replicated in every
+// block; each child crossing the cut becomes a segment.
+func newWithDepth(tree *core.Tree, flat *core.FlatTree, params wire.Params, cutDepth int) (*Index, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
@@ -90,10 +92,10 @@ func NewWithDepth(tree *core.Tree, params wire.Params, cutDepth int) (*Index, er
 		return nil, fmt.Errorf("distidx: cut depth %d must be >= 1", cutDepth)
 	}
 	idx := &Index{
-		Tree: tree, Params: params, CutDepth: cutDepth,
-		repNodes: make(map[int]bool),
-		segOf:    make(map[int]int),
-		posOf:    make(map[int]int),
+		Tree: tree, Params: params, CutDepth: cutDepth, flat: flat,
+		nodeSeg: make([]int, len(tree.Nodes)),
+		segOf:   make(map[int]int),
+		posOf:   make(map[int]int),
 	}
 
 	// Split the tree: replicated nodes above the cut, segment roots below,
@@ -106,7 +108,7 @@ func NewWithDepth(tree *core.Tree, params wire.Params, cutDepth int) (*Index, er
 			return
 		}
 		n := c.Node
-		idx.repNodes[n.ID] = true
+		idx.nodeSeg[n.ID] = -1
 		var children []int
 		for _, ch := range []core.ChildRef{n.Left, n.Right} {
 			if !ch.IsData() && depth+1 < cutDepth {
@@ -140,6 +142,7 @@ func NewWithDepth(tree *core.Tree, params wire.Params, cutDepth int) (*Index, er
 				leaves = append(leaves, c.Data)
 				return
 			}
+			idx.nodeSeg[c.Node.ID] = si
 			collect(c.Node.Left)
 			collect(c.Node.Right)
 		}
@@ -238,9 +241,8 @@ func (c Cost) TotalTuning() int { return c.TuneProbe + c.TuneIndex + c.TuneData 
 // the same replicated part, so the routing stays valid), finish the search
 // there, and download the bucket that follows in the same block.
 func (x *Index) Access(p geom.Point, t float64) (Cost, error) {
-	bucket, path := x.Tree.LocatePath(p)
+	bucket, repOffsets, localOffsets := x.search(p)
 	seg := x.segOf[bucket]
-	repOffsets, localOffsets := x.pathPackets(p, path)
 
 	cost := Cost{Bucket: bucket}
 	cur := float64(int(t) + 1) // finish the in-flight packet
@@ -311,44 +313,26 @@ func (x *Index) nextBlock(cur float64) (int, int) {
 	return 0, (int(k)+1)*x.cycleLen + starts[0]
 }
 
-// pathPackets splits the in-memory search path into replicated-part and
-// local-part packet offsets (sorted, de-duplicated), applying the same
-// RMC/LMC early-termination rule as core.Paged.Locate: only queries inside
-// a node's interlocking band read past its first packet.
-func (x *Index) pathPackets(p geom.Point, path []*core.Node) (rep []int, local []int) {
-	seenRep := map[int]bool{}
-	seenLoc := map[int]bool{}
-	for _, n := range path {
-		var layout *wire.Layout
-		var seen map[int]bool
-		var out *[]int
-		if x.repNodes[n.ID] {
-			layout, seen, out = x.rep, seenRep, &rep
-		} else {
-			layout, seen, out = x.segments[x.segOf[x.anyBucketUnder(n)]].local, seenLoc, &local
+// search descends the tree's arena for p and returns the bucket with the
+// replicated-part and local-part packet offsets the client reads (sorted,
+// de-duplicated). The arena walk applies the RMC/LMC early termination of
+// core.FlatPaged.Locate: only queries inside a node's interlocking band
+// read past its first packet.
+func (x *Index) search(p geom.Point) (bucket int, rep, local []int) {
+	bucket = x.flat.Descend(p, func(node int, rest bool) {
+		layout, out := x.rep, &rep
+		if si := x.nodeSeg[node]; si >= 0 {
+			layout, out = x.segments[si].local, &local
 		}
-		packets := layout.PacketsOf(n.ID)
-		need := packets[:1]
-		if n.InBand(p) {
-			need = packets
+		packets := layout.PacketsOf(node)
+		if !rest {
+			packets = packets[:1]
 		}
-		for _, pk := range need {
-			if !seen[int(pk)] {
-				seen[int(pk)] = true
-				*out = append(*out, int(pk))
-			}
+		for _, pk := range packets {
+			*out = wire.AppendTraceOnce(*out, int(pk))
 		}
-	}
+	})
 	sort.Ints(rep)
 	sort.Ints(local)
-	return rep, local
-}
-
-// anyBucketUnder returns a region id below the node (to find its segment).
-func (x *Index) anyBucketUnder(n *core.Node) int {
-	c := core.ChildRef{Node: n}
-	for !c.IsData() {
-		c = c.Node.Left
-	}
-	return c.Data
+	return bucket, rep, local
 }

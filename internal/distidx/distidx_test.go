@@ -11,6 +11,11 @@ import (
 	"airindex/internal/wire"
 )
 
+// NewWithDepth builds the organization with an explicit cut depth.
+func NewWithDepth(tree *core.Tree, params wire.Params, cutDepth int) (*Index, error) {
+	return newWithDepth(tree, tree.Flatten(params), params, cutDepth)
+}
+
 func buildTree(t *testing.T, n int, seed int64) *core.Tree {
 	t.Helper()
 	sub, _ := testutil.RandomVoronoi(t, n, seed)
@@ -56,12 +61,24 @@ func TestStructure(t *testing.T) {
 	}
 }
 
+// arena pages the tree as the (1, m) broadcast does and returns its arena,
+// the oracle distributed access must agree with.
+func arena(t *testing.T, tree *core.Tree, params wire.Params) *core.FlatPaged {
+	t.Helper()
+	paged, err := tree.Page(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return paged.Flatten()
+}
+
 func TestAccessResolvesCorrectly(t *testing.T) {
 	tree := buildTree(t, 150, 402)
 	idx, err := New(tree, wire.DTreeParams(256))
 	if err != nil {
 		t.Fatal(err)
 	}
+	fp := arena(t, tree, idx.Params)
 	rng := rand.New(rand.NewSource(403))
 	for q := 0; q < 8000; q++ {
 		p := geom.Pt(rng.Float64()*10000, rng.Float64()*10000)
@@ -70,7 +87,7 @@ func TestAccessResolvesCorrectly(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query %v at %v: %v", p, tm, err)
 		}
-		if want := tree.Locate(p); c.Bucket != want {
+		if want, _ := fp.Locate(p); c.Bucket != want {
 			t.Fatalf("query %v: bucket %d want %d", p, c.Bucket, want)
 		}
 		if c.Latency < float64(c.TuneData) {
@@ -95,14 +112,11 @@ func TestDistributedBeatsOneMOnLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paged, err := tree.Page(params)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fp := arena(t, tree, params)
 	n := tree.Sub.N()
 	bp := params.DataBucketPackets()
-	m := broadcast.OptimalM(paged.IndexPackets(), n*bp)
-	sched, err := broadcast.NewSchedule(paged.IndexPackets(), n, bp, m)
+	m := broadcast.OptimalM(fp.IndexPackets(), n*bp)
+	sched, err := broadcast.NewSchedule(fp.IndexPackets(), n, bp, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +134,7 @@ func TestDistributedBeatsOneMOnLatency(t *testing.T) {
 		distLat += dc.Latency
 		distTune += float64(dc.TuneIndex)
 
-		bucket, trace := paged.Locate(p)
+		bucket, trace := fp.Locate(p)
 		oc, err := sched.Access(rng.Float64()*float64(sched.CycleLen()),
 			broadcast.SearchTrace{Bucket: bucket, IndexOffsets: trace})
 		if err != nil {
@@ -165,6 +179,7 @@ func TestDeepCutDegradesGracefully(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fp := arena(t, tree, idx.Params)
 	rng := rand.New(rand.NewSource(409))
 	for q := 0; q < 1500; q++ {
 		p := geom.Pt(rng.Float64()*10000, rng.Float64()*10000)
@@ -172,7 +187,7 @@ func TestDeepCutDegradesGracefully(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := tree.Locate(p); c.Bucket != want {
+		if want, _ := fp.Locate(p); c.Bucket != want {
 			t.Fatalf("bucket %d want %d", c.Bucket, want)
 		}
 	}

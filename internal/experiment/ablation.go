@@ -20,22 +20,15 @@ var AblationVariants = []string{
 	"no-early-termination", // read whole multi-packet nodes always
 }
 
-type ablationIndex struct {
-	name       string
-	pg         *core.Paged
-	locate     func(geom.Point) (int, []int)
-	locateInto func(geom.Point, []int) (int, []int)
-}
+// noEarlyIndex is the D-tree arena read without the RMC/LMC first-packet
+// shortcut: every packet of every visited node is downloaded.
+type noEarlyIndex struct{ dtreeIndex }
 
-func (a ablationIndex) Name() string                     { return a.name }
-func (a ablationIndex) IndexPackets() int                { return a.pg.IndexPackets() }
-func (a ablationIndex) SizeBytes() int                   { return a.pg.Layout.SizeBytes() }
-func (a ablationIndex) Locate(p geom.Point) (int, []int) { return a.locate(p) }
-func (a ablationIndex) LocateInto(p geom.Point, trace []int) (int, []int) {
-	if a.locateInto != nil {
-		return a.locateInto(p, trace)
-	}
-	return a.locate(p)
+func (n noEarlyIndex) Locate(p geom.Point) (int, []int) {
+	return n.fp.LocateWithoutEarlyTerminationInto(p, nil)
+}
+func (n noEarlyIndex) LocateInto(p geom.Point, trace []int) (int, []int) {
+	return n.fp.LocateWithoutEarlyTerminationInto(p, trace)
 }
 
 // RunAblation measures the D-tree variants over one dataset, reusing the
@@ -83,13 +76,13 @@ func RunAblation(ds dataset.Dataset, cfg Config) ([]Measurement, error) {
 		if err != nil {
 			return nil, err
 		}
+		fullFp := fullPg.Flatten()
 		indexes := []Index{
-			ablationIndex{"D-tree", fullPg, fullPg.Locate, fullPg.LocateInto},
-			ablationIndex{"single-style", singlePg, singlePg.Locate, singlePg.LocateInto},
-			ablationIndex{"no-tiebreak", noTiePg, noTiePg.Locate, noTiePg.LocateInto},
-			ablationIndex{"greedy-paging", greedyPg, greedyPg.Locate, greedyPg.LocateInto},
-			ablationIndex{"no-early-termination", fullPg,
-				fullPg.LocateWithoutEarlyTermination, fullPg.LocateWithoutEarlyTerminationInto},
+			dtreeIndex{"D-tree", fullFp},
+			dtreeIndex{"single-style", singlePg.Flatten()},
+			dtreeIndex{"no-tiebreak", noTiePg.Flatten()},
+			dtreeIndex{"greedy-paging", greedyPg.Flatten()},
+			noEarlyIndex{dtreeIndex{"no-early-termination", fullFp}},
 		}
 		ms, err := measureIndexes(b, sampler, indexes, capacity, cfg)
 		if err != nil {

@@ -216,8 +216,8 @@ func (b *Built) buildIndexes(capacity int) ([]Index, error) {
 	if err := gather(tasks...); err != nil {
 		return nil, err
 	}
-	// The D-tree is served from its flat arena (the product fast path); the
-	// pointer tree stays behind as construction intermediate and oracle.
+	// The D-tree is served from its flat arena, which answers as the wire
+	// client does; the pointer tree is only the construction intermediate.
 	fp := dp.Flatten()
 	if trp == nil {
 		return []Index{dtreeIndex{"D-tree", fp}, rstarIndex{ra}}, nil

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"airindex/internal/core"
 	"airindex/internal/geom"
 	"airindex/internal/voronoi"
 )
@@ -147,6 +148,59 @@ func TestFabricDegenerateSplitLines(t *testing.T) {
 					t.Error("no batch drew a duplicate of a live site")
 				}
 			})
+		}
+	}
+}
+
+// TestArenaWireAgreeOnSplitLines queries exactly on the kd split lines of
+// fabrics over lattice and diagonal sites, where a query lies on the edge of
+// its shard's area. It pins only that each shard's arena and the wire
+// client decoding the shard's packets agree, in answer and in trace; that
+// such a query can still land in a cell that does not contain it is the
+// open split-line misroute (ROADMAP.md, "Right answers on degenerate
+// inputs").
+func TestArenaWireAgreeOnSplitLines(t *testing.T) {
+	area := geom.Rect{MinX: 0, MinY: 0, MaxX: 10000, MaxY: 10000}
+	const capacity = 128
+	for fi, fam := range degenerateFamilies {
+		for _, S := range []int{2, 3, 4, 8} {
+			rng := rand.New(rand.NewSource(int64(2000*fi + S)))
+			f, err := Build(area, distinctSites(rng, 40, fam.site), S, capacity, Options{})
+			if err != nil {
+				t.Fatalf("%s S=%d: build: %v", fam.name, S, err)
+			}
+			packets := make([][][]byte, len(f.Shards))
+			for ch, sh := range f.Shards {
+				if packets[ch], err = sh.Flat.EncodePackets(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var trace []int
+			for _, n := range f.Dir.Nodes {
+				if n.Axis == axisLeaf {
+					continue
+				}
+				for at := 0.0; at <= area.MaxX; at += 50 {
+					p := geom.Pt(n.Split, at)
+					if n.Axis == axisY {
+						p = geom.Pt(at, n.Split)
+					}
+					ch := f.Dir.Route(p)
+					var got int
+					got, trace = f.Shards[ch].Flat.LocateInto(p, trace)
+					if len(packets[ch]) == 0 {
+						continue // single-region shard: no index on air
+					}
+					want, wantTrace, err := core.ClientLocate(packets[ch], capacity, p)
+					if err != nil {
+						t.Fatalf("%s S=%d: %v on shard %d: %v", fam.name, S, p, ch, err)
+					}
+					if got != want || fmt.Sprint(trace) != fmt.Sprint(wantTrace) {
+						t.Fatalf("%s S=%d: %v on shard %d: arena (%d, %v), wire (%d, %v)",
+							fam.name, S, p, ch, got, trace, want, wantTrace)
+					}
+				}
+			}
 		}
 	}
 }

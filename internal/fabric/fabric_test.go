@@ -163,10 +163,11 @@ func TestFabricBitIdenticalToSingleChannel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			flat, err := flatTree.Page(wire.DTreeParams(capacity))
+			paged, err := flatTree.Page(wire.DTreeParams(capacity))
 			if err != nil {
 				t.Fatal(err)
 			}
+			flat := paged.Flatten()
 			for _, S := range []int{2, 3, 4} {
 				f, err := Build(ds.Area, ds.Sites, S, capacity, Options{})
 				if err != nil {

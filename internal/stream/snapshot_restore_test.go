@@ -81,9 +81,9 @@ func TestSnapshotRestoreByteIdenticalCycle(t *testing.T) {
 
 // TestSwapperGenerationsFlatMatchesPointer drives the swapper through a
 // run of churn batches and checks, for every published generation, that
-// the arena the generation serves from agrees bit-for-bit with a pointer
-// D-tree rebuilt from the same ground truth: same bucket, same
-// early-termination packet trace. Queries run concurrently with the next
+// the arena the generation serves from agrees bit-for-bit with the arena of
+// a D-tree rebuilt from scratch over the same ground truth: same bucket,
+// same early-termination packet trace. Queries run concurrently with the next
 // Apply so the race detector sees the serving pattern.
 func TestSwapperGenerationsFlatMatchesPointer(t *testing.T) {
 	const capacity = 256
@@ -110,22 +110,23 @@ func TestSwapperGenerationsFlatMatchesPointer(t *testing.T) {
 			t.Error(err)
 			return
 		}
+		fresh := paged.Flatten()
 		var trace []int
 		for _, p := range testutil.QueryPoints(testArea, 60, seed) {
-			wantID, wantTrace := paged.Locate(p)
+			wantID, wantTrace := fresh.Locate(p)
 			var gotID int
 			gotID, trace = g.Flat.LocateInto(p, trace[:0])
 			if gotID != wantID {
-				t.Errorf("generation %d: flat bucket %d, pointer %d at %v", g.Gen, gotID, wantID, p)
+				t.Errorf("generation %d: served bucket %d, from scratch %d at %v", g.Gen, gotID, wantID, p)
 				return
 			}
 			if len(trace) != len(wantTrace) {
-				t.Errorf("generation %d: flat trace %v, pointer %v at %v", g.Gen, trace, wantTrace, p)
+				t.Errorf("generation %d: served trace %v, from scratch %v at %v", g.Gen, trace, wantTrace, p)
 				return
 			}
 			for i := range trace {
 				if trace[i] != wantTrace[i] {
-					t.Errorf("generation %d: flat trace %v, pointer %v at %v", g.Gen, trace, wantTrace, p)
+					t.Errorf("generation %d: served trace %v, from scratch %v at %v", g.Gen, trace, wantTrace, p)
 					return
 				}
 			}
