@@ -57,9 +57,6 @@ func New(model Model, seed int64, stats *Stats) *Channel {
 	return &Channel{model: model, rng: rand.New(rand.NewSource(seed)), stats: stats}
 }
 
-// Stats returns the counters this channel reports into.
-func (c *Channel) Stats() *Stats { return c.stats }
-
 // Transmit passes one serialized frame through the channel. payloadStart
 // is the offset where the frame's payload begins (the header is never
 // damaged: link-layer headers carry their own FEC in real systems, and

@@ -129,12 +129,6 @@ func (c *Client) client(ch int) (*stream.Client, error) {
 	return c.clients[ch], nil
 }
 
-// Query resolves the data instance for p, entering on the channel that
-// answered the previous query (channel 0 initially).
-func (c *Client) Query(p geom.Point) (Result, error) {
-	return c.QueryFrom(p, c.entry)
-}
-
 // QueryFrom resolves the data instance for p entering on a specific
 // channel: probe, read the replicated channel directory at the head of the
 // next index copy, hop to the owning shard if it differs, then run the

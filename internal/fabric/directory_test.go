@@ -109,3 +109,9 @@ func FuzzDecodeDirectory(f *testing.F) {
 		}
 	})
 }
+
+// Query resolves the data instance for p, entering on the channel that
+// answered the previous query (channel 0 initially).
+func (c *Client) Query(p geom.Point) (Result, error) {
+	return c.QueryFrom(p, c.entry)
+}

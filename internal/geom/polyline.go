@@ -10,21 +10,6 @@ import (
 // be counted (and serialized) once rather than per segment.
 type Polyline []Point
 
-// Segments returns the consecutive segments of the chain.
-func (pl Polyline) Segments() []Segment {
-	if len(pl) < 2 {
-		return nil
-	}
-	out := make([]Segment, 0, len(pl)-1)
-	for i := 0; i+1 < len(pl); i++ {
-		out = append(out, Segment{pl[i], pl[i+1]})
-	}
-	return out
-}
-
-// Bounds returns the bounding rectangle of the chain.
-func (pl Polyline) Bounds() Rect { return RectFromPoints(pl...) }
-
 // Len returns the total Euclidean length of the chain.
 func (pl Polyline) Len() float64 {
 	var s float64
@@ -32,13 +17,6 @@ func (pl Polyline) Len() float64 {
 		s += pl[i].Dist(pl[i+1])
 	}
 	return s
-}
-
-// Clone returns a deep copy of the polyline.
-func (pl Polyline) Clone() Polyline {
-	out := make(Polyline, len(pl))
-	copy(out, pl)
-	return out
 }
 
 // Chainer stitches an unordered set of segments into maximal polylines.

@@ -10,15 +10,6 @@ func TestPolylineBasics(t *testing.T) {
 	if got := pl.Len(); got != 11 {
 		t.Errorf("Len = %v", got)
 	}
-	if got := len(pl.Segments()); got != 2 {
-		t.Errorf("Segments = %d", got)
-	}
-	if got := len(Polyline{Pt(0, 0)}.Segments()); got != 0 {
-		t.Errorf("single point segments = %d", got)
-	}
-	if b := pl.Bounds(); b.MaxY != 10 || b.MaxX != 3 {
-		t.Errorf("Bounds = %+v", b)
-	}
 }
 
 func TestChainSegmentsSingleChain(t *testing.T) {

@@ -67,8 +67,5 @@ func NewMetricsIn(reg *obs.Registry, prefix string) *Metrics {
 	return m
 }
 
-// Registry exposes the underlying registry (for /metrics and snapshots).
-func (m *Metrics) Registry() *obs.Registry { return m.reg }
-
 // Snapshot reads every pipeline metric into a JSON-friendly map.
 func (m *Metrics) Snapshot() map[string]any { return m.reg.Snapshot() }

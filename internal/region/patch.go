@@ -3,7 +3,7 @@ package region
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"airindex/internal/geom"
 )
@@ -11,13 +11,12 @@ import (
 // Patcher maintains a canonical Subdivision across generations of a slowly
 // changing polygon set (the live Voronoi cells), rebuilding only the welded
 // neighborhood a batch of cell updates touches instead of re-welding the
-// whole tiling. The patched result is coordinate-identical to what New
-// would produce on the full new polygon set — same canonical vertex
-// coordinates, same collapsed rings, same region polygons — differing only
-// in internal vertex numbering, which nothing downstream observes (the
-// D-tree marshal and all boundary extraction work on coordinates).
+// whole tiling. New is a Patcher's bootstrap, and a patched generation is
+// coordinate-identical to New on the full new polygon set (same vertex
+// coordinates, rings and polygons); only the vertex numbering differs,
+// which nothing downstream observes.
 //
-// Why this is exact: New's welder assigns each raw point to the first
+// Why this is exact: the weld assigns each raw point to the first
 // canonical vertex within the weld tolerance, scanning points in global
 // order (region index ascending, ring position ascending). Weld outcomes
 // therefore only couple points that are chained within tolerance of each
@@ -29,116 +28,252 @@ import (
 // pulled it into the component), so the replay reproduces the from-scratch
 // assignment for every point, changed or not.
 //
+// All retained state is flat arrays indexed by site key, raw point and
+// vertex; a vertex's raw points chain through the point slab, and that
+// incidence answers both the flood's search and directed-edge ownership.
+//
 // A Patcher is not safe for concurrent use. Subdivisions it returns remain
-// valid after further patches: unchanged regions share their ring and
-// polygon slices across generations, the vertex slab is append-only, and
-// per-region neighbor arrays are copied on write.
+// valid after further patches: unchanged regions share their ring,
+// polygon and neighbor slices across generations, none of which is ever
+// modified in place, and the vertex slab is append-only.
 type Patcher struct {
 	area geom.Rect
 	tol  float64
 
-	// Per-site state, indexed by stable site key.
-	live   []bool
-	pts    [][]geom.Point // cleaned raw ring points (post Dedup+EnsureCCW)
-	assign [][]int32      // canonical vertex id per raw point
-	ring   [][]int        // collapsed canonical ring
-	nbr    [][]int32      // neighbor site key per ring edge (-1 border)
-	poly   []geom.Polygon // canonical polygon (ring coordinates)
+	// Per-site state, indexed by stable site key. A site is live iff n > 0.
+	off  []int32        // first raw point of the site's run in pts
+	n    []int32        // raw point count (cleaned ring, post Dedup+EnsureCCW)
+	ring [][]int        // collapsed canonical ring
+	nbr  [][]int32      // neighbor site key per ring edge (-1 border)
+	poly []geom.Polygon // canonical polygon (ring coordinates)
 
-	verts   []geom.Point // append-only canonical vertex slab (may hold dead entries)
-	vertCnt []int32      // live point references per vertex; 0 = dead
+	pts []rawPt // raw-point slab; released runs stay until compact
 
-	vgrid map[[2]int64][]int32 // weld grid: cell -> live canonical vertex ids
-	pgrid map[[2]int64][]pref  // point grid: cell -> live raw point refs
+	verts []geom.Point // append-only canonical vertex slab (may hold dead entries)
+	vx    []vertex
 
-	edgeOwner map[[2]int32]int32 // directed vertex edge -> owning site key
+	// Bucket grid over weld cells (floor(x/tol), floor(y/tol)): cell (cx, cy)
+	// hangs in bucket (cx/side mod nx, cy/side mod ny).
+	head      []int32
+	side      int64
+	nx, ny    int64
+	gridSites int // sites the grid is sized for
+
+	// Per-call scratch. Marks are epoch-stamped, so nothing is cleared.
+	epoch   int32
+	sep     []int32 // per site: epoch sfl was written in
+	sfl     []uint8 // per site: f* flags of epoch sep
+	marked  []int32
+	queue   []geom.Point
+	clean   geom.Polygon
+	rebuild []int32
+	runs    [][2]int32 // new run (offset, length) per dirty key
 
 	broken bool
 }
 
-type pref struct{ site, idx int32 }
-
-func polyEqual(a, b geom.Polygon) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return len(a) > 0
+type rawPt struct {
+	p    geom.Point
+	v    int32 // canonical vertex
+	next int32 // next raw point welded to v, -1 at the end
+	site int32
+	mark int32 // epoch the flood marked it in
 }
+
+type vertex struct {
+	refs  int32 // live raw points welded here; 0 = dead
+	first int32 // head of the raw-point chain, -1 if none
+	next  int32 // next vertex in the grid bucket, -1 at the end
+}
+
+const (
+	fDirty uint8 = 1 << iota
+	fRemoved
+	fRebuild
+)
+
+func polyEqual(a, b geom.Polygon) bool { return len(a) > 0 && slices.Equal(a, b) }
 
 // NewPatcher returns an empty Patcher; the first Patch call (with every key
-// dirty) bootstraps it, replaying the full tiling exactly as New welds it.
+// dirty) bootstraps it.
 func NewPatcher(area geom.Rect) *Patcher {
-	return &Patcher{
-		area:      area,
-		tol:       DefaultWeldTol,
-		vgrid:     make(map[[2]int64][]int32),
-		pgrid:     make(map[[2]int64][]pref),
-		edgeOwner: make(map[[2]int32]int32),
+	return &Patcher{area: area, tol: DefaultWeldTol}
+}
+
+func (p *Patcher) cellOf(pt geom.Point) (int64, int64) {
+	return int64(math.Floor(pt.X / p.tol)), int64(math.Floor(pt.Y / p.tol))
+}
+
+func (p *Patcher) near(a, b geom.Point) bool {
+	return math.Abs(a.X-b.X) <= p.tol && math.Abs(a.Y-b.Y) <= p.tol
+}
+
+func floorDiv(a, b int64) int64 { return (a - (a%b+b)%b) / b }
+
+func (p *Patcher) bucket(bx, by int64) int32 {
+	return int32((bx%p.nx+p.nx)%p.nx + p.nx*((by%p.ny+p.ny)%p.ny))
+}
+
+// buckets returns the distinct buckets holding the weld cells within r
+// cells of (cx, cy): at most 2x2 for r <= 2, as side >= 4 and nx, ny >= 2.
+func (p *Patcher) buckets(cx, cy, r int64) (bs [4]int32, n int) {
+	for by := floorDiv(cy-r, p.side); by <= floorDiv(cy+r, p.side); by++ {
+		for bx := floorDiv(cx-r, p.side); bx <= floorDiv(cx+r, p.side); bx++ {
+			bs[n] = p.bucket(bx, by)
+			n++
+		}
+	}
+	return bs, n
+}
+
+func (p *Patcher) vbucket(v int32) int32 {
+	cx, cy := p.cellOf(p.verts[v])
+	return p.bucket(floorDiv(cx, p.side), floorDiv(cy, p.side))
+}
+
+// regrid sizes the bucket grid for two buckets per site (about one per
+// Voronoi vertex) and rehangs the live vertices. Lookups scan whole
+// buckets, so the grid shape never changes an outcome.
+func (p *Patcher) regrid(sites int) {
+	t := float64(2 * sites)
+	wc, hc := p.area.W()/p.tol, p.area.H()/p.tol
+	p.side = max(4, int64(math.Ceil(max(math.Sqrt(wc*hc/t), (wc+hc)/t))))
+	p.nx, p.ny = int64(wc)/p.side+2, int64(hc)/p.side+2
+	p.head = make([]int32, p.nx*p.ny)
+	for b := range p.head {
+		p.head[b] = -1
+	}
+	p.gridSites = sites
+	for v := range p.vx {
+		if p.vx[v].refs > 0 {
+			b := p.vbucket(int32(v))
+			p.vx[v].next, p.head[b] = p.head[b], int32(v)
+		}
 	}
 }
 
-func (p *Patcher) cellOf(pt geom.Point) [2]int64 {
-	return [2]int64{int64(math.Floor(pt.X / p.tol)), int64(math.Floor(pt.Y / p.tol))}
-}
-
-// weldAdd mirrors welder.add exactly: first canonical vertex within the
-// tolerance box wins, scanning the 3x3 cell neighborhood in fixed order and
-// each cell's vertex list in insertion order.
-func (p *Patcher) weldAdd(pt geom.Point) int32 {
-	c := p.cellOf(pt)
-	for dx := int64(-1); dx <= 1; dx++ {
-		for dy := int64(-1); dy <= 1; dy++ {
-			for _, vid := range p.vgrid[[2]int64{c[0] + dx, c[1] + dy}] {
-				q := p.verts[vid]
-				if math.Abs(q.X-pt.X) <= p.tol && math.Abs(q.Y-pt.Y) <= p.tol {
-					return vid
-				}
+// weldAdd welds raw point id to the canonical vertex the weld rule picks
+// and chains it there. The rule: among vertices within the tolerance box
+// whose weld cell is in the 3x3 block around the point's, the smallest
+// (dx, dy, vertex id) wins — the first match of a scan over the block's
+// cells in (dx, dy) order, each cell's vertices in creation order. No match
+// founds a new vertex at the point.
+func (p *Patcher) weldAdd(id int32) {
+	pt := p.pts[id].p
+	cx, cy := p.cellOf(pt)
+	best, bestKey := int32(-1), int64(0)
+	bs, nb := p.buckets(cx, cy, 1)
+	for _, b := range bs[:nb] {
+		for v := p.head[b]; v >= 0; v = p.vx[v].next {
+			if !p.near(p.verts[v], pt) {
+				continue
+			}
+			vx, vy := p.cellOf(p.verts[v])
+			dx, dy := vx-cx, vy-cy
+			if dx < -1 || dx > 1 || dy < -1 || dy > 1 {
+				continue
+			}
+			if key := 3*dx + dy; best < 0 || key < bestKey || key == bestKey && v < best {
+				best, bestKey = v, key
 			}
 		}
 	}
-	vid := int32(len(p.verts))
-	p.verts = append(p.verts, pt)
-	p.vertCnt = append(p.vertCnt, 0)
-	p.vgrid[c] = append(p.vgrid[c], vid)
-	return vid
+	if best < 0 {
+		best = int32(len(p.verts))
+		p.verts = append(p.verts, pt)
+		p.vx = append(p.vx, vertex{first: -1})
+		b := p.vbucket(best)
+		p.vx[best].next, p.head[b] = p.head[b], best
+	}
+	p.pts[id].v, p.pts[id].next = best, p.vx[best].first
+	p.vx[best].first = id
+	p.vx[best].refs++
 }
 
-func (p *Patcher) vgridRemove(vid int32) {
-	c := p.cellOf(p.verts[vid])
-	list := p.vgrid[c]
-	for i, x := range list {
-		if x == vid {
-			p.vgrid[c] = append(list[:i], list[i+1:]...)
-			return
+// unweld unchains raw point id from its vertex; a vertex left with no
+// points leaves the grid.
+func (p *Patcher) unweld(id int32) {
+	v := p.pts[id].v
+	at := &p.vx[v].first
+	for *at != id {
+		at = &p.pts[*at].next
+	}
+	*at = p.pts[id].next
+	if p.vx[v].refs--; p.vx[v].refs == 0 {
+		at = &p.head[p.vbucket(v)]
+		for *at != v {
+			at = &p.vx[*at].next
+		}
+		*at = p.vx[v].next
+	}
+}
+
+// owner returns a site owning directed edge u->v and how many ring edges
+// u->v all live sites have together. A site's ring leaves u toward v
+// wherever one of its raw points welded to u is followed, cyclically, by
+// one welded to v, so only u's chain is scanned.
+func (p *Patcher) owner(u, v int) (t int32, n int) {
+	t = -1
+	for id := p.vx[u].first; id >= 0; id = p.pts[id].next {
+		s := p.pts[id].site
+		next := id + 1
+		if next == p.off[s]+p.n[s] {
+			next = p.off[s]
+		}
+		if p.pts[next].v == int32(v) {
+			if n == 0 {
+				t = s
+			}
+			n++
 		}
 	}
+	return t, n
 }
 
-func (p *Patcher) pgridRemove(r pref) {
-	c := p.cellOf(p.pts[r.site][r.idx])
-	list := p.pgrid[c]
-	for i, x := range list {
-		if x == r {
-			p.pgrid[c] = append(list[:i], list[i+1:]...)
-			return
+// compact moves the live sites' runs, in key order, into a fresh slab
+// with room for need more points and 1/16 slack, dropping released runs.
+func (p *Patcher) compact(need int) {
+	live := 0
+	for _, n := range p.n {
+		live += int(n)
+	}
+	pts := make([]rawPt, 0, (live+need)*17/16)
+	remap := make([]int32, len(p.pts))
+	for k, n := range p.n {
+		off := int32(len(pts))
+		for id := p.off[k]; id < p.off[k]+n; id++ {
+			remap[id] = int32(len(pts))
+			pts = append(pts, p.pts[id])
+		}
+		p.off[k] = off
+	}
+	for i := range pts {
+		if pts[i].next >= 0 {
+			pts[i].next = remap[pts[i].next]
 		}
 	}
+	for v := range p.vx {
+		if p.vx[v].first >= 0 {
+			p.vx[v].first = remap[p.vx[v].first]
+		}
+	}
+	p.pts = pts
 }
 
-func (p *Patcher) grow(maxKey int) {
-	for len(p.live) <= maxKey {
-		p.live = append(p.live, false)
-		p.pts = append(p.pts, nil)
-		p.assign = append(p.assign, nil)
-		p.ring = append(p.ring, nil)
-		p.nbr = append(p.nbr, nil)
-		p.poly = append(p.poly, nil)
+func (p *Patcher) flag(k int32, f uint8) {
+	if p.sep[k] != p.epoch {
+		p.sep[k], p.sfl[k] = p.epoch, 0
 	}
+	p.sfl[k] |= f
+}
+
+func (p *Patcher) has(k int32, f uint8) bool { return p.sep[k] == p.epoch && p.sfl[k]&f != 0 }
+
+func grow[T any](s []T, n int) []T {
+	if len(s) >= n {
+		return s
+	}
+	return append(s, make([]T, n-len(s))...)
 }
 
 // Patch advances the tiling one generation. keys and polys are the full
@@ -164,77 +299,107 @@ func (p *Patcher) Patch(keys []int, polys []geom.Polygon, dirty, removed []int) 
 	}
 	maxKey := keys[len(keys)-1]
 	for _, k := range removed {
-		if k > maxKey {
-			maxKey = k
-		}
+		maxKey = max(maxKey, k)
 	}
-	p.grow(maxKey)
+	sites := maxKey + 1
+	p.off, p.n, p.sep, p.sfl = grow(p.off, sites), grow(p.n, sites), grow(p.sep, sites), grow(p.sfl, sites)
+	p.ring, p.nbr, p.poly = grow(p.ring, sites), grow(p.nbr, sites), grow(p.poly, sites)
+	if 2*p.gridSites < len(keys) { // rehang only when the sites double
+		p.regrid(len(keys))
+	}
+	if p.epoch == math.MaxInt32 {
+		for i := range p.pts {
+			p.pts[i].mark = 0
+		}
+		clear(p.sep)
+		p.epoch = 0
+	}
+	p.epoch++
+	ep := p.epoch
 
-	// 1. Clean the new polygons of dirty sites, exactly as New does.
-	cleaned := make(map[int]geom.Polygon, len(dirty))
-	pos := 0
+	// 1. Clean the dirty sites' new polygons into fresh runs.
+	p.runs = p.runs[:0]
+	need, pos := 0, 0
 	for _, k := range dirty {
 		for pos < len(keys) && keys[pos] < k {
 			pos++
 		}
-		if pos >= len(keys) || keys[pos] != k {
+		if pos < len(keys) {
+			need += len(polys[pos])
+		}
+	}
+	if len(p.pts)+need > cap(p.pts) {
+		p.compact(need)
+	}
+	pos = 0
+	for i, k := range dirty {
+		for pos < len(keys) && keys[pos] < k {
+			pos++
+		}
+		if pos >= len(keys) || keys[pos] != k || i > 0 && k <= dirty[i-1] {
 			return fail(fmt.Errorf("region: dirty key %d not live", k))
 		}
-		c := polys[pos].Clone().Dedup().EnsureCCW()
+		c := append(p.clean[:0], polys[pos]...).Dedup().EnsureCCW()
+		p.clean = c
 		if len(c) < 3 {
 			return fail(fmt.Errorf("region: polygon of key %d degenerate after dedup (%d vertices)", k, len(c)))
 		}
-		cleaned[k] = c
+		off := int32(len(p.pts))
+		p.pts = append(p.pts, make([]rawPt, len(c))...)
+		for j, pt := range c {
+			p.pts[off+int32(j)] = rawPt{p: pt, v: -1, next: -1, site: int32(k)}
+		}
+		p.runs = append(p.runs, [2]int32{off, int32(len(c))})
+		p.flag(int32(k), fDirty|fRebuild)
 	}
-
-	dirtySet := make(map[int32]bool, len(dirty))
-	for _, k := range dirty {
-		dirtySet[int32(k)] = true
-	}
-	removedSet := make(map[int32]bool, len(removed))
 	for _, k := range removed {
-		if !p.live[k] {
+		if p.n[k] == 0 {
 			return fail(fmt.Errorf("region: removed key %d not live", k))
 		}
-		removedSet[int32(k)] = true
+		p.flag(int32(k), fRemoved)
 	}
 
-	// 2. Flood the tolerance-proximity component of every changed point.
-	// Seeds: the old points of dirty and removed sites (they leave the
-	// welder) and the new points of dirty sites (they enter it). The
-	// closure is over the current point set: any live point within the
-	// tolerance box of a component point joins, transitively.
-	marked := make(map[pref]bool)
-	var queue []geom.Point
-	for _, k := range append(append([]int(nil), dirty...), removed...) {
-		if !p.live[k] {
-			continue // inserted this generation: no old points
-		}
-		for idx := range p.pts[k] {
-			r := pref{int32(k), int32(idx)}
-			if !marked[r] {
-				marked[r] = true
-				queue = append(queue, p.pts[k][idx])
+	// 2. Flood the tolerance-proximity component of every changed point:
+	// the old points of dirty and removed sites and the new points of
+	// dirty sites seed it; any live point within the tolerance box of a
+	// component point, weld cells adjacent, joins, transitively. Its vertex
+	// lies within two weld cells (and 3 tol), so those vertices' chains are
+	// searched.
+	p.marked, p.queue = p.marked[:0], p.queue[:0]
+	mark := func(id int32) {
+		p.pts[id].mark = ep
+		p.marked = append(p.marked, id)
+		p.queue = append(p.queue, p.pts[id].p)
+	}
+	for _, ks := range [2][]int{dirty, removed} {
+		for _, k := range ks {
+			for id := p.off[k]; id < p.off[k]+p.n[k]; id++ {
+				if p.pts[id].mark != ep {
+					mark(id)
+				}
 			}
 		}
 	}
-	for _, k := range dirty {
-		queue = append(queue, cleaned[k]...)
+	for _, r := range p.runs {
+		for id := r[0]; id < r[0]+r[1] && len(p.verts) > 0; id++ {
+			p.queue = append(p.queue, p.pts[id].p)
+		}
 	}
-	for len(queue) > 0 {
-		c := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		cc := p.cellOf(c)
-		for dx := int64(-1); dx <= 1; dx++ {
-			for dy := int64(-1); dy <= 1; dy++ {
-				for _, r := range p.pgrid[[2]int64{cc[0] + dx, cc[1] + dy}] {
-					if marked[r] {
-						continue
-					}
-					q := p.pts[r.site][r.idx]
-					if math.Abs(q.X-c.X) <= p.tol && math.Abs(q.Y-c.Y) <= p.tol {
-						marked[r] = true
-						queue = append(queue, q)
+	for len(p.queue) > 0 {
+		c := p.queue[len(p.queue)-1]
+		p.queue = p.queue[:len(p.queue)-1]
+		cx, cy := p.cellOf(c)
+		bs, nb := p.buckets(cx, cy, 2)
+		for _, b := range bs[:nb] {
+			for v := p.head[b]; v >= 0; v = p.vx[v].next {
+				if q := p.verts[v]; math.Abs(q.X-c.X) > 3*p.tol || math.Abs(q.Y-c.Y) > 3*p.tol {
+					continue
+				}
+				for id := p.vx[v].first; id >= 0; id = p.pts[id].next {
+					if q := p.pts[id].p; p.pts[id].mark != ep && p.near(q, c) {
+						if qx, qy := p.cellOf(q); qx-cx >= -1 && qx-cx <= 1 && qy-cy >= -1 && qy-cy <= 1 {
+							mark(id)
+						}
 					}
 				}
 			}
@@ -244,110 +409,52 @@ func (p *Patcher) Patch(keys []int, polys []geom.Polygon, dirty, removed []int) 
 	// 3. The rebuild set: dirty sites plus every clean site owning a
 	// component point (its assignments must be replayed even if its
 	// polygon ends up unchanged).
-	rebuildSet := make(map[int32]bool, len(dirty))
+	p.rebuild = p.rebuild[:0]
 	for _, k := range dirty {
-		rebuildSet[int32(k)] = true
+		p.rebuild = append(p.rebuild, int32(k))
 	}
-	for r := range marked {
-		if !dirtySet[r.site] && !removedSet[r.site] {
-			rebuildSet[r.site] = true
+	for _, id := range p.marked {
+		if s := p.pts[id].site; !p.has(s, fDirty|fRemoved|fRebuild) {
+			p.flag(s, fRebuild)
+			p.rebuild = append(p.rebuild, s)
 		}
 	}
-	rebuild := make([]int32, 0, len(rebuildSet))
-	for k := range rebuildSet {
-		rebuild = append(rebuild, k)
-	}
-	sort.Slice(rebuild, func(i, j int) bool { return rebuild[i] < rebuild[j] })
+	slices.Sort(p.rebuild)
 
-	// 4. Un-weld the component: release every marked point's vertex
-	// reference; vertices with no references left leave the weld grid.
-	for r := range marked {
-		v := p.assign[r.site][r.idx]
-		p.vertCnt[v]--
-		if p.vertCnt[v] == 0 {
-			p.vgridRemove(v)
-		}
-		p.pgridRemove(r)
-	}
-
-	// 5. Delete the old directed edges of every region being rebuilt or
-	// removed (their rings are about to change), remembering them so step 8
-	// can detect clean regions whose across-the-edge owner changed.
-	type edgeKey = [2]int32
-	var deleted []edgeKey
-	for _, k := range rebuild {
-		if !p.live[k] {
-			continue
-		}
-		ring := p.ring[k]
-		for j := range ring {
-			e := edgeKey{int32(ring[j]), int32(ring[(j+1)%len(ring)])}
-			delete(p.edgeOwner, e)
-			deleted = append(deleted, e)
-		}
+	// 4. Un-weld the component and retire the removed sites (their runs,
+	// like the dirty sites' old ones, are dropped at the next compact).
+	for _, id := range p.marked {
+		p.unweld(id)
 	}
 	for _, k := range removed {
-		ring := p.ring[k]
-		for j := range ring {
-			e := edgeKey{int32(ring[j]), int32(ring[(j+1)%len(ring)])}
-			delete(p.edgeOwner, e)
-			deleted = append(deleted, e)
-		}
+		p.n[k], p.ring[k], p.nbr[k], p.poly[k] = 0, nil, nil, nil
 	}
 
-	// Retire removed sites (their points were all marked, hence released).
-	for _, k := range removed {
-		p.live[k] = false
-		p.pts[k], p.assign[k], p.ring[k], p.nbr[k], p.poly[k] = nil, nil, nil, nil, nil
-	}
-
-	// 6. Replay the component in global scan order (site key ascending,
-	// ring position ascending) — the order New welds in — so first-match
-	// outcomes are reproduced exactly.
-	oldPoly := make(map[int32]geom.Polygon, len(rebuild))
-	for _, k := range rebuild {
-		if p.live[k] {
-			oldPoly[k] = p.poly[k]
-		}
-		if dirtySet[k] {
-			p.pts[k] = cleaned[int(k)]
-			p.assign[k] = make([]int32, len(p.pts[k]))
-			for idx := range p.pts[k] {
-				pt := p.pts[k][idx]
-				vid := p.weldAdd(pt)
-				p.assign[k][idx] = vid
-				p.vertCnt[vid]++
-				p.pgrid[p.cellOf(pt)] = append(p.pgrid[p.cellOf(pt)], pref{k, int32(idx)})
+	// 5. Replay the component in New's global scan order (site key, then
+	// ring position), so first-match outcomes are reproduced exactly.
+	d := 0
+	for _, k := range p.rebuild {
+		if p.has(k, fDirty) {
+			for dirty[d] != int(k) {
+				d++
 			}
-			p.live[k] = true
-			continue
+			p.off[k], p.n[k] = p.runs[d][0], p.runs[d][1]
 		}
-		// Clean site with marked points: replay just those assignments.
-		var idxs []int
-		for idx := range p.pts[k] {
-			if marked[pref{k, int32(idx)}] {
-				idxs = append(idxs, idx)
+		for id := p.off[k]; id < p.off[k]+p.n[k]; id++ {
+			if p.pts[id].mark == ep || p.pts[id].v < 0 {
+				p.weldAdd(id)
 			}
 		}
-		for _, idx := range idxs {
-			pt := p.pts[k][idx]
-			vid := p.weldAdd(pt)
-			p.assign[k][idx] = vid
-			p.vertCnt[vid]++
-			p.pgrid[p.cellOf(pt)] = append(p.pgrid[p.cellOf(pt)], pref{k, int32(idx)})
-		}
 	}
 
-	// 7. Rebuild rings, polygons, and edges for the rebuild set, collapsing
-	// welded duplicates exactly as New does.
+	// 6. Rebuild rings and polygons, collapsing welded duplicates.
 	var canonDirty []int
-	for _, k := range rebuild {
-		ring := make([]int, 0, len(p.pts[k]))
-		for _, vid := range p.assign[k] {
-			if n := len(ring); n > 0 && ring[n-1] == int(vid) {
-				continue
+	for _, k := range p.rebuild {
+		ring := make([]int, 0, p.n[k])
+		for id := p.off[k]; id < p.off[k]+p.n[k]; id++ {
+			if v := int(p.pts[id].v); len(ring) == 0 || ring[len(ring)-1] != v {
+				ring = append(ring, v)
 			}
-			ring = append(ring, int(vid))
 		}
 		for len(ring) > 1 && ring[0] == ring[len(ring)-1] {
 			ring = ring[:len(ring)-1]
@@ -360,71 +467,32 @@ func (p *Patcher) Patch(keys []int, polys []geom.Polygon, dirty, removed []int) 
 		for j, v := range ring {
 			poly[j] = p.verts[v]
 		}
-		p.poly[k] = poly
-		for j := range ring {
-			e := edgeKey{int32(ring[j]), int32(ring[(j+1)%len(ring)])}
-			if prev, dup := p.edgeOwner[e]; dup {
-				return fail(fmt.Errorf("region: directed edge (%d,%d) owned by both key %d and %d", e[0], e[1], prev, k))
-			}
-			p.edgeOwner[e] = k
-		}
-		if !polyEqual(poly, oldPoly[k]) {
+		if !polyEqual(poly, p.poly[k]) {
 			canonDirty = append(canonDirty, int(k))
 		}
+		p.poly[k] = poly
 	}
 
-	// 8. Neighbor keys for rebuilt regions, plus copy-on-write fix-ups on
-	// clean regions whose across-the-edge owner changed (the old owner was
-	// necessarily rebuilt or removed, so every such edge is visible here).
-	cowed := make(map[int32]bool)
-	cow := func(t int32) {
-		if !cowed[t] {
-			p.nbr[t] = append([]int32(nil), p.nbr[t]...)
-			cowed[t] = true
-		}
-	}
-	setNbr := func(t int32, v, u int, owner int32) {
-		ring := p.ring[t]
-		for j := range ring {
-			if ring[j] == v && ring[(j+1)%len(ring)] == u {
-				if p.nbr[t][j] != owner {
-					cow(t)
-					p.nbr[t][j] = owner
-				}
-				return
-			}
-		}
-	}
-	for _, k := range rebuild {
+	// 7. Neighbor keys for rebuilt regions. A clean region's keys never
+	// change: every vertex it uses kept all its raw points (a marked point
+	// welded to a vertex floods, through the vertex's founding point, to
+	// every point welded there), so a rebuilt region shares a vertex with a
+	// clean one only through its own unmarked points, whose ring edges, and
+	// so the clean side's neighbor, are what they were.
+	for _, k := range p.rebuild {
 		ring := p.ring[k]
 		nbr := make([]int32, len(ring))
-		for j := range ring {
-			u, v := ring[j], ring[(j+1)%len(ring)]
-			t, ok := p.edgeOwner[edgeKey{int32(v), int32(u)}]
-			if !ok {
-				nbr[j] = -1
-				continue
+		for j, u := range ring {
+			v := ring[(j+1)%len(ring)]
+			if _, n := p.owner(u, v); n > 1 {
+				return fail(fmt.Errorf("region: directed edge (%d,%d) of key %d owned %d times", u, v, k, n))
 			}
-			nbr[j] = t
-			if !rebuildSet[t] {
-				setNbr(t, v, u, k) // clean neighbor: make its back-reference agree
-			}
+			nbr[j], _ = p.owner(v, u)
 		}
 		p.nbr[k] = nbr
 	}
-	// Deleted edges that were not re-covered: the clean twin now borders
-	// nothing (cannot happen in a valid tiling, but keep the relation
-	// coherent rather than stale).
-	for _, e := range deleted {
-		if _, ok := p.edgeOwner[e]; ok {
-			continue
-		}
-		if t, ok := p.edgeOwner[edgeKey{e[1], e[0]}]; ok && !rebuildSet[t] {
-			setNbr(t, int(e[0]), int(e[1]), -1)
-		}
-	}
 
-	// 9. Assemble the new generation. Clean regions share ring, polygon,
+	// 8. Assemble the new generation. Clean regions share ring, polygon,
 	// and neighbor slices with prior generations.
 	n := len(keys)
 	sub := &Subdivision{
@@ -433,11 +501,11 @@ func (p *Patcher) Patch(keys []int, polys []geom.Polygon, dirty, removed []int) 
 		Verts:   p.verts[:len(p.verts):len(p.verts)],
 		rings:   make([][]int, n),
 		keyOf:   make([]int32, n),
-		maxKey:  int32(len(p.live)) - 1,
+		maxKey:  int32(len(p.n)) - 1,
 		nbrKey:  make([][]int32, n),
 	}
 	for i, k := range keys {
-		if !p.live[k] {
+		if p.n[k] == 0 {
 			return fail(fmt.Errorf("region: live key %d has no cell", k))
 		}
 		sub.Regions[i] = Region{ID: i, Poly: p.poly[k]}
@@ -445,6 +513,5 @@ func (p *Patcher) Patch(keys []int, polys []geom.Polygon, dirty, removed []int) 
 		sub.keyOf[i] = int32(k)
 		sub.nbrKey[i] = p.nbr[k]
 	}
-	sort.Ints(canonDirty)
 	return sub, canonDirty, nil
 }

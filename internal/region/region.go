@@ -24,9 +24,6 @@ type Region struct {
 // Bounds returns the MBR of the region.
 func (r Region) Bounds() geom.Rect { return r.Poly.Bounds() }
 
-// Contains reports whether p lies in the region (boundary inclusive).
-func (r Region) Contains(p geom.Point) bool { return r.Poly.Contains(p) }
-
 // Subdivision is a validated, canonicalized planar subdivision of a service
 // area into data regions. Vertices shared between adjacent regions are
 // welded to identical float64 coordinates and indexed, so shared edges can
@@ -60,8 +57,8 @@ type Subdivision struct {
 	nbrKey [][]int32
 
 	// twin maps a directed edge (u,v) to the region owning it (regions are
-	// CCW, so the owner lies to the left of u->v). Patched subdivisions
-	// build it on first use (ensureTwin); New builds it eagerly.
+	// CCW, so the owner lies to the left of u->v), built on first use
+	// (ensureTwin) or by T-junction repair.
 	twin     map[[2]int]int
 	twinOnce sync.Once
 }
@@ -85,79 +82,42 @@ type buildConfig struct {
 func WithTJunctionRepair() Option { return func(c *buildConfig) { c.insertCol = true } }
 
 // New builds a Subdivision from raw polygons. Polygons are deduplicated,
-// forced counter-clockwise, and their vertices welded. The i-th polygon
-// becomes region ID i.
+// forced counter-clockwise, and their vertices welded (a Patcher's
+// bootstrap: every polygon dirty). The i-th polygon becomes region ID i.
 func New(area geom.Rect, polys []geom.Polygon, opts ...Option) (*Subdivision, error) {
 	var cfg buildConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if len(polys) == 0 {
-		return nil, fmt.Errorf("region: no polygons")
+	keys := make([]int, len(polys))
+	for i := range keys {
+		keys[i] = i
 	}
-	cleaned := make([]geom.Polygon, len(polys))
-	for i, pg := range polys {
-		c := pg.Clone().Dedup().EnsureCCW()
-		if len(c) < 3 {
-			return nil, fmt.Errorf("region: polygon %d degenerate after dedup (%d vertices)", i, len(c))
-		}
-		cleaned[i] = c
+	s, _, err := NewPatcher(area).Patch(keys, polys, keys, nil)
+	if err != nil {
+		return nil, err
 	}
-
-	w := newWelder(DefaultWeldTol)
-	rings := make([][]int, len(cleaned))
-	for i, pg := range cleaned {
-		ring := make([]int, 0, len(pg))
-		for _, p := range pg {
-			id := w.add(p)
-			if n := len(ring); n > 0 && ring[n-1] == id {
-				continue // welding collapsed consecutive vertices
-			}
-			ring = append(ring, id)
-		}
-		for len(ring) > 1 && ring[0] == ring[len(ring)-1] {
-			ring = ring[:len(ring)-1]
-		}
-		if len(ring) < 3 {
-			return nil, fmt.Errorf("region: polygon %d degenerate after welding", i)
-		}
-		rings[i] = ring
+	s.keyOf = nil
+	if !cfg.insertCol {
+		return s, nil
 	}
-	verts := w.points()
-
-	if cfg.insertCol {
-		rings = insertTJunctions(verts, rings)
-	}
-
-	s := &Subdivision{
-		Area:  area,
-		Verts: verts,
-		rings: rings,
-		twin:  make(map[[2]int]int),
-	}
-	s.Regions = make([]Region, len(rings))
-	for i, ring := range rings {
-		poly := make(geom.Polygon, len(ring))
+	s.rings = insertTJunctions(s.Verts, s.rings)
+	edges := 0
+	for i, ring := range s.rings {
+		s.Regions[i].Poly = make(geom.Polygon, len(ring))
 		for j, v := range ring {
-			poly[j] = verts[v]
+			s.Regions[i].Poly[j] = s.Verts[v]
 		}
-		s.Regions[i] = Region{ID: i, Poly: poly}
-		for j := range ring {
-			u, v := ring[j], ring[(j+1)%len(ring)]
-			if prev, dup := s.twin[[2]int{u, v}]; dup {
-				return nil, fmt.Errorf("region: directed edge (%d,%d) owned by both region %d and %d", u, v, prev, i)
-			}
-			s.twin[[2]int{u, v}] = i
-		}
+		edges += len(ring)
 	}
-	s.maxKey = int32(len(rings)) - 1
-	s.nbrKey = make([][]int32, len(rings))
-	for i, ring := range rings {
-		nbr := make([]int32, len(ring))
+	if s.twin = s.edgeOwners(); len(s.twin) != edges {
+		return nil, fmt.Errorf("region: a directed edge is owned twice after T-junction repair")
+	}
+	for i, ring := range s.rings {
+		s.nbrKey[i] = make([]int32, len(ring))
 		for j := range ring {
-			nbr[j] = int32(s.Neighbor(ring[j], ring[(j+1)%len(ring)]))
+			s.nbrKey[i][j] = int32(s.Neighbor(ring[j], ring[(j+1)%len(ring)]))
 		}
-		s.nbrKey[i] = nbr
 	}
 	return s, nil
 }
@@ -174,9 +134,8 @@ func (s *Subdivision) Key(id int) int {
 // MaxKey returns the largest stable key in the subdivision.
 func (s *Subdivision) MaxKey() int { return int(s.maxKey) }
 
-// ensureTwin builds the directed-edge ownership map on first use. Patched
-// subdivisions defer it because the hot incremental-rebuild path only needs
-// nbrKey; twin is for validators and the baseline index builders.
+// ensureTwin builds the directed-edge ownership map on first use: the
+// serving pipeline needs only nbrKey, twin serves the baseline indexes.
 func (s *Subdivision) ensureTwin() {
 	s.twinOnce.Do(func() {
 		if s.twin == nil {
@@ -236,11 +195,10 @@ func (s *Subdivision) Locate(p geom.Point) int {
 // Validate checks the subdivision invariants of Definition 1: regions cover
 // the service area (areas sum to the area of A within tolerance), every
 // interior edge is shared by exactly two regions with opposite orientation,
-// and all rings are counter-clockwise.
+// and all rings are counter-clockwise. Edges are checked against nbrKey
+// without trusting how it was derived: a neighbour's ring must carry the
+// reverse edge, and a border edge's endpoints must lie on the area's edge.
 func (s *Subdivision) Validate() error {
-	// A transient map, not ensureTwin: caching it would pin the map to
-	// every patched subdivision a compile validates, which defer it.
-	twin := s.edgeOwners()
 	var sum float64
 	for i := range s.Regions {
 		a := s.Regions[i].Poly.SignedArea()
@@ -253,19 +211,37 @@ func (s *Subdivision) Validate() error {
 	if rel := math.Abs(sum-total) / total; rel > 1e-6 {
 		return fmt.Errorf("regions cover %.9g of service area %.9g (relative gap %.3g)", sum, total, rel)
 	}
-	for e, owner := range twin {
-		if _, ok := twin[[2]int{e[1], e[0]}]; ok {
-			continue // interior edge with a twin
-		}
-		// Boundary edge: both endpoints must lie on the service-area border.
-		for _, vid := range e {
-			p := s.Verts[vid]
-			if !onRectBorder(p, s.Area) {
-				return fmt.Errorf("region %d: unmatched edge (%d,%d) with vertex %v off the service-area border", owner, e[0], e[1], p)
+	idOf := make([]int32, s.maxKey+1) // stable key -> region id + 1
+	for i := range s.rings {
+		idOf[s.Key(i)] = int32(i) + 1
+	}
+	for i, ring := range s.rings {
+		for j, u := range ring {
+			v := ring[(j+1)%len(ring)]
+			if k := s.nbrKey[i][j]; k >= 0 {
+				if k > s.maxKey || idOf[k] == 0 || !hasEdge(s.rings[idOf[k]-1], v, u) {
+					return fmt.Errorf("region %d: neighbour key %d across edge (%d,%d) lacks the reverse edge", i, k, u, v)
+				}
+				continue
+			}
+			for _, vid := range [2]int{u, v} {
+				if p := s.Verts[vid]; !onRectBorder(p, s.Area) {
+					return fmt.Errorf("region %d: unmatched edge (%d,%d) with vertex %v off the service-area border", i, u, v, p)
+				}
 			}
 		}
 	}
 	return nil
+}
+
+// hasEdge reports whether ring contains the directed edge u->v.
+func hasEdge(ring []int, u, v int) bool {
+	for j := range ring {
+		if ring[j] == u && ring[(j+1)%len(ring)] == v {
+			return true
+		}
+	}
+	return false
 }
 
 func onRectBorder(p geom.Point, r geom.Rect) bool {

@@ -79,8 +79,5 @@ func NewContinuousMetricsIn(reg *obs.Registry, prefix string) *ContinuousMetrics
 	}
 }
 
-// Registry exposes the underlying registry (for /metrics and snapshots).
-func (m *ContinuousMetrics) Registry() *obs.Registry { return m.reg }
-
 // Snapshot reads every metric into a JSON-friendly map.
 func (m *ContinuousMetrics) Snapshot() map[string]any { return m.reg.Snapshot() }

@@ -100,9 +100,6 @@ func NewClientMetrics() *ClientMetrics {
 	}
 }
 
-// Registry exposes the underlying registry.
-func (m *ClientMetrics) Registry() *obs.Registry { return m.reg }
-
 // Snapshot reads every client metric into a JSON-friendly map.
 func (m *ClientMetrics) Snapshot() map[string]any { return m.reg.Snapshot() }
 

@@ -211,9 +211,6 @@ func (s *Server) Swap(next *Program) (uint32, error) {
 // Generation returns the generation of the currently published program.
 func (s *Server) Generation() uint32 { return s.cur.Load().gen }
 
-// Program returns the currently published program.
-func (s *Server) Program() *Program { return s.cur.Load().prog }
-
 // Metrics returns the server's observability counters (never nil).
 func (s *Server) Metrics() *Metrics { return s.metrics }
 

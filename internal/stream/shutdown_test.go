@@ -249,3 +249,6 @@ func TestConnectionPanicIsContained(t *testing.T) {
 		t.Fatalf("bucket %d, want %d", res.Bucket, want)
 	}
 }
+
+// Program returns the currently published program.
+func (s *Server) Program() *Program { return s.cur.Load().prog }

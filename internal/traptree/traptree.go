@@ -331,8 +331,3 @@ func (m *Map) assignIDs() {
 		}
 	}
 }
-
-// Locate returns the id of the region containing p.
-func (m *Map) Locate(p geom.Point) int {
-	return m.locate(p, 0, false).region
-}

@@ -195,22 +195,6 @@ func (t *Tree) assignIDs() {
 	}
 }
 
-// Locate returns the region containing p, following the hierarchy from the
-// coarsest layer down. At each node the children are scanned sequentially
-// for one whose triangle contains p; numerically ambiguous cases fall back
-// to the child with the greatest containment margin.
-func (t *Tree) Locate(p geom.Point) int {
-	n := t.Root
-	for n.Region < 0 {
-		next := bestChild(n, p)
-		if next == nil {
-			return -1
-		}
-		n = next
-	}
-	return n.Region
-}
-
 // bestChild returns the first child containing p, or, when rounding places
 // p marginally outside every child, the child whose triangle p is least
 // outside of.

@@ -176,3 +176,19 @@ func TestDeterministicConstruction(t *testing.T) {
 		}
 	}
 }
+
+// Locate returns the region containing p, following the hierarchy from the
+// coarsest layer down. At each node the children are scanned sequentially
+// for one whose triangle contains p; numerically ambiguous cases fall back
+// to the child with the greatest containment margin.
+func (t *Tree) Locate(p geom.Point) int {
+	n := t.Root
+	for n.Region < 0 {
+		next := bestChild(n, p)
+		if next == nil {
+			return -1
+		}
+		n = next
+	}
+	return n.Region
+}
