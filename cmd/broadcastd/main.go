@@ -13,16 +13,17 @@
 // streamed access protocol, and reports latency, tuning and recovery
 // counts.
 //
-// With -snapshot the daemon restores its index from a flat-arena snapshot
-// written by `dtreectl snapshot` (or a previous server's Swapper
-// generation) instead of rebuilding the D-tree from the dataset: the
-// restored program broadcasts cycles byte-identical to the writer's, so a
-// restart serves the same air index without paying construction.
+// With -snapshot the daemon restores its index from a snapshot — the
+// broadcast's own index packets — written by `dtreectl snapshot` (or a
+// previous server's Swapper generation) instead of rebuilding the D-tree
+// from the dataset: it decodes the packets back into the serving arena, and
+// the restored program broadcasts cycles byte-identical to the writer's, so
+// a restart serves the same air index without paying construction.
 //
 // With -snapshot-dir the sharded daemon gets the same zero-parse restart:
 // if the directory holds one `shardN.dtsnap` per shard the fabric is
-// restored from the slabs (no D-tree is built — only the cheap geometry is
-// recomputed to validate the snapshots and pin the global numbering), and
+// restored from the snapshots (no D-tree is built — only the cheap geometry
+// is recomputed to validate the snapshots and pin the global numbering), and
 // otherwise the daemon builds from -dataset and writes the per-shard
 // snapshots there for the next start.
 //
@@ -65,7 +66,7 @@
 // revalidating instead of re-descending. Point-query demos skip the
 // appendix via the length named in packet 0. Works with -churn and -shards;
 // snapshots pin their own layout, so -snapshot/-snapshot-dir reject it
-// (v2 slabs restore the appendix automatically).
+// (a snapshot that stores the appendix restores it automatically).
 //
 // With -debug-addr the daemon also serves an HTTP debug endpoint:
 // /metrics (the counters and histograms of every shard as JSON), /healthz
@@ -181,10 +182,10 @@ func validateConfig(c config) error {
 		return fmt.Errorf("-snapshot and -snapshot-dir are mutually exclusive")
 	}
 	if c.adjacency && c.snapshot != "" {
-		return fmt.Errorf("-adjacency with -snapshot: the snapshot pins whether the broadcast carries the appendix (v2 slabs restore it automatically); rebuild from -dataset to change it")
+		return fmt.Errorf("-adjacency with -snapshot: the snapshot pins whether the broadcast carries the appendix (a snapshot that stores the appendix restores it); rebuild from -dataset to change it")
 	}
 	if c.adjacency && c.snapDir != "" {
-		return fmt.Errorf("-adjacency with -snapshot-dir: the snapshots pin whether the broadcast carries the appendix (v2 slabs restore it automatically); rebuild from -dataset to change it")
+		return fmt.Errorf("-adjacency with -snapshot-dir: the snapshots pin whether the broadcast carries the appendix (a snapshot that stores the appendix restores it); rebuild from -dataset to change it")
 	}
 	if c.churnOps < 1 {
 		return fmt.Errorf("-churn-ops %d: a churn batch needs at least one site operation", c.churnOps)
@@ -232,7 +233,7 @@ func main() {
 	flag.StringVar(&cfg.dataset, "dataset", "hospital", "uniform, hospital or park")
 	flag.IntVar(&cfg.n, "n", 1000, "site count (uniform only)")
 	flag.IntVar(&cfg.capacity, "capacity", 256, "packet capacity in bytes")
-	flag.StringVar(&cfg.snapshot, "snapshot", "", "restore the index from this flat-arena snapshot file instead of building it (see dtreectl snapshot)")
+	flag.StringVar(&cfg.snapshot, "snapshot", "", "restore the index from this snapshot file of index packets instead of building it (see dtreectl snapshot)")
 	flag.StringVar(&cfg.snapDir, "snapshot-dir", "", "with -shards S > 1: restore every shard from DIR/shardN.dtsnap when present, else build and write the per-shard snapshots there")
 	flag.IntVar(&cfg.shards, "shards", 1, "broadcast channels; > 1 serves the sharded fabric with a replicated channel directory")
 	flag.DurationVar(&cfg.slotDur, "slot-duration", 0, "real-time pacing per slot (0 = full speed)")
@@ -288,7 +289,7 @@ func main() {
 func runSingle(cfg config, ds dataset.Dataset) {
 	// With churn the swapper owns the program pipeline (Voronoi maintainer
 	// -> D-tree build -> rendered cycle); with -snapshot the program is
-	// restored zero-parse from a flat-arena slab; a static run compiles one
+	// restored from a snapshot's index packets; a static run compiles one
 	// program the classic way.
 	var sw *stream.Swapper
 	var prog *stream.Program
@@ -310,7 +311,7 @@ func runSingle(cfg config, ds dataset.Dataset) {
 	case cfg.snapshot != "":
 		var fp *core.FlatPaged
 		var err error
-		prog, fp, err = stream.ProgramFromSnapshotFile(cfg.snapshot, 0)
+		prog, fp, err = stream.ProgramFromSnapshotFile(cfg.snapshot)
 		if err != nil {
 			fatal(err)
 		}

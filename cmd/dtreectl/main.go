@@ -1,10 +1,10 @@
 // Command dtreectl builds a D-tree over a dataset and inspects it: summary
 // statistics, a per-level profile, the packet layout for a given capacity,
-// and interactive point queries. Two subcommands manage flat-arena
-// snapshots: `snapshot` builds the index and writes the zero-parse slab
-// broadcastd restarts from, and `restore` loads a slab back, verifies it,
-// and answers point queries from it — proving the file serves without a
-// rebuild.
+// and interactive point queries. Two subcommands manage index snapshots:
+// `snapshot` builds the index and writes its broadcast packets to the file
+// broadcastd restarts from, and `restore` decodes a file back into the
+// serving arena, verifies it, and answers point queries from it — proving
+// the file serves without a rebuild.
 //
 // Usage:
 //
@@ -126,7 +126,7 @@ func runInspect(args []string) {
 	}
 }
 
-// runSnapshot builds the index and writes the flat-arena snapshot slab.
+// runSnapshot builds the index and writes its snapshot: the index packets.
 func runSnapshot(args []string) {
 	fs := flag.NewFlagSet("dtreectl snapshot", flag.ExitOnError)
 	var (
@@ -145,15 +145,19 @@ func runSnapshot(args []string) {
 	if err := fp.WriteSnapshotFile(*out); err != nil {
 		fatal(err)
 	}
-	slab := len(fp.Snapshot())
+	st, err := os.Stat(*out)
+	if err != nil {
+		fatal(err)
+	}
 	fmt.Printf("%s: %d regions, %d B packets, index %d packets\n",
 		ds.Name, fp.Flat.N, *capacity, fp.IndexPackets())
-	fmt.Printf("snapshot written to %s: %d bytes (arena %d B)\n", *out, slab, fp.SizeBytes())
+	fmt.Printf("snapshot written to %s: %d bytes (the %d index packets plus header and CRC; %d B occupied)\n",
+		*out, st.Size(), fp.IndexPackets(), fp.SizeBytes())
 }
 
-// runRestore loads a snapshot slab, re-encodes its packets (exercising the
-// whole serving path) and answers any -query points from the restored
-// arena.
+// runRestore loads a snapshot — decoding its packets into the serving
+// arena, which must re-encode to the same bytes — and answers any -query
+// points from the restored arena.
 func runRestore(args []string) {
 	fs := flag.NewFlagSet("dtreectl restore", flag.ExitOnError)
 	var queries queryList
@@ -167,12 +171,8 @@ func runRestore(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	pkts, err := fp.EncodePackets()
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("restored %s: %d regions, %d B packets, index %d packets, arena %d B — checksum and layout verified\n",
-		*in, fp.Flat.N, fp.Params.PacketCapacity, len(pkts), fp.SizeBytes())
+	fmt.Printf("restored %s: %d regions, %d B packets, index %d packets (%d B occupied) — checksum verified, packets decoded and re-encoded byte for byte\n",
+		*in, fp.Flat.N, fp.Params.PacketCapacity, fp.IndexPackets(), fp.SizeBytes())
 	var trace []int
 	for _, q := range queries {
 		var id int

@@ -601,9 +601,8 @@ func DecodeAdjacency(pkts [][]byte) (*Adjacency, error) {
 }
 
 // SetAdjacency attaches the table to the arena. ProgramFromFlat then
-// broadcasts it as the index appendix, and Snapshot persists it (bumping the
-// snapshot version; adjacency-free arenas keep the prior format byte for
-// byte).
+// broadcasts it as the index appendix, and Snapshot stores that appendix
+// ahead of the index packets.
 func (ft *FlatTree) SetAdjacency(a *Adjacency) error {
 	if a != nil && a.N() != ft.N {
 		return fmt.Errorf("core: adjacency covers %d regions, arena has %d", a.N(), ft.N)

@@ -107,7 +107,8 @@ func BenchmarkFlatLocate(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotSave measures serializing the arena to its slab.
+// BenchmarkSnapshotSave measures serializing the arena to its snapshot and
+// reports the file size.
 func BenchmarkSnapshotSave(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		b.Run(fmt.Sprintf("N=%dk", n/1000), func(b *testing.B) {
@@ -118,19 +119,20 @@ func BenchmarkSnapshotSave(b *testing.B) {
 					b.Fatal("empty snapshot")
 				}
 			}
+			b.ReportMetric(float64(len(fp.Snapshot())), "file-B")
 		})
 	}
 }
 
-// BenchmarkSnapshotLoad measures restoring a serving-ready index from the
-// slab — the restart path that replaces BenchmarkSnapshotRebuild.
+// BenchmarkSnapshotLoad measures restoring a serving-ready index from its
+// snapshot — the restart path that replaces BenchmarkSnapshotRebuild.
 func BenchmarkSnapshotLoad(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		b.Run(fmt.Sprintf("N=%dk", n/1000), func(b *testing.B) {
-			slab := benchPaged(b, n).Flatten().Snapshot()
+			data := benchPaged(b, n).Flatten().Snapshot()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := LoadSnapshot(slab); err != nil {
+				if _, err := LoadSnapshot(data); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -42,6 +42,8 @@ const (
 	hdrLMC       = 1 << 2
 	hdrTruncated = 1 << 3
 	hdrCountShft = 4
+
+	nodeHeadSize = 12 // bid, header and two pointers: a node's first bytes
 )
 
 // needsExplicitLMC reports whether the single-packet encoding of n must
@@ -70,6 +72,25 @@ func NodeSize(n *Node, p wire.Params) int {
 		}
 	}
 	return base
+}
+
+// nodeHeader returns pointer node n's header word (bit layout above)
+// without the polyline count: the bits flatten stores in the arena record.
+func nodeHeader(n *Node, p wire.Params) uint16 {
+	var hdr uint16
+	if n.Dim == DimX {
+		hdr |= hdrDimX
+	}
+	if n.Truncated {
+		hdr |= hdrTruncated
+	}
+	if needsExplicitLMC(n) {
+		hdr |= hdrLMC
+	}
+	if NodeSize(n, p) > p.PacketCapacity {
+		hdr |= hdrMulti | hdrLMC
+	}
+	return hdr
 }
 
 // PacketProvider hands the client decoder index packets on demand. A slice
@@ -185,25 +206,10 @@ func (cl *ClientLocator) Locate(get PacketProvider, capacity int, p geom.Point) 
 	pk, off := 0, 0
 	for hops := 0; hops <= 64; hops++ {
 		r.pk, r.off = pk, off
-		b, err := r.read(12) // bid, header, left and right pointers
+		var n FlatNode
+		_, left, right, nPoly, err := readHead(&r, &n)
 		if err != nil {
 			return 0, nil, err
-		}
-		hdr := binary.LittleEndian.Uint16(b[2:])
-		left, right := binary.LittleEndian.Uint32(b[4:]), binary.LittleEndian.Uint32(b[8:])
-		n := FlatNode{Dim: DimY, hdr: hdr & (1<<hdrCountShft - 1)}
-		if hdr&hdrDimX != 0 {
-			n.Dim = DimX
-		}
-		if hdr&hdrMulti != 0 {
-			if n.CutHi, err = r.f32(); err != nil {
-				return 0, nil, err
-			}
-		}
-		if hdr&hdrLMC != 0 {
-			if n.CutLo, err = r.f32(); err != nil {
-				return 0, nil, err
-			}
 		}
 		firstBand(&n)
 		goLeft, in := cl.part.side(&n, p)
@@ -211,9 +217,11 @@ func (cl *ClientLocator) Locate(get PacketProvider, capacity int, p geom.Point) 
 			// Inside the band (with no partition read yet, the first call
 			// only reports that): read the partition, crossing into the
 			// node's continuation packets as needed, and decide again.
-			if err := cl.readPartition(&r, &n, int(hdr>>hdrCountShft)); err != nil {
+			cl.part.pts, cl.part.polys = cl.part.pts[:0], cl.part.polys[:0]
+			if err := cl.part.readPartition(&r, &n, nPoly); err != nil {
 				return 0, nil, err
 			}
+			cl.part.setBand(&n)
 			goLeft, _ = cl.part.side(&n, p)
 		}
 		next := right
@@ -228,17 +236,45 @@ func (cl *ClientLocator) Locate(get PacketProvider, capacity int, p geom.Point) 
 	return 0, nil, fmt.Errorf("core: client walk exceeded 64 hops (corrupt index?)")
 }
 
-// readPartition decodes node n's nPoly polylines into the one-node arena,
-// as the arena's flatten stores them, and derives n's band from them.
-func (cl *ClientLocator) readPartition(r *packetReader, n *FlatNode, nPoly int) error {
-	part := &cl.part
-	part.pts, part.polys = part.pts[:0], part.polys[:0]
+// readHead decodes the head of the node at r's position into n — its
+// dimension and header bits, and the RMC and LMC the header announces —
+// and returns the node's bid, its two raw pointers and its polyline count.
+// It and readPartition are the one node decoder: the wire client and the
+// snapshot loader (decodeIndex) both read nodes through them.
+func readHead(r *packetReader, n *FlatNode) (bid uint16, left, right uint32, nPoly int, err error) {
+	b, err := r.read(nodeHeadSize)
+	if err != nil {
+		return 0, 0, 0, 0, err
+	}
+	bid, hdr := binary.LittleEndian.Uint16(b), binary.LittleEndian.Uint16(b[2:])
+	left, right = binary.LittleEndian.Uint32(b[4:]), binary.LittleEndian.Uint32(b[8:])
+	*n = FlatNode{Dim: DimY, hdr: hdr & (1<<hdrCountShft - 1)}
+	if hdr&hdrDimX != 0 {
+		n.Dim = DimX
+	}
+	if hdr&hdrMulti != 0 {
+		if n.CutHi, err = r.f32(); err != nil {
+			return 0, 0, 0, 0, err
+		}
+	}
+	if hdr&hdrLMC != 0 {
+		if n.CutLo, err = r.f32(); err != nil {
+			return 0, 0, 0, 0, err
+		}
+	}
+	return bid, left, right, int(hdr >> hdrCountShft), nil
+}
+
+// readPartition appends node n's nPoly polylines to ft's pools, rotated into
+// n's canonical frame as flatten stores them, and sets n's span.
+func (ft *FlatTree) readPartition(r *packetReader, n *FlatNode, nPoly int) error {
+	n.PolyFirst = int32(len(ft.polys))
 	for i := 0; i < nPoly; i++ {
 		cnt, err := r.u16()
 		if err != nil {
 			return err
 		}
-		part.polys = append(part.polys, polySpan{Off: int32(len(part.pts)), N: int32(cnt)})
+		ft.polys = append(ft.polys, polySpan{Off: int32(len(ft.pts)), N: int32(cnt)})
 		for j := 0; j < int(cnt); j++ {
 			b, err := r.read(8)
 			if err != nil {
@@ -246,10 +282,9 @@ func (cl *ClientLocator) readPartition(r *packetReader, n *FlatNode, nPoly int) 
 			}
 			x := math.Float32frombits(binary.LittleEndian.Uint32(b))
 			y := math.Float32frombits(binary.LittleEndian.Uint32(b[4:]))
-			part.pts = append(part.pts, canonWire(n.Dim, x, y))
+			ft.pts = append(ft.pts, canonWire(n.Dim, x, y))
 		}
 	}
-	n.PolyFirst, n.PolyEnd = 0, int32(len(part.polys))
-	part.setBand(n)
+	n.PolyEnd = int32(len(ft.polys))
 	return nil
 }

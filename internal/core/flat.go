@@ -16,21 +16,17 @@ import (
 // 64-byte records in breadth-first order, with int32 indices in place of
 // pointers and all partition points pooled into a single point arena. A
 // root-to-leaf descent then touches a handful of cache lines laid out in
-// broadcast order instead of chasing heap pointers, and the whole index
-// serializes into a single versioned snapshot (snapshot.go) that a
-// restarting server loads without re-running construction.
+// broadcast order instead of chasing heap pointers.
 //
 // The arena holds exactly what the wire carries: partition points and band
 // limits are stored at float32 precision, the coordinate size of the packet
-// format (Table 2). Its descent (query.go) runs through the same side kernel
-// as the wire client, so the arena answers every query with the region and
-// the packet trace a client decoding the broadcast gets.
-
-// Flat node flags.
-const (
-	flatPruned    uint8 = 1 << 0
-	flatTruncated uint8 = 1 << 1
-)
+// format (Table 2), a record keeps the band limits only where its wire
+// header announces them, and that header is the record's own. Its descent
+// (query.go) runs through the same side kernel as the wire client, so the
+// arena answers every query with the region and the packet trace a client
+// decoding the broadcast gets. The snapshot (snapshot.go) is therefore just
+// the encoded packets: a restarting server decodes them back into the arena
+// without re-running construction.
 
 // FlatNode is one D-tree node as a fixed 64-byte arena record — exactly one
 // cache line on the machines this targets. Child references are indices into
@@ -38,21 +34,22 @@ const (
 // partition polylines live in the tree's shared pools: polys[PolyFirst:
 // PolyEnd] are this node's polyline spans into the point arena.
 type FlatNode struct {
-	CutLo, CutHi       float32 // interlocking band limits, canonical frame
-	Left, Right        int32   // child index, or ^bucket when negative
-	PolyFirst, PolyEnd int32   // span into FlatTree.polys
-	NumRegions         int32
-	// Derived for one paging (derive, FlatPaged.setFirstPackets); snapshots
-	// leave them out and the loader recomputes them. hdr is the node's wire
-	// header (wireHeader) without the polyline count; lo and hi are the band
-	// limits a client derives from the whole node's bytes (setBand); pkt0 is
-	// the first packet the node occupies.
+	// CutLo and CutHi are the band limits the wire carries, in the
+	// canonical frame: CutLo when hdr announces an LMC, CutHi (the RMC) on
+	// a multi-packet node; zero otherwise.
+	CutLo, CutHi       float32
+	Left, Right        int32 // child index, or ^bucket when negative
+	PolyFirst, PolyEnd int32 // span into FlatTree.polys
+	// Derived for one paging (flatten, decodeIndex, setFirstPackets): lo
+	// and hi are the band limits a client derives from the whole node's
+	// bytes (setBand); pkt0 is the first packet the node occupies.
 	lo, hi float32
 	pkt0   int32
-	hdr    uint16
-	Dim    Dimension
-	Flags  uint8
-	_      [20]byte // pad to 64 bytes
+	// hdr is the node's wire header (codec.go) without the polyline count:
+	// its dimension, truncated, LMC and multi-packet bits.
+	hdr uint16
+	Dim Dimension
+	_   [25]byte // pad to 64 bytes
 }
 
 // wirePt is one partition point as the arena stores it: the coordinates the
@@ -98,8 +95,8 @@ type FlatTree struct {
 	pts   []wirePt
 
 	// adj is the optional region-adjacency table (SetAdjacency) that turns
-	// the broadcast into a continuous-query medium: it is appended to the
-	// snapshot and prefixed to the index packets when present.
+	// the broadcast into a continuous-query medium: when present it is
+	// prefixed to the index packets, on the air and in the snapshot.
 	adj *Adjacency
 }
 
@@ -138,14 +135,13 @@ func (t *Tree) flatten(prev *FlatTree, params wire.Params) *FlatTree {
 	ft.pts = make([]wirePt, 0, npts)
 	for i, n := range t.Nodes {
 		fn := &ft.nodes[i]
-		fn.CutLo, fn.CutHi = float32(n.CutLo), float32(n.CutHi)
 		fn.Dim = n.Dim
-		fn.NumRegions = int32(n.NumRegions)
-		if n.Pruned {
-			fn.Flags |= flatPruned
+		fn.hdr = nodeHeader(n, params)
+		if fn.hdr&hdrLMC != 0 {
+			fn.CutLo = float32(n.CutLo)
 		}
-		if n.Truncated {
-			fn.Flags |= flatTruncated
+		if fn.hdr&hdrMulti != 0 {
+			fn.CutHi = float32(n.CutHi)
 		}
 		fn.Left = flatRef(n.Left)
 		fn.Right = flatRef(n.Right)
@@ -160,19 +156,9 @@ func (t *Tree) flatten(prev *FlatTree, params wire.Params) *FlatTree {
 			}
 		}
 		fn.PolyEnd = int32(len(ft.polys))
+		ft.setBand(fn)
 	}
-	ft.derive(params)
 	return ft
-}
-
-// derive sets every node's wire header under params and its band limits
-// from the stored record and polylines.
-func (ft *FlatTree) derive(params wire.Params) {
-	for i := range ft.nodes {
-		n := &ft.nodes[i]
-		n.hdr, _ = ft.wireHeader(n, params)
-		ft.setBand(n)
-	}
 }
 
 // copyFlatSpans bulk-copies a spliced node's canonical points and spans from
@@ -209,11 +195,16 @@ func (t *Tree) copyFlatSpans(ft, prev *FlatTree, n *Node) bool {
 // FlatPaged is the arena form of a paged D-tree: the flat tree plus pooled
 // packet tables replacing the layout's per-node slices. It encodes the
 // on-air packets, answers point queries with the region and packet trace a
-// wire client gets from them, and round-trips through the binary snapshot
-// of snapshot.go.
+// wire client gets from them, and is rebuilt from those packets when a
+// snapshot loads (snapshot.go).
 type FlatPaged struct {
 	Flat   *FlatTree
 	Params wire.Params
+	// Source fingerprints the input the index was built from, as its
+	// builder defines it (a fabric shard: its clipped cells and global
+	// ids); zero when unset. The snapshot carries it, so a restore can
+	// refuse a file built from other input.
+	Source uint64
 
 	packetCount int
 	// Packets of node i are pkts[pktIdx[i]:pktIdx[i+1]], ascending.
@@ -346,42 +337,28 @@ func (fp *FlatPaged) locate(p geom.Point, trace []int, early bool) (int, []int) 
 	return int(^ref), trace
 }
 
-// wireHeader returns node n's header word as the packets carry it
-// (codec.go), apart from the polyline count, and its encoded size: bid,
-// header, two pointers and the partition with one 2-byte count per
-// polyline, plus the LMC when pruning hid the CutLo line, and the RMC and
-// LMC when the node exceeds one packet. NodeSize is the same model over a
-// pointer node.
-func (ft *FlatTree) wireHeader(n *FlatNode, p wire.Params) (hdr uint16, size int) {
-	size = p.BidSize + p.HeaderSize + 2*p.PointerSize
+// wireSize returns node n's encoded size: bid, header, two pointers and the
+// partition with one 2-byte count per polyline, plus the RMC and LMC its
+// header announces. NodeSize is the same model over a pointer node.
+func (ft *FlatTree) wireSize(n *FlatNode, p wire.Params) int {
+	size := p.BidSize + p.HeaderSize + 2*p.PointerSize
 	for _, sp := range ft.polys[n.PolyFirst:n.PolyEnd] {
 		size += 2 + int(sp.N)*p.PointSize()
 	}
-	if n.Dim == DimX {
-		hdr |= hdrDimX
-	}
-	if n.Flags&flatTruncated != 0 {
-		hdr |= hdrTruncated
-	}
-	if n.Flags&flatPruned != 0 && n.Flags&flatTruncated == 0 {
-		hdr |= hdrLMC
+	if n.hdr&hdrMulti != 0 {
 		size += p.CoordSize
 	}
-	if size > p.PacketCapacity {
-		size += p.CoordSize // RMC
-		if hdr&hdrLMC == 0 {
-			size += p.CoordSize // LMC, now needed for first-packet termination
-		}
-		hdr |= hdrMulti | hdrLMC
+	if n.hdr&hdrLMC != 0 {
+		size += p.CoordSize
 	}
-	return hdr, size
+	return size
 }
 
-// EncodePackets serializes the arena into on-air packets, byte-identical to
-// Paged.EncodePackets on the tree it was flattened from — which is what lets
-// a server restored from a snapshot broadcast the same cycle bytes as one
-// that built the index from scratch. Every stored coordinate is a float32
-// value, so the narrowing below is exact.
+// EncodePackets serializes the arena into on-air packets (codec.go). A
+// snapshot stores exactly these bytes and the loader accepts only arenas
+// that re-encode to them, so a server restored from a snapshot broadcasts
+// the same cycle bytes as one that built the index from scratch. Every
+// stored coordinate is a float32 value, so the narrowing below is exact.
 func (fp *FlatPaged) EncodePackets() ([][]byte, error) {
 	capacity := fp.Params.PacketCapacity
 	out := make([][]byte, fp.packetCount)
@@ -399,7 +376,7 @@ func (fp *FlatPaged) EncodePackets() ([][]byte, error) {
 	remaining := make([]int, nn)
 	placed := make([]bool, nn)
 	for i := range ft.nodes {
-		_, remaining[i] = ft.wireHeader(&ft.nodes[i], fp.Params)
+		remaining[i] = ft.wireSize(&ft.nodes[i], fp.Params)
 	}
 	for k := 0; k < fp.packetCount; k++ {
 		cursor := 0
@@ -434,7 +411,7 @@ func (fp *FlatPaged) EncodePackets() ([][]byte, error) {
 	var buf []byte
 	for i := range ft.nodes {
 		n := &ft.nodes[i]
-		_, size := ft.wireHeader(n, fp.Params)
+		size := ft.wireSize(n, fp.Params)
 		nPoly := int(n.PolyEnd - n.PolyFirst)
 		if nPoly >= 1<<12 {
 			return nil, fmt.Errorf("core: node %d has %d polylines (max 4095)", i, nPoly)
@@ -477,8 +454,8 @@ func (fp *FlatPaged) EncodePackets() ([][]byte, error) {
 		rest := buf
 		for len(rest) > 0 {
 			if pk >= len(out) {
-				// Unreachable for layouts produced by paging; a hand-damaged
-				// snapshot could place a node's bytes non-contiguously.
+				// Unreachable for layouts produced by paging; the layout
+				// decoded from a damaged snapshot could run past the end.
 				return nil, fmt.Errorf("core: node %d spills past the packet table", i)
 			}
 			nw := copy(out[pk][off:], rest)

@@ -143,7 +143,7 @@ func TestIncrementalRebuildMatchesBuild(t *testing.T) {
 			total += delta.Total
 
 			// The patched arena must equal a full Flatten of the same tree
-			// slab-for-slab (the snapshot encoder serializes these fields).
+			// slab-for-slab (the packet encoder serializes these fields).
 			pf := got.flatten(prevFlat, params)
 			ff := want.Flatten(params)
 			if len(pf.nodes) != len(ff.nodes) || len(pf.polys) != len(ff.polys) || len(pf.pts) != len(ff.pts) {

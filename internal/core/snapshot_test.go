@@ -3,9 +3,10 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"math"
+	"hash/crc32"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"airindex/internal/geom"
@@ -93,47 +94,7 @@ func TestSnapshotFile(t *testing.T) {
 	}
 }
 
-// TestSnapshotNarrowsOnLoad: a slab written before the arena stored its
-// coordinates at float32 precision (full float64 partition points and band
-// limits) restores to the arena a fresh build makes, slab for slab, so it
-// answers every query as the wire does.
-func TestSnapshotNarrowsOnLoad(t *testing.T) {
-	paged, fp := buildFlatPaged(t, 120, 128, 17)
-	ft, tree := fp.Flat, paged.Tree
-	// Write the pointer tree's float64 band limits and partition points over
-	// the node and point sections of a fresh slab, as the older arena did.
-	old := fp.Snapshot()
-	offs, _ := snapshotSections(len(ft.nodes), len(ft.polys), len(ft.pts), fp.packetCount, len(fp.pkts), len(fp.packetNodes), ft.N, 0, false)
-	le := binary.LittleEndian
-	for i, n := range tree.Nodes {
-		rec := old[offs[0]+i*snapNodeSize:]
-		le.PutUint64(rec[0:], math.Float64bits(n.CutLo))
-		le.PutUint64(rec[8:], math.Float64bits(n.CutHi))
-		for j, pl := range n.Polylines {
-			sp := ft.polys[int(ft.nodes[i].PolyFirst)+j]
-			for k, p := range pl {
-				cp := canon(n.Dim, p)
-				at := offs[2] + (int(sp.Off)+k)*16
-				le.PutUint64(old[at:], math.Float64bits(cp.X))
-				le.PutUint64(old[at+8:], math.Float64bits(cp.Y))
-			}
-		}
-	}
-	le.PutUint32(old[44:], snapChecksum(old))
-	if bytes.Equal(old, fp.Snapshot()) {
-		t.Fatal("the float64 slab equals the narrowed one; the test needs an unrounded coordinate")
-	}
-	got, err := LoadSnapshot(old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Snapshot(), fp.Snapshot()) {
-		t.Fatal("a float64 slab does not restore to the narrowed arena")
-	}
-	requireArenaWireAgree(t, "restored", got, testutil.QueryPoints(testutil.BigArea, 2000, 18))
-}
-
-// TestSnapshotRejectsDamage flips, truncates and version-skews the slab;
+// TestSnapshotRejectsDamage flips, truncates and version-skews the file;
 // every mutation must be rejected with an error (the fuzz target explores
 // this space much more broadly).
 func TestSnapshotRejectsDamage(t *testing.T) {
@@ -153,12 +114,42 @@ func TestSnapshotRejectsDamage(t *testing.T) {
 		t.Error("bad magic should fail")
 	}
 	bad = append([]byte(nil), data...)
-	bad[8] = 99 // version
+	bad[7] = '9' // format version
 	if _, err := LoadSnapshot(bad); err == nil {
 		t.Error("version skew should fail")
 	}
-	// The CRC covers the entire slab (checksum field zeroed), so any single
-	// bit flip anywhere must be rejected.
+	// A file in the retired arena format is refused with a pointer to the
+	// command that rewrites it.
+	old := append([]byte("DTARENA1"), make([]byte, 120)...)
+	if _, err := LoadSnapshot(old); err == nil || !strings.Contains(err.Error(), "DTARENA1") || !strings.Contains(err.Error(), "dtreectl snapshot") {
+		t.Errorf("retired format: got %v, want an error naming DTARENA1 and dtreectl snapshot", err)
+	}
+	// With the CRC recomputed, a region count the tree does not have fails
+	// the decode: 1 leaves the index no nodes at all, and one region too
+	// many or too few leaves a bucket unreached or repeated.
+	for _, regions := range []uint32{1, 49, 51} {
+		bad = append([]byte(nil), data...)
+		binary.LittleEndian.PutUint32(bad[12:], regions)
+		bad = binary.LittleEndian.AppendUint32(bad[:len(bad)-4], crc32.Checksum(bad[:len(bad)-4], snapCRC))
+		if _, err := LoadSnapshot(bad); err == nil {
+			t.Errorf("region count %d for a 50-region index loaded", regions)
+		}
+	}
+	// With the CRC recomputed, a nonzero byte in the padding after a
+	// packet's last node changes no decoded field; only the canonical-form
+	// check refuses the file.
+	k := len(fp.occupied) - 1
+	for fp.occupied[k] == int32(fp.Params.PacketCapacity) {
+		k--
+	}
+	bad = append([]byte(nil), data...)
+	bad[snapHeaderSize+(k+1)*fp.Params.PacketCapacity-1] = 0xff
+	bad = binary.LittleEndian.AppendUint32(bad[:len(bad)-4], crc32.Checksum(bad[:len(bad)-4], snapCRC))
+	if _, err := LoadSnapshot(bad); err == nil || !strings.Contains(err.Error(), "canonical") {
+		t.Errorf("non-canonical padding: got %v, want a canonical-form error", err)
+	}
+	// The CRC covers the whole file, so any single bit flip anywhere must
+	// be rejected.
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 300; trial++ {
 		bad = append([]byte(nil), data...)
@@ -169,9 +160,9 @@ func TestSnapshotRejectsDamage(t *testing.T) {
 	}
 }
 
-// buildFlatPagedV2 builds an arena carrying the region-adjacency table, the
-// shape that snapshots as version 2.
-func buildFlatPagedV2(t testing.TB, n, capacity int, seed int64) *FlatPaged {
+// buildFlatPagedAdj builds an arena carrying the region-adjacency table,
+// whose snapshot stores the appendix ahead of the index packets.
+func buildFlatPagedAdj(t testing.TB, n, capacity int, seed int64) *FlatPaged {
 	t.Helper()
 	sub, sites := testutil.RandomVoronoi(t, n, seed)
 	tree, err := Build(sub)
@@ -193,23 +184,22 @@ func buildFlatPagedV2(t testing.TB, n, capacity int, seed int64) *FlatPaged {
 	return fp
 }
 
-// TestSnapshotV2RoundTrip: an adjacency-carrying arena snapshots as version
-// 2 and restores table, packets and queries exactly; an adjacency-free
-// arena keeps writing version 1 byte for byte.
-func TestSnapshotV2RoundTrip(t *testing.T) {
+// TestSnapshotAdjacencyRoundTrip: an adjacency-carrying arena snapshots its
+// appendix with the index and restores table and packets exactly.
+func TestSnapshotAdjacencyRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		n, capacity int
 	}{{1, 256}, {25, 64}, {90, 512}} {
-		fp := buildFlatPagedV2(t, tc.n, tc.capacity, int64(70+tc.n))
+		fp := buildFlatPagedAdj(t, tc.n, tc.capacity, int64(70+tc.n))
 		// A sharded channel's table carries non-identity global ids; they
-		// must survive the slab too.
+		// must survive the file too.
 		fp.Flat.Adjacency().IDs = make([]int32, tc.n)
 		for i := range fp.Flat.Adjacency().IDs {
 			fp.Flat.Adjacency().IDs[i] = int32(7 + i*2)
 		}
 		data := fp.Snapshot()
-		if v := int(data[8]); v != snapshotVersion2 {
-			t.Fatalf("n=%d: adjacency arena wrote snapshot version %d, want %d", tc.n, v, snapshotVersion2)
+		if a := binary.LittleEndian.Uint32(data[20:]); a == 0 {
+			t.Fatalf("n=%d: adjacency arena wrote no appendix packets", tc.n)
 		}
 		got, err := LoadSnapshot(data)
 		if err != nil {
@@ -231,24 +221,18 @@ func TestSnapshotV2RoundTrip(t *testing.T) {
 		}
 		for k := range gotPk {
 			if !bytes.Equal(gotPk[k], wantPk[k]) {
-				t.Fatalf("n=%d cap=%d: packet %d differs after v2 round trip", tc.n, tc.capacity, k)
+				t.Fatalf("n=%d cap=%d: packet %d differs after round trip", tc.n, tc.capacity, k)
 			}
 		}
 	}
-	// Without a table the format byte must not move: restarts from old
-	// snapshots keep working.
-	_, v1 := buildFlatPaged(t, 25, 64, 95)
-	if v := int(v1.Snapshot()[8]); v != snapshotVersion {
-		t.Fatalf("adjacency-free arena wrote snapshot version %d, want %d", v, snapshotVersion)
-	}
 }
 
-// TestSnapshotV2RejectsDamage: the slab checksum covers the adjacency
-// sections, so truncation and bit flips anywhere — including inside the new
-// sections — are rejected, and a structurally plausible slab whose table
+// TestSnapshotAdjacencyRejectsDamage: the file checksum covers the
+// appendix, so truncation and bit flips anywhere — including inside the
+// appendix — are rejected, and a structurally plausible file whose table
 // breaks the adjacency invariants fails the table validation.
-func TestSnapshotV2RejectsDamage(t *testing.T) {
-	fp := buildFlatPagedV2(t, 40, 128, 13)
+func TestSnapshotAdjacencyRejectsDamage(t *testing.T) {
+	fp := buildFlatPagedAdj(t, 40, 128, 13)
 	data := fp.Snapshot()
 	for _, cut := range []int{len(data) - 1, len(data) - 17, len(data) / 2} {
 		if _, err := LoadSnapshot(data[:cut]); err == nil {
@@ -260,10 +244,10 @@ func TestSnapshotV2RejectsDamage(t *testing.T) {
 		bad := append([]byte(nil), data...)
 		bad[rng.Intn(len(bad))] ^= 1 << rng.Intn(8)
 		if _, err := LoadSnapshot(bad); err == nil {
-			t.Fatalf("trial %d: corrupted v2 snapshot loaded", trial)
+			t.Fatalf("trial %d: corrupted adjacency snapshot loaded", trial)
 		}
 	}
-	// Re-snapshot a deliberately asymmetric table: the slab is then
+	// Re-snapshot a deliberately asymmetric table: the file is then
 	// internally consistent (fresh checksum), so only the adjacency
 	// validation can catch it.
 	if len(fp.Flat.adj.Adj) > 1 {

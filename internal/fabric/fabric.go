@@ -257,8 +257,10 @@ func compileShard(dir *Directory, ch int, rect geom.Rect, clips []clippedRegion,
 	return newShard(ch, rect, ids, clips, cut), nil
 }
 
-// newShard wraps one compiled generation of channel ch.
+// newShard wraps one compiled generation of channel ch, stamping its arena
+// with the clips' fingerprint (clipSum).
 func newShard(ch int, rect geom.Rect, ids []int, clips []clippedRegion, cut *stream.Cut) *Shard {
+	cut.Flat.Source = clipSum(clips)
 	return &Shard{
 		Channel: ch,
 		Rect:    rect,

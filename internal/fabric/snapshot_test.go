@@ -97,8 +97,9 @@ func cycleBytes(t *testing.T, prog *stream.Program) []byte {
 }
 
 // TestRestoreSnapshotDirRejectsDrift pins the failure modes: a missing
-// shard file, a corrupted slab, and a snapshot taken over a different site
-// set must all fail the restore loudly.
+// shard file, a corrupted file, and a snapshot taken over a different site
+// set — also one of the same size, whose shards can match in region count
+// — must all fail the restore loudly.
 func TestRestoreSnapshotDirRejectsDrift(t *testing.T) {
 	ds := dataset.Uniform(90, 978)
 	const S = 2
@@ -119,6 +120,12 @@ func TestRestoreSnapshotDirRejectsDrift(t *testing.T) {
 	if _, err := RestoreSnapshotDir(other.Area, other.Sites, S, dir, Options{}); err == nil {
 		t.Error("restore over a different site set succeeded")
 	}
+	for seed := int64(2000); seed < 2020; seed++ {
+		same := dataset.Uniform(90, seed)
+		if _, err := RestoreSnapshotDir(same.Area, same.Sites, S, dir, Options{}); err == nil {
+			t.Errorf("restore over the same-size site set of seed %d succeeded", seed)
+		}
+	}
 
 	raw, err := os.ReadFile(SnapshotPath(dir, 1))
 	if err != nil {
@@ -130,7 +137,7 @@ func TestRestoreSnapshotDirRejectsDrift(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := RestoreSnapshotDir(ds.Area, ds.Sites, S, dir, Options{}); err == nil {
-		t.Error("restore of a corrupted slab succeeded")
+		t.Error("restore of a corrupted file succeeded")
 	}
 
 	if err := os.Remove(SnapshotPath(dir, 1)); err != nil {

@@ -304,3 +304,46 @@ func TestPatcherRetainedHeap(t *testing.T) {
 		t.Fatalf("bootstrap Patcher retains %.2f MiB, bound %.1f MiB", mib, bound)
 	}
 }
+
+// TestPatcherVertexSlabBounded: under a long run of single-site moves the
+// vertex slab stays within a constant factor of the live vertices, because
+// each move re-welds a whole neighbourhood under fresh vertex ids and the
+// dead ones are compacted away.
+func TestPatcherVertexSlabBounded(t *testing.T) {
+	const n, moves = 300, 600
+	m, err := voronoi.NewMaintainer(testutil.BigArea, testutil.RandomSites(testutil.BigArea, n, 730))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := region.NewPatcher(m.Area())
+	ids, polys := m.LiveCells()
+	sub, _, err := p.Patch(ids, polys, ids, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(731))
+	for i := 0; i < moves; i++ {
+		m.BeginBatch()
+		if _, err := m.Move(ids[rng.Intn(len(ids))], geom.Pt(rng.Float64()*testutil.BigArea.W(), rng.Float64()*testutil.BigArea.H())); err != nil {
+			t.Fatal(err)
+		}
+		dirty, removed := m.BatchDelta()
+		ids, polys = m.LiveCells()
+		if sub, _, err = p.Patch(ids, polys, dirty, removed); err != nil {
+			t.Fatalf("move %d: %v", i, err)
+		}
+	}
+	live := map[int]bool{}
+	for i := range sub.Regions {
+		for _, v := range sub.Ring(i) {
+			live[v] = true
+		}
+	}
+	t.Logf("after %d moves: %d vertices in the slab, %d live", moves, len(sub.Verts), len(live))
+	if len(sub.Verts) > 4*len(live) {
+		t.Fatalf("after %d moves the vertex slab holds %d vertices for %d live ones (bound 4x)", moves, len(sub.Verts), len(live))
+	}
+	if err := sub.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -194,8 +194,10 @@ func RefNew(area geom.Rect, polys []geom.Polygon, opts ...Option) (*Subdivision,
 //
 // A Patcher is not safe for concurrent use. Subdivisions it returns remain
 // valid after further patches: unchanged regions share their ring and
-// polygon slices across generations, the vertex slab is append-only, and
-// per-region neighbor arrays are copied on write.
+// polygon slices across generations, the vertex slab is append-only until
+// compactVerts moves the live vertices into a fresh one (the rule the flat
+// Patcher applies, so the two number vertices alike), and per-region
+// neighbor arrays are copied on write.
 type RefPatcher struct {
 	area geom.Rect
 	tol  float64
@@ -208,7 +210,7 @@ type RefPatcher struct {
 	nbr    [][]int32      // neighbor site key per ring edge (-1 border)
 	poly   []geom.Polygon // canonical polygon (ring coordinates)
 
-	verts   []geom.Point // append-only canonical vertex slab (may hold dead entries)
+	verts   []geom.Point // canonical vertex slab (may hold dead entries)
 	vertCnt []int32      // live point references per vertex; 0 = dead
 
 	vgrid map[[2]int64][]int32   // weld grid: cell -> live canonical vertex ids
@@ -279,6 +281,58 @@ func (p *RefPatcher) pgridRemove(r refPref) {
 			return
 		}
 	}
+}
+
+// compactVerts applies the flat Patcher's slab bound: when dead vertices
+// outnumber live ones more than deadFactor to one, the live ones move, in
+// id order, to a fresh slab, and every vertex id held — weld grid, point
+// assignments, rings (copied), edge owners — is renumbered.
+func (p *RefPatcher) compactVerts() {
+	live := 0
+	for _, c := range p.vertCnt {
+		if c > 0 {
+			live++
+		}
+	}
+	if len(p.verts)-live <= deadFactor*live {
+		return
+	}
+	remap := make([]int32, len(p.verts))
+	var verts []geom.Point
+	var cnt []int32
+	for v, c := range p.vertCnt {
+		if c > 0 {
+			remap[v] = int32(len(verts))
+			verts = append(verts, p.verts[v])
+			cnt = append(cnt, c)
+		}
+	}
+	p.verts, p.vertCnt = verts, cnt
+	for c, ids := range p.vgrid {
+		moved := make([]int32, len(ids))
+		for i, v := range ids {
+			moved[i] = remap[v]
+		}
+		p.vgrid[c] = moved
+	}
+	for k := range p.live {
+		if !p.live[k] {
+			continue
+		}
+		for i, v := range p.assign[k] {
+			p.assign[k][i] = remap[v]
+		}
+		ring := make([]int, len(p.ring[k]))
+		for j, v := range p.ring[k] {
+			ring[j] = int(remap[v])
+		}
+		p.ring[k] = ring
+	}
+	owners := make(map[[2]int32]int32, len(p.edgeOwner))
+	for e, k := range p.edgeOwner {
+		owners[[2]int32{remap[e[0]], remap[e[1]]}] = k
+	}
+	p.edgeOwner = owners
 }
 
 func (p *RefPatcher) grow(maxKey int) {
@@ -574,6 +628,8 @@ func (p *RefPatcher) Patch(keys []int, polys []geom.Polygon, dirty, removed []in
 			setNbr(t, int(e[0]), int(e[1]), -1)
 		}
 	}
+
+	p.compactVerts()
 
 	// 9. Assemble the new generation. Clean regions share ring, polygon,
 	// and neighbor slices with prior generations.

@@ -90,16 +90,17 @@ func Assemble(prefix [][]byte, fp *core.FlatPaged, m int, ids []int) (*Program, 
 	return prog, nil
 }
 
-// ProgramFromSnapshotFile restores a broadcast program from a flat-index
+// ProgramFromSnapshotFile restores a broadcast program from an index
 // snapshot file (core.Snapshot), skipping tree construction and paging
-// entirely. The restored program broadcasts cycles byte-identical to those
-// of the server that wrote the snapshot.
-func ProgramFromSnapshotFile(path string, m int) (*Program, *core.FlatPaged, error) {
+// entirely, with the optimal number of index copies per cycle. The restored
+// program broadcasts cycles byte-identical to those of the server that
+// wrote the snapshot.
+func ProgramFromSnapshotFile(path string) (*Program, *core.FlatPaged, error) {
 	fp, err := core.LoadSnapshotFile(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	prog, err := ProgramFromFlat(fp, m)
+	prog, err := ProgramFromFlat(fp, 0)
 	if err != nil {
 		return nil, nil, err
 	}

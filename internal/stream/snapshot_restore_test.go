@@ -68,7 +68,7 @@ func TestSnapshotRestoreByteIdenticalCycle(t *testing.T) {
 	if err := fp.WriteSnapshotFile(path); err != nil {
 		t.Fatal(err)
 	}
-	fromFile, _, err := ProgramFromSnapshotFile(path, 0)
+	fromFile, _, err := ProgramFromSnapshotFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
