@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"testing"
 
 	"airindex/internal/geom"
@@ -12,9 +13,12 @@ import (
 )
 
 // exactProbes returns points exactly on the lines the arena (and so the
-// wire) carries: every partition vertex, and one point on each node's
-// CutLo and CutHi line.
-func exactProbes(ft *FlatTree) (vertices, cuts []geom.Point) {
+// wire) carries: every partition vertex; one point on each node's CutLo and
+// CutHi line at wire precision, taken from the pointer tree because the
+// arena keeps them only where the wire does; and one point on each finite
+// band limit (lo, hi), the lines the side kernel compares against.
+func exactProbes(tree *Tree, ft *FlatTree) (vertices, cuts []geom.Point) {
+	line := func(d Dimension, x float32) geom.Point { return uncanon(d, geom.Pt(float64(x), 5000)) }
 	for i := range ft.nodes {
 		n := &ft.nodes[i]
 		for _, sp := range ft.polys[n.PolyFirst:n.PolyEnd] {
@@ -23,7 +27,13 @@ func exactProbes(ft *FlatTree) (vertices, cuts []geom.Point) {
 				vertices = append(vertices, geom.Pt(float64(x), float64(y)))
 			}
 		}
-		cuts = append(cuts, uncanon(n.Dim, geom.Pt(float64(n.CutLo), 5000)), uncanon(n.Dim, geom.Pt(float64(n.CutHi), 5000)))
+		tn := tree.Nodes[i]
+		cuts = append(cuts, line(n.Dim, float32(tn.CutLo)), line(n.Dim, float32(tn.CutHi)))
+		for _, x := range []float32{n.lo, n.hi} {
+			if !math.IsInf(float64(x), 0) {
+				cuts = append(cuts, line(n.Dim, x))
+			}
+		}
 	}
 	return vertices, cuts
 }
@@ -83,7 +93,7 @@ func TestArenaWireAgree(t *testing.T) {
 				t.Fatal(err)
 			}
 			fp := paged.Flatten()
-			vertices, cuts := exactProbes(fp.Flat)
+			vertices, cuts := exactProbes(tree, fp.Flat)
 			label := fmt.Sprintf("seed %d capacity %d", seed, capacity)
 			requireArenaWireAgree(t, label, fp, queries)
 			requireArenaWireAgree(t, label, fp, vertices)
@@ -143,7 +153,7 @@ func FuzzArenaWireAgree(f *testing.F) {
 				t.Fatal(err)
 			}
 			fp := paged.Flatten()
-			vertices, cuts := exactProbes(fp.Flat)
+			vertices, cuts := exactProbes(tree, fp.Flat)
 			label := fmt.Sprintf("capacity %d", capacity)
 			requireArenaWireAgree(t, label, fp, queries)
 			requireArenaWireAgree(t, label, fp, vertices)
