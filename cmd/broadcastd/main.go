@@ -27,15 +27,14 @@
 // otherwise the daemon builds from -dataset and writes the per-shard
 // snapshots there for the next start.
 //
-// With -shards S (S > 1) the daemon serves a multi-channel sharded fabric
-// instead of a single channel: the service area is split into S balanced
-// spatial partitions, each broadcast on its own listener (ports base..
-// base+S-1 when -addr names a fixed port) with its own D-tree and its own
-// generation counter, and every channel's index copies carry the
+// Every run serves a fabric (internal/fabric) of -shards S channels; S = 1
+// is the single channel, byte for byte. With S > 1 the service area is
+// split into S balanced spatial partitions, each broadcast on its own
+// listener (ports base..base+S-1 when -addr names a fixed port) with its
+// own D-tree and generation counter, every index copy carries the
 // replicated channel directory so a client's first probe routes to the
-// owning shard. All shards share one metrics registry with per-shard
-// label prefixes, and -churn republishes only the shards a batch actually
-// touched.
+// owning shard, metric names carry per-shard prefixes, and -churn
+// republishes only the shards a batch actually touched.
 //
 // Usage:
 //
@@ -87,6 +86,7 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -278,251 +278,56 @@ func main() {
 		ds = dataset.Park()
 	}
 
-	if cfg.shards > 1 {
-		runSharded(cfg, ds)
-		return
-	}
-	runSingle(cfg, ds)
+	run(cfg, ds)
 }
 
-// runSingle is the classic one-channel daemon.
-func runSingle(cfg config, ds dataset.Dataset) {
-	// With churn the swapper owns the program pipeline (Voronoi maintainer
-	// -> D-tree build -> rendered cycle); with -snapshot the program is
-	// restored from a snapshot's index packets; a static run compiles one
-	// program the classic way.
-	var sw *stream.Swapper
-	var prog *stream.Program
+// run serves the dataset on cfg.shards channels, each with its own
+// listener, program and generation counter. One channel is the paper's
+// (1, m) broadcast; with S > 1 every index copy also carries the replicated
+// channel directory, metrics and health are labeled per shard, and churn
+// republishes only the shards a batch touched.
+func run(cfg config, ds dataset.Dataset) {
+	S := cfg.shards
+	opts := fabric.Options{Adjacency: cfg.adjacency}
+	// Churn and ingest run the swapper's program pipeline (Voronoi
+	// maintainer -> D-tree build -> rendered cycle); snapshots restore the
+	// programs from their index packets; else they compile once.
+	var sw *fabric.Swapper
+	var progs []*stream.Program
+	dirPackets := 0
 	srcName, instances := ds.Name, ds.N()
 	switch {
-	case cfg.churn > 0 || cfg.ingestAddr != "" || cfg.adjacency:
-		// -adjacency routes the static build through the swapper too: its
-		// compiler is the one path that attaches the appendix to the arena.
+	case cfg.churn > 0 || cfg.ingestAddr != "":
 		var err error
-		if cfg.adjacency {
-			sw, err = stream.NewSwapperWithAdjacency(ds.Area, ds.Sites, cfg.capacity, 0)
-		} else {
-			sw, err = stream.NewSwapper(ds.Area, ds.Sites, cfg.capacity, 0)
-		}
-		if err != nil {
+		if sw, err = fabric.NewSwapper(ds.Area, ds.Sites, S, cfg.capacity, opts); err != nil {
 			fatal(err)
 		}
-		prog = sw.Program()
+		progs, dirPackets = sw.Programs(), sw.DirPackets()
 	case cfg.snapshot != "":
-		var fp *core.FlatPaged
-		var err error
-		prog, fp, err = stream.ProgramFromSnapshotFile(cfg.snapshot)
+		prog, fp, err := stream.ProgramFromSnapshotFile(cfg.snapshot)
 		if err != nil {
 			fatal(err)
 		}
 		// The snapshot pins the packet geometry; the restored capacity
 		// overrides -capacity so the demo client frames line up.
 		cfg.capacity = fp.Params.PacketCapacity
+		progs = []*stream.Program{prog}
 		srcName, instances = fmt.Sprintf("snapshot %s", cfg.snapshot), fp.Flat.N
 		fmt.Printf("broadcastd: restored index from %s: %d regions, no rebuild\n", cfg.snapshot, fp.Flat.N)
-	default:
-		sub, err := ds.Subdivision()
-		if err != nil {
-			fatal(err)
-		}
-		prog, err = stream.NewDTreeProgram(sub, cfg.capacity, 0)
-		if err != nil {
-			fatal(err)
-		}
-	}
-	ln, err := net.Listen("tcp", cfg.addr)
-	if err != nil {
-		fatal(err)
-	}
-	srv, err := stream.NewServer(ln, prog)
-	if err != nil {
-		fatal(err)
-	}
-	srv.SlotDuration = cfg.slotDur
-	srv.WriteTimeout = cfg.writeTO
-	srv.Logf = func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "broadcastd: "+format+"\n", args...)
-	}
-	rng := rand.New(rand.NewSource(cfg.seed))
-	cycle := prog.Sched.CycleLen()
-	srv.StartSlot = func() int { return rng.Intn(cycle) }
-	if sw != nil {
-		sw.Bind(srv)
-	}
-
-	spec := channel.Spec{Loss: cfg.loss, Burst: cfg.burst, Corrupt: cfg.corrupt, Seed: cfg.seed}
-	if err := spec.Validate(); err != nil {
-		fatal(err)
-	}
-	stats := &channel.Stats{}
-	if spec.Enabled() {
-		srv.Channel = spec.Factory(stats)
-	}
-
-	// Render the broadcast cycle (its payload-CRC tables) up front so the
-	// first connection synthesizes frames from them instead of paying the
-	// build.
-	frames, bytes, err := prog.RenderedSize()
-	if err != nil {
-		fatal(err)
-	}
-
-	// Debug endpoint: server metrics, health, and the query traces the
-	// demo client records.
-	traces := obs.NewTraceLog(256)
-	serveDebug(cfg.dbgAddr, srv.Metrics().Registry(), func() any { return srv.Health() }, traces)
-
-	fmt.Printf("broadcastd: %s, %d instances, %d B packets, index %d packets, m=%d, cycle %d slots, listening on %s\n",
-		srcName, instances, cfg.capacity, len(prog.IndexPackets), prog.Sched.M, cycle, ln.Addr())
-	fmt.Printf("broadcastd: rendered cycle cached: %d frames, %.1f KB of payload CRCs\n", frames, float64(bytes)/1024)
-	adjPkts := 0
-	if cfg.adjacency {
-		if adjPkts, err = core.AdjacencyPacketCount(prog.IndexPackets[0]); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("broadcastd: adjacency appendix on air: %d packet(s) ahead of each index copy\n", adjPkts)
-	}
-	if spec.Enabled() {
-		fmt.Printf("broadcastd: unreliable channel: %s loss %.2f%% (burst %.1f), corruption %.2f%%, seed %d\n",
-			spec.Model(spec.Seed).Name(), 100*cfg.loss, cfg.burst, 100*cfg.corrupt, cfg.seed)
-	}
-	if sw != nil && cfg.churn > 0 {
-		fmt.Printf("broadcastd: live churn: %d site ops every %v, hot-swapped at cycle boundaries\n", cfg.churnOps, cfg.churn)
-	}
-
-	var pipe *ingest.Pipeline
-	var ingestLn net.Listener
-	if cfg.ingestAddr != "" {
-		pipe, ingestLn = startIngest(cfg, ingest.SwapperSink(sw), srv.Metrics().Registry())
-	}
-
-	stopChurn := make(chan struct{})
-	if sw != nil && cfg.churn > 0 {
-		go runChurn(sw, cfg.churn, cfg.churnOps, ds.N(), cfg.seed+99, stopChurn)
-	}
-
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve() }()
-
-	if !cfg.demo {
-		waitForSignal(cfg, stopChurn, pipe, ingestLn, []*stream.Server{srv}, serveErr)
-		return
-	}
-
-	client, err := stream.Dial(ln.Addr().String(), cfg.capacity)
-	if err != nil {
-		fatal(err)
-	}
-	client.Metrics = stream.NewClientMetrics()
-	client.Traces = traces
-
-	qrng := rand.New(rand.NewSource(cfg.seed))
-	for q := 0; q < 8; q++ {
-		p := geom.Pt(qrng.Float64()*10000, qrng.Float64()*10000)
-		var res stream.Result
-		var err error
-		if cfg.adjacency {
-			res, err = adjacencyPointQuery(client, p)
-		} else {
-			res, err = client.Query(p)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		if err := stream.VerifyStampedData(res.Data, cfg.capacity, res.Bucket); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("query (%5.0f,%5.0f) -> instance %4d   latency %6.0f slots, tuned %2d packets (index %d), dozed %d frames",
-			p.X, p.Y, res.Bucket, res.Latency, res.TotalTuning(), res.TuneIndex, res.DozedFrames)
-		if res.Recoveries > 0 || res.LostSlots > 0 || res.CorruptFrames > 0 {
-			fmt.Printf(", recovered %d (lost %d slots, %d corrupt)", res.Recoveries, res.LostSlots, res.CorruptFrames)
-		}
-		if res.EpochRestarts > 0 {
-			fmt.Printf(", %d epoch restarts", res.EpochRestarts)
-		}
-		if sw != nil {
-			fmt.Printf(" [gen %d]", res.Generation)
-		}
-		fmt.Println()
-	}
-	if lat, tune := client.Metrics.LatencySlots.Snapshot(), client.Metrics.TuningPackets.Snapshot(); lat.Count > 0 {
-		fmt.Printf("demo: %d queries, latency p50 %d / p99 %d slots, tuning p50 %d / p99 %d packets\n",
-			lat.Count, lat.P50, lat.P99, tune.P50, tune.P99)
-	}
-	client.Close()
-	if spec.Enabled() {
-		fmt.Printf("channel: %v\n", stats.Snapshot())
-	}
-	shutdownAll(cfg, stopChurn, pipe, ingestLn, []*stream.Server{srv}, serveErr)
-}
-
-// adjacencyPointQuery runs one point query against a broadcast whose index
-// copies carry the region-adjacency appendix. Packet 0 names the appendix
-// length, so the descent offset is rediscovered on every probe and stays
-// correct across hot swaps that resize the appendix.
-func adjacencyPointQuery(c *stream.Client, p geom.Point) (stream.Result, error) {
-	var res stream.Result
-	for attempt := 0; attempt < 5; attempt++ {
-		if err := c.Probe(&res); err != nil {
-			return res, err
-		}
-		head, err := c.FetchIndexPackets(&res, 0, 1)
-		if errors.Is(err, stream.ErrStaleGeneration) {
-			continue
-		}
-		if err != nil {
-			return res, err
-		}
-		count, err := core.AdjacencyPacketCount(head[0])
-		if err != nil {
-			return res, err
-		}
-		if err := c.QueryResume(p, count, &res); errors.Is(err, stream.ErrStaleGeneration) {
-			continue
-		} else if err != nil {
-			return res, err
-		}
-		return res, nil
-	}
-	return res, fmt.Errorf("query abandoned: broadcast generations outpaced the appendix discovery")
-}
-
-// runSharded serves the S-channel fabric: one listener, program and
-// generation counter per shard, a shared metrics registry with per-shard
-// prefixes, and churn that republishes only the shards a batch touched.
-func runSharded(cfg config, ds dataset.Dataset) {
-	S := cfg.shards
-	opts := fabric.Options{Adjacency: cfg.adjacency}
-	var fsw *fabric.Swapper
-	var progs []*stream.Program
-	var dirPackets, channels int
-	switch {
-	case cfg.churn > 0 || cfg.ingestAddr != "":
-		var err error
-		fsw, err = fabric.NewSwapper(ds.Area, ds.Sites, S, cfg.capacity, opts)
-		if err != nil {
-			fatal(err)
-		}
-		progs = fsw.Programs()
-		dirPackets = fsw.DirPackets()
 	case cfg.snapDir != "" && fileExists(fabric.SnapshotPath(cfg.snapDir, 0)):
 		f, err := fabric.RestoreSnapshotDir(ds.Area, ds.Sites, S, cfg.snapDir, opts)
 		if err != nil {
 			fatal(err)
 		}
-		// The snapshots pin the packet geometry; the restored capacity
-		// overrides -capacity so the demo client frames line up.
 		cfg.capacity = f.Capacity
-		progs = f.Programs()
-		dirPackets = f.DirPackets
+		progs, dirPackets = f.Programs(), f.DirPackets
 		fmt.Printf("broadcastd: restored %d shards from %s, no rebuild\n", S, cfg.snapDir)
 	default:
 		f, err := fabric.Build(ds.Area, ds.Sites, S, cfg.capacity, opts)
 		if err != nil {
 			fatal(err)
 		}
-		progs = f.Programs()
-		dirPackets = f.DirPackets
+		progs, dirPackets = f.Programs(), f.DirPackets
 		if cfg.snapDir != "" {
 			if err := f.WriteSnapshotDir(cfg.snapDir); err != nil {
 				fatal(err)
@@ -530,86 +335,116 @@ func runSharded(cfg config, ds dataset.Dataset) {
 			fmt.Printf("broadcastd: wrote %d shard snapshots to %s for the next start\n", S, cfg.snapDir)
 		}
 	}
-	channels = len(progs)
 
 	reg := obs.NewRegistry()
+	var rngMu sync.Mutex
 	rng := rand.New(rand.NewSource(cfg.seed))
-	srvs := make([]*stream.Server, channels)
-	addrs := make([]string, channels)
-	serveErr := make(chan error, channels)
-	for ch := 0; ch < channels; ch++ {
+	stats := &channel.Stats{}
+	srvs, addrs := make([]*stream.Server, S), make([]string, S)
+	var frames, rendered int
+	for ch, prog := range progs {
 		ln, err := net.Listen("tcp", shardAddr(cfg.addr, ch))
-		if err != nil {
-			fatal(fmt.Errorf("shard %d: %w", ch, err))
-		}
-		srv, err := stream.NewServer(ln, progs[ch])
 		if err != nil {
 			fatal(err)
 		}
-		srv.UseMetrics(stream.NewMetricsIn(reg, fmt.Sprintf("shard%d_", ch)))
+		srv, err := stream.NewServer(ln, prog)
+		if err != nil {
+			fatal(err)
+		}
+		// One channel keeps the unprefixed metric names and log lines.
+		metricPrefix, logPrefix := "", "broadcastd: "
+		if S > 1 {
+			metricPrefix, logPrefix = fmt.Sprintf("shard%d_", ch), fmt.Sprintf("broadcastd: shard %d: ", ch)
+		}
+		srv.UseMetrics(stream.NewMetricsIn(reg, metricPrefix))
 		srv.SlotDuration = cfg.slotDur
 		srv.WriteTimeout = cfg.writeTO
-		shard := ch
 		srv.Logf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, fmt.Sprintf("broadcastd: shard %d: ", shard)+format+"\n", args...)
+			fmt.Fprintf(os.Stderr, logPrefix+format+"\n", args...)
 		}
-		cycle := progs[ch].Sched.CycleLen()
-		start := rng.Intn(cycle)
-		srv.StartSlot = func() int { return start }
+		srv.StartSlot = tuneIn(&rngMu, rng, prog.Sched.CycleLen())
 		spec := channel.Spec{Loss: cfg.loss, Burst: cfg.burst, Corrupt: cfg.corrupt, Seed: cfg.seed + int64(ch)}
 		if err := spec.Validate(); err != nil {
 			fatal(err)
 		}
 		if spec.Enabled() {
-			srv.Channel = spec.Factory(nil)
+			srv.Channel = spec.Factory(stats)
 		}
-		if fsw != nil {
-			fsw.Bind(ch, srv)
+		if sw != nil {
+			sw.Bind(ch, srv)
 		}
-		srvs[ch] = srv
-		addrs[ch] = ln.Addr().String()
+		// Render the cycle's payload-CRC tables up front so the first
+		// connection synthesizes frames from them instead of paying the build.
+		f, b, err := prog.RenderedSize()
+		if err != nil {
+			fatal(err)
+		}
+		frames, rendered = frames+f, rendered+b
+		srvs[ch], addrs[ch] = srv, ln.Addr().String()
 	}
 
+	// Debug endpoint: metrics, health, and the demo client's query traces.
 	traces := obs.NewTraceLog(256)
 	serveDebug(cfg.dbgAddr, reg, func() any {
-		health := make(map[string]any, channels)
+		if S == 1 {
+			return srvs[0].Health()
+		}
+		health := make(map[string]any, S)
 		for ch, srv := range srvs {
 			health[fmt.Sprintf("shard%d", ch)] = srv.Health()
 		}
 		return health
 	}, traces)
 
-	fmt.Printf("broadcastd: %s, %d instances, %d B packets, %d shards, directory %d packet(s) replicated on every channel\n",
-		ds.Name, ds.N(), cfg.capacity, channels, dirPackets)
-	if cfg.adjacency {
+	if S == 1 {
+		prog := progs[0]
+		fmt.Printf("broadcastd: %s, %d instances, %d B packets, index %d packets, m=%d, cycle %d slots, listening on %s\n",
+			srcName, instances, cfg.capacity, len(prog.IndexPackets), prog.Sched.M, prog.Sched.CycleLen(), srvs[0].Addr())
+	} else {
+		fmt.Printf("broadcastd: %s, %d instances, %d B packets, %d shards, directory %d packet(s) replicated on every channel\n",
+			srcName, instances, cfg.capacity, S, dirPackets)
+		for ch, srv := range srvs {
+			prog := progs[ch]
+			fmt.Printf("broadcastd: shard %d on %s: index %d packets, m=%d, cycle %d slots\n",
+				ch, srv.Addr(), len(prog.IndexPackets), prog.Sched.M, prog.Sched.CycleLen())
+		}
+	}
+	fmt.Printf("broadcastd: rendered cycle cached: %d frames, %.1f KB of payload CRCs\n", frames, float64(rendered)/1024)
+	switch {
+	case cfg.adjacency && S == 1:
+		adjPkts, err := core.AdjacencyPacketCount(progs[0].IndexPackets[0])
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Printf("broadcastd: adjacency appendix on air: %d packet(s) ahead of each index copy\n", adjPkts)
+	case cfg.adjacency:
 		fmt.Printf("broadcastd: adjacency appendix on air behind every channel directory (continuous window/kNN enabled)\n")
 	}
-	for ch, srv := range srvs {
-		prog := progs[ch]
-		fmt.Printf("broadcastd: shard %d on %s: index %d packets, m=%d, cycle %d slots\n",
-			ch, srv.Addr(), len(prog.IndexPackets), prog.Sched.M, prog.Sched.CycleLen())
-	}
-	if cfg.loss > 0 || cfg.corrupt > 0 {
+	switch spec := (channel.Spec{Loss: cfg.loss, Burst: cfg.burst, Corrupt: cfg.corrupt, Seed: cfg.seed}); {
+	case spec.Enabled() && S == 1:
+		fmt.Printf("broadcastd: unreliable channel: %s loss %.2f%% (burst %.1f), corruption %.2f%%, seed %d\n",
+			spec.Model(spec.Seed).Name(), 100*cfg.loss, cfg.burst, 100*cfg.corrupt, cfg.seed)
+	case spec.Enabled():
 		fmt.Printf("broadcastd: unreliable channels: loss %.2f%% (burst %.1f), corruption %.2f%%, per-shard seeds %d..%d\n",
-			100*cfg.loss, cfg.burst, 100*cfg.corrupt, cfg.seed, cfg.seed+int64(channels-1))
-	}
-	if fsw != nil && cfg.churn > 0 {
-		fmt.Printf("broadcastd: live churn: %d site ops every %v, republishing only the shards each batch touches\n",
-			cfg.churnOps, cfg.churn)
+			100*cfg.loss, cfg.burst, 100*cfg.corrupt, cfg.seed, cfg.seed+int64(S-1))
 	}
 
 	var pipe *ingest.Pipeline
 	var ingestLn net.Listener
 	if cfg.ingestAddr != "" {
-		pipe, ingestLn = startIngest(cfg, ingest.FabricSink(fsw), reg)
+		pipe, ingestLn = startIngest(cfg, ingest.FabricSink(sw), reg)
 	}
-
 	stopChurn := make(chan struct{})
-	if fsw != nil && cfg.churn > 0 {
-		go runFabricChurn(fsw, cfg.churn, cfg.churnOps, ds.N(), cfg.seed+99, stopChurn)
+	if cfg.churn > 0 {
+		how := "hot-swapped at cycle boundaries"
+		if S > 1 {
+			how = "republishing only the shards each batch touches"
+		}
+		fmt.Printf("broadcastd: live churn: %d site ops every %v, %s\n", cfg.churnOps, cfg.churn, how)
+		go runChurn(sw, cfg.churn, cfg.churnOps, ds.N(), cfg.seed+99, stopChurn)
 	}
+	serveErr := make(chan error, S)
 	for _, srv := range srvs {
-		srv := srv
 		go func() { serveErr <- srv.Serve() }()
 	}
 
@@ -617,18 +452,36 @@ func runSharded(cfg config, ds dataset.Dataset) {
 		waitForSignal(cfg, stopChurn, pipe, ingestLn, srvs, serveErr)
 		return
 	}
+	cm := stream.NewClientMetrics()
+	demo(cfg, ds, addrs, sw != nil || cfg.adjacency, cm, traces)
+	if lat, tune := cm.LatencySlots.Snapshot(), cm.TuningPackets.Snapshot(); lat.Count > 0 {
+		fmt.Printf("demo: %d queries, latency p50 %d / p99 %d slots, tuning p50 %d / p99 %d packets\n",
+			lat.Count, lat.P50, lat.P99, tune.P50, tune.P99)
+	}
+	if cfg.loss > 0 || cfg.corrupt > 0 {
+		fmt.Printf("channel: %v\n", stats.Snapshot())
+	}
+	shutdownAll(cfg, stopChurn, pipe, ingestLn, srvs, serveErr)
+}
 
+// demo runs the demo's point queries through the fabric client. With
+// S > 1 each enters on a random channel and may hop; a lone channel has no
+// directory, so its queries run the single channel's access protocol and
+// print its line. live appends each answer's generation to its line
+// (swapper-fed broadcasts and -adjacency runs).
+func demo(cfg config, ds dataset.Dataset, addrs []string, live bool, cm *stream.ClientMetrics, traces *obs.TraceLog) {
 	client := fabric.NewClient(addrs, cfg.capacity)
+	defer client.Close()
 	client.Adjacency = cfg.adjacency
-	client.Metrics = stream.NewClientMetrics()
+	client.Metrics = cm
 	client.Traces = traces
 	qrng := rand.New(rand.NewSource(cfg.seed))
 	for q := 0; q < 8; q++ {
-		p := geom.Pt(
-			ds.Area.MinX+qrng.Float64()*ds.Area.W(),
-			ds.Area.MinY+qrng.Float64()*ds.Area.H(),
-		)
-		entry := qrng.Intn(channels)
+		p := demoPoint(qrng, ds.Area)
+		entry := 0
+		if len(addrs) > 1 {
+			entry = qrng.Intn(len(addrs))
+		}
 		res, err := client.QueryFrom(p, entry)
 		if err != nil {
 			fatal(err)
@@ -636,25 +489,35 @@ func runSharded(cfg config, ds dataset.Dataset) {
 		if err := stream.VerifyStampedData(res.Data, cfg.capacity, res.Bucket); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("query (%5.0f,%5.0f) entry ch%d -> shard %d instance %4d   latency %6.0f slots, tuned %2d packets (dir %d, index %d), %d hop(s)",
-			p.X, p.Y, entry, res.Shard, res.Global, res.Latency, res.TotalTuning(), res.TuneDirectory, res.TuneIndex, res.Hops)
-		if res.Recoveries > 0 || res.LostSlots > 0 || res.CorruptFrames > 0 {
-			fmt.Printf(", recovered %d (lost %d slots, %d corrupt)", res.Recoveries, res.LostSlots, res.CorruptFrames)
+		if len(addrs) == 1 {
+			fmt.Printf("query (%5.0f,%5.0f) -> instance %4d   latency %6.0f slots, tuned %2d packets (index %d), dozed %d frames",
+				p.X, p.Y, res.Bucket, res.Latency, res.TotalTuning(), res.TuneIndex, res.DozedFrames)
+		} else {
+			fmt.Printf("query (%5.0f,%5.0f) entry ch%d -> shard %d instance %4d   latency %6.0f slots, tuned %2d packets (dir %d, index %d), %d hop(s)",
+				p.X, p.Y, entry, res.Shard, res.Global, res.Latency, res.TotalTuning(), res.TuneDirectory, res.TuneIndex, res.Hops)
 		}
-		if res.EpochRestarts > 0 {
-			fmt.Printf(", %d epoch restarts", res.EpochRestarts)
-		}
-		if fsw != nil {
-			fmt.Printf(" [gen %d]", res.Generation)
-		}
-		fmt.Println()
+		printRecovery(res.Recoveries, res.LostSlots, res.CorruptFrames, res.EpochRestarts, res.Generation, live)
 	}
-	if lat, tune := client.Metrics.LatencySlots.Snapshot(), client.Metrics.TuningPackets.Snapshot(); lat.Count > 0 {
-		fmt.Printf("demo: %d queries, latency p50 %d / p99 %d slots, tuning p50 %d / p99 %d packets\n",
-			lat.Count, lat.P50, lat.P99, tune.P50, tune.P99)
+}
+
+// demoPoint draws one demo query point uniformly over the area.
+func demoPoint(rng *rand.Rand, area geom.Rect) geom.Point {
+	return geom.Pt(area.MinX+rng.Float64()*area.W(), area.MinY+rng.Float64()*area.H())
+}
+
+// printRecovery ends a demo query line with what the query recovered from
+// and, on a live broadcast, the generation that answered it.
+func printRecovery(recoveries, lost, corrupt, restarts int, gen uint32, live bool) {
+	if recoveries > 0 || lost > 0 || corrupt > 0 {
+		fmt.Printf(", recovered %d (lost %d slots, %d corrupt)", recoveries, lost, corrupt)
 	}
-	client.Close()
-	shutdownAll(cfg, stopChurn, pipe, ingestLn, srvs, serveErr)
+	if restarts > 0 {
+		fmt.Printf(", %d epoch restarts", restarts)
+	}
+	if live {
+		fmt.Printf(" [gen %d]", gen)
+	}
+	fmt.Println()
 }
 
 // shardAddr derives shard ch's listen address from the base address: a
@@ -757,7 +620,6 @@ func shutdownAll(cfg config, stopChurn chan struct{}, pipe *ingest.Pipeline, ing
 	}
 	done := make(chan error, len(srvs))
 	for _, srv := range srvs {
-		srv := srv
 		go func() { done <- srv.Shutdown(ctx) }()
 	}
 	for range srvs {
@@ -774,30 +636,9 @@ func shutdownAll(cfg config, stopChurn chan struct{}, pipe *ingest.Pipeline, ing
 }
 
 // runChurn applies a random site batch through the swapper at every tick,
-// keeping the live population near n0, until stop closes.
-func runChurn(sw *stream.Swapper, every time.Duration, opsPerBatch, n0 int, seed int64, stop chan struct{}) {
-	rng := rand.New(rand.NewSource(seed))
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-		}
-		gen, applied, err := sw.Apply(experiment.ChurnBatch(sw.LiveSiteIDs(), rng, opsPerBatch, n0))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "broadcastd: churn:", err)
-			continue
-		}
-		fmt.Printf("broadcastd: generation %d on the air (%d site ops, %d live sites)\n", gen, len(applied), sw.Len())
-	}
-}
-
-// runFabricChurn is runChurn against the sharded fabric: each batch
-// republishes only the shards whose clipped content changed, so the log
-// line reports the per-shard generation vector.
-func runFabricChurn(sw *fabric.Swapper, every time.Duration, opsPerBatch, n0 int, seed int64, stop chan struct{}) {
+// keeping the live population near n0, until stop closes. Each batch
+// republishes only the shards whose clipped content changed.
+func runChurn(sw *fabric.Swapper, every time.Duration, opsPerBatch, n0 int, seed int64, stop chan struct{}) {
 	rng := rand.New(rand.NewSource(seed))
 	t := time.NewTicker(every)
 	defer t.Stop()
@@ -812,7 +653,27 @@ func runFabricChurn(sw *fabric.Swapper, every time.Duration, opsPerBatch, n0 int
 			fmt.Fprintln(os.Stderr, "broadcastd: churn:", err)
 			continue
 		}
-		fmt.Printf("broadcastd: shard generations %v on the air (%d site ops, %d live sites)\n", gens, len(applied), sw.Len())
+		if len(gens) == 1 {
+			fmt.Printf("broadcastd: generation %d on the air (%d site ops, %d live sites)\n", gens[0], len(applied), sw.Len())
+		} else {
+			fmt.Printf("broadcastd: shard generations %v on the air (%d site ops, %d live sites)\n", gens, len(applied), sw.Len())
+		}
+	}
+}
+
+// tuneIn returns a channel's StartSlot: every connection tunes in at its own
+// random phase of the cycle, drawn from the seeded source all channels share
+// under mu. Each channel's first phase is drawn here, in channel order and
+// before any channel serves, so the first connection to every channel is
+// reproducible from -seed whatever order clients connect in.
+func tuneIn(mu *sync.Mutex, rng *rand.Rand, cycle int) func() int {
+	next := rng.Intn(cycle)
+	return func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		start := next
+		next = rng.Intn(cycle)
+		return start
 	}
 }
 

@@ -99,9 +99,11 @@ func nodeHeader(n *Node, p wire.Params) uint16 {
 type PacketProvider func(k int) ([]byte, error)
 
 // packetReader reads a byte stream that continues across consecutive
-// packets, appending every packet it touches to the trace once. The scratch
-// buffer is reused across reads: a returned slice is valid only until the
-// next read.
+// packets, appending every packet it touches to the trace once. It asks
+// the provider for each packet once and keeps it while reading on: a read
+// inside one packet returns a sub-slice of it, and only a read that
+// crosses a packet boundary is copied, into the scratch buffer, which is
+// reused — a returned slice is valid only until the next read.
 type packetReader struct {
 	get      PacketProvider
 	pk, off  int
@@ -109,14 +111,17 @@ type packetReader struct {
 	trace    []int
 	capacity int
 	scratch  *[]byte
+	cur      []byte // packet curPk, as get returned it
+	curPk    int
 }
 
-func (r *packetReader) read(n int) ([]byte, error) {
-	out := (*r.scratch)[:0]
-	for n > 0 {
-		if r.off < 0 || r.off >= r.capacity {
-			return nil, fmt.Errorf("core: byte offset %d outside packet capacity %d", r.off, r.capacity)
-		}
+// packet returns packet r.pk, reading it from the provider unless it is the
+// one in hand, and traces it.
+func (r *packetReader) packet() ([]byte, error) {
+	if r.off < 0 || r.off >= r.capacity {
+		return nil, fmt.Errorf("core: byte offset %d outside packet capacity %d", r.off, r.capacity)
+	}
+	if r.cur == nil || r.curPk != r.pk {
 		pkt, err := r.get(r.pk)
 		if err != nil {
 			return nil, err
@@ -124,21 +129,35 @@ func (r *packetReader) read(n int) ([]byte, error) {
 		if len(pkt) != r.capacity {
 			return nil, fmt.Errorf("core: packet %d has %d bytes, capacity %d", r.pk, len(pkt), r.capacity)
 		}
-		if r.pk != r.last {
-			r.last = r.pk
-			r.trace = wire.AppendTraceOnce(r.trace, r.pk)
+		r.cur, r.curPk = pkt, r.pk
+	}
+	if r.pk != r.last {
+		r.last = r.pk
+		r.trace = wire.AppendTraceOnce(r.trace, r.pk)
+	}
+	return r.cur, nil
+}
+
+func (r *packetReader) read(n int) ([]byte, error) {
+	out := (*r.scratch)[:0]
+	for {
+		pkt, err := r.packet()
+		if err != nil {
+			return nil, err
 		}
-		avail := r.capacity - r.off
-		take := min(avail, n)
-		out = append(out, pkt[r.off:r.off+take]...)
-		r.off += take
-		n -= take
-		if r.off == r.capacity {
+		take := min(r.capacity-r.off, n)
+		b := pkt[r.off : r.off+take]
+		if r.off += take; r.off == r.capacity {
 			r.pk, r.off = r.pk+1, 0
 		}
+		if n -= take; n == 0 && len(out) == 0 {
+			return b, nil // the read fits in one packet
+		}
+		if out = append(out, b...); n == 0 {
+			*r.scratch = out
+			return out, nil
+		}
 	}
-	*r.scratch = out
-	return out, nil
 }
 
 func (r *packetReader) u16() (uint16, error) {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"airindex/internal/dataset"
+	"airindex/internal/fabric"
 	"airindex/internal/geom"
 	"airindex/internal/stream"
 )
@@ -16,7 +17,7 @@ import (
 // This file hosts the live-reconfiguration extension experiment: how much
 // access latency and tuning a hot program swap costs the clients that are
 // querying while the site population churns. Each cell runs a real TCP
-// server with a stream.Swapper applying add/remove/move batches
+// server with a one-shard fabric.Swapper applying add/remove/move batches
 // concurrently with the measured queries, so the numbers include every
 // protocol effect — mid-query epoch restarts, abandoned index walks,
 // re-probes, and the dozing backoff.
@@ -85,6 +86,46 @@ func ChurnBatch(ids []int, rng *rand.Rand, size, n0 int) []stream.SiteOp {
 	return ops
 }
 
+// serveSingleChannel starts a live one-channel broadcast of the dataset on
+// a loopback listener: a one-shard fabric swapper bound to its server.
+func serveSingleChannel(ds dataset.Dataset, capacity int, opts fabric.Options) (*fabric.Swapper, *stream.Server, error) {
+	sw, err := fabric.NewSwapper(ds.Area, ds.Sites, 1, capacity, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, nil, err
+	}
+	srv, err := stream.NewServer(ln, sw.Programs()[0])
+	if err != nil {
+		ln.Close()
+		return nil, nil, err
+	}
+	sw.Bind(0, srv)
+	go srv.Serve() //nolint:errcheck
+	return sw, srv, nil
+}
+
+// checkAnswer verifies a live point answer against the ground truth of the
+// generation it completed under: the bucket must name a region of that
+// generation that contains p (points on shared edges belong to every
+// incident region), and its payload must carry the bucket's stamp.
+func checkAnswer(sw *fabric.Swapper, p geom.Point, res stream.Result, capacity int) error {
+	g := sw.Generation(0, res.Generation)
+	if g == nil {
+		return fmt.Errorf("unknown generation %d", res.Generation)
+	}
+	sub := g.Shard.Sub
+	if res.Bucket < 0 || res.Bucket >= sub.N() {
+		return fmt.Errorf("bucket %d outside generation %d's %d regions", res.Bucket, res.Generation, sub.N())
+	}
+	if want := sub.Locate(p); res.Bucket != want && !sub.Regions[res.Bucket].Poly.Contains(p) {
+		return fmt.Errorf("at %v: bucket %d, want %d (generation %d)", p, res.Bucket, want, res.Generation)
+	}
+	return stream.VerifyStampedData(res.Data, capacity, res.Bucket)
+}
+
 func dropID(ids []int, id int) []int {
 	out := make([]int, 0, len(ids))
 	for _, j := range ids {
@@ -119,21 +160,10 @@ func RunChurn(ds dataset.Dataset, capacity int, levels []int, queries int, seed 
 // goroutine applies batches while the measuring client queries, so swaps
 // land mid-query; batches are paced across the run by query count.
 func runChurnCell(ds dataset.Dataset, capacity, churnOps, queries int, seed int64) (ChurnPoint, error) {
-	sw, err := stream.NewSwapper(ds.Area, ds.Sites, capacity, 0)
+	sw, srv, err := serveSingleChannel(ds, capacity, fabric.Options{})
 	if err != nil {
 		return ChurnPoint{}, err
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return ChurnPoint{}, err
-	}
-	srv, err := stream.NewServer(ln, sw.Program())
-	if err != nil {
-		ln.Close()
-		return ChurnPoint{}, err
-	}
-	sw.Bind(srv)
-	go srv.Serve() //nolint:errcheck
 	defer srv.Close()
 
 	client, err := stream.Dial(srv.Addr().String(), capacity)
@@ -195,16 +225,7 @@ func runChurnCell(ds dataset.Dataset, capacity, churnOps, queries int, seed int6
 			close(batches)
 			return pt, fmt.Errorf("query %d at %v: %w", q, p, err)
 		}
-		g := sw.Generation(res.Generation)
-		if g == nil {
-			close(batches)
-			return pt, fmt.Errorf("query %d: unknown generation %d", q, res.Generation)
-		}
-		if want := g.Sub.Locate(p); res.Bucket != want && !g.Sub.Regions[res.Bucket].Poly.Contains(p) {
-			close(batches)
-			return pt, fmt.Errorf("query %d at %v: bucket %d, want %d (generation %d)", q, p, res.Bucket, want, res.Generation)
-		}
-		if err := stream.VerifyStampedData(res.Data, capacity, res.Bucket); err != nil {
+		if err := checkAnswer(sw, p, res, capacity); err != nil {
 			close(batches)
 			return pt, fmt.Errorf("query %d: %w", q, err)
 		}
@@ -224,7 +245,7 @@ func runChurnCell(ds dataset.Dataset, capacity, churnOps, queries int, seed int6
 	pt.AvgTuning /= qf
 	pt.AvgEpochRestarts /= qf
 	pt.RestartedFrac = float64(restarted) / qf
-	pt.Swaps = int(sw.Current().Gen - 1)
+	pt.Swaps = int(sw.Current(0).Gen - 1)
 	sm := srv.Metrics()
 	const ms = 1e6 // histogram samples are nanoseconds
 	cb, sl := sm.CutBuildNS.Snapshot(), sm.SwapLatencyNS.Snapshot()

@@ -1,10 +1,13 @@
 package experiment
 
 import (
+	"encoding/binary"
 	"strings"
 	"testing"
 
 	"airindex/internal/dataset"
+	"airindex/internal/fabric"
+	"airindex/internal/stream"
 )
 
 // TestChurnSweep pins the acceptance shape of the live-reconfiguration
@@ -48,5 +51,35 @@ func TestChurnSweep(t *testing.T) {
 	}
 	if !strings.HasPrefix(csv, "dataset,ops,queries,swaps,") {
 		t.Fatalf("csv header: %q", strings.SplitN(csv, "\n", 2)[0])
+	}
+}
+
+// TestCheckAnswerRangeChecksBucket: an answer naming a bucket outside its
+// generation's regions, or an unknown generation, is reported as an error,
+// not a panic; the right answer passes.
+func TestCheckAnswerRangeChecksBucket(t *testing.T) {
+	ds := dataset.Uniform(40, 6200)
+	const capacity = 128
+	sw, err := fabric.NewSwapper(ds.Area, ds.Sites, 1, capacity, fabric.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := sw.Current(0)
+	p := ds.Sites[3]
+	bucket := g.Shard.Sub.Locate(p)
+	data := make([]byte, capacity) // one packet stamped (bucket, 0)
+	binary.LittleEndian.PutUint32(data, uint32(bucket))
+	good := stream.Result{Generation: g.Gen, Bucket: bucket, Data: data}
+	if err := checkAnswer(sw, p, good, capacity); err != nil {
+		t.Fatalf("right answer refused: %v", err)
+	}
+	for _, bad := range []stream.Result{
+		{Generation: g.Gen, Bucket: g.Shard.Sub.N(), Data: data},
+		{Generation: g.Gen, Bucket: -1, Data: data},
+		{Generation: g.Gen + 1, Bucket: bucket, Data: data},
+	} {
+		if err := checkAnswer(sw, p, bad, capacity); err == nil {
+			t.Errorf("generation %d bucket %d accepted", bad.Generation, bad.Bucket)
+		}
 	}
 }

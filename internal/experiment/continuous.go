@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"net"
 	"strings"
 
 	"airindex/internal/dataset"
@@ -61,21 +60,10 @@ func RunContinuous(ds dataset.Dataset, capacity int, model string, clients, cycl
 		Dataset: ds.Name, Sites: ds.N(), Capacity: capacity,
 		Model: model, Clients: clients, Cycles: cycles, ChurnOps: churnOps,
 	}
-	sw, err := stream.NewSwapperWithAdjacency(ds.Area, ds.Sites, capacity, 0)
+	sw, srv, err := serveSingleChannel(ds, capacity, fabric.Options{Adjacency: true})
 	if err != nil {
 		return pt, err
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return pt, err
-	}
-	srv, err := stream.NewServer(ln, sw.Program())
-	if err != nil {
-		ln.Close()
-		return pt, err
-	}
-	sw.Bind(srv)
-	go srv.Serve() //nolint:errcheck
 	defer srv.Close()
 
 	// Client speed scales with the expected Voronoi cell diameter so the

@@ -4,12 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"net"
 	"strings"
 	"sync"
 	"time"
 
 	"airindex/internal/dataset"
+	"airindex/internal/fabric"
 	"airindex/internal/geom"
 	"airindex/internal/ingest"
 	"airindex/internal/stream"
@@ -123,24 +123,13 @@ func RunIngest(ds dataset.Dataset, capacity int, levels []int, queries int, seed
 }
 
 func runIngestCell(ds dataset.Dataset, capacity, offered, queries int, seed int64) (IngestPoint, error) {
-	sw, err := stream.NewSwapper(ds.Area, ds.Sites, capacity, 0)
+	sw, srv, err := serveSingleChannel(ds, capacity, fabric.Options{})
 	if err != nil {
 		return IngestPoint{}, err
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return IngestPoint{}, err
-	}
-	srv, err := stream.NewServer(ln, sw.Program())
-	if err != nil {
-		ln.Close()
-		return IngestPoint{}, err
-	}
-	sw.Bind(srv)
-	go srv.Serve() //nolint:errcheck
 	defer srv.Close()
 
-	pipe := ingest.Start(ingest.SwapperSink(sw), ingest.Config{
+	pipe := ingest.Start(ingest.FabricSink(sw), ingest.Config{
 		QueueCap:    1024,
 		Policy:      ingest.Reject,
 		CutMaxOps:   64,
@@ -187,16 +176,7 @@ func runIngestCell(ds dataset.Dataset, capacity, offered, queries int, seed int6
 			pipe.Close(nil)
 			return pt, fmt.Errorf("query %d at %v: %w", q, p, err)
 		}
-		g := sw.Generation(res.Generation)
-		if g == nil {
-			pipe.Close(nil)
-			return pt, fmt.Errorf("query %d: unknown generation %d", q, res.Generation)
-		}
-		if want := g.Sub.Locate(p); res.Bucket != want && !g.Sub.Regions[res.Bucket].Poly.Contains(p) {
-			pipe.Close(nil)
-			return pt, fmt.Errorf("query %d at %v: bucket %d, want %d (generation %d)", q, p, res.Bucket, want, res.Generation)
-		}
-		if err := stream.VerifyStampedData(res.Data, capacity, res.Bucket); err != nil {
+		if err := checkAnswer(sw, p, res, capacity); err != nil {
 			pipe.Close(nil)
 			return pt, fmt.Errorf("query %d: %w", q, err)
 		}

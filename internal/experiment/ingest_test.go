@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"airindex/internal/dataset"
+	"airindex/internal/fabric"
 	"airindex/internal/geom"
 	"airindex/internal/ingest"
 	"airindex/internal/stream"
@@ -370,7 +371,7 @@ func max64(a, b int64) int64 {
 // next batch may proceed — the PR-4 churn driver's regime.
 func BenchmarkDirectApply(b *testing.B) {
 	ds := dataset.Uniform(60, 6700)
-	sw, err := stream.NewSwapper(ds.Area, ds.Sites, 256, 0)
+	sw, err := fabric.NewSwapper(ds.Area, ds.Sites, 1, 256, fabric.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -404,11 +405,11 @@ func BenchmarkDirectApply(b *testing.B) {
 // its ops/sec beats BenchmarkDirectApply by >= 10x.
 func BenchmarkIngestSustained(b *testing.B) {
 	ds := dataset.Uniform(60, 6700)
-	sw, err := stream.NewSwapper(ds.Area, ds.Sites, 256, 0)
+	sw, err := fabric.NewSwapper(ds.Area, ds.Sites, 1, 256, fabric.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	pipe := ingest.Start(ingest.SwapperSink(sw), ingest.Config{
+	pipe := ingest.Start(ingest.FabricSink(sw), ingest.Config{
 		QueueCap:     8192,
 		Policy:       ingest.Block,
 		BlockTimeout: 10 * time.Second,

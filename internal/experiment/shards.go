@@ -6,14 +6,11 @@ import (
 	"strings"
 	"time"
 
-	"airindex/internal/broadcast"
-	"airindex/internal/core"
 	"airindex/internal/dataset"
 	"airindex/internal/fabric"
 	"airindex/internal/geom"
 	"airindex/internal/region"
 	"airindex/internal/voronoi"
-	"airindex/internal/wire"
 )
 
 // This file hosts the sharded-fabric extension experiment: how splitting
@@ -98,17 +95,15 @@ func RunShards(ds dataset.Dataset, capacity int, counts []int, cfg Config) ([]Sh
 		queries[i] = shardQuery{p: p, u: rng.Float64(), want: sub.Locate(p)}
 	}
 
-	base, err := runFlatBaseline(ds, sub, capacity, queries, cfg)
+	base, err := runShardCell(ds, sub, capacity, 1, queries, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: shards baseline: %w", err)
 	}
 
 	var out []ShardPoint
 	for _, S := range counts {
-		var pt ShardPoint
-		if S == 1 {
-			pt = base
-		} else {
+		pt := base
+		if S != 1 {
 			pt, err = runShardCell(ds, sub, capacity, S, queries, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("experiment: shards S=%d: %w", S, err)
@@ -121,72 +116,10 @@ func RunShards(ds dataset.Dataset, capacity int, counts []int, cfg Config) ([]Sh
 	return out, nil
 }
 
-// runFlatBaseline measures the classic single-channel D-tree broadcast —
-// no directory prefix, no hops — over the shared query stream.
-func runFlatBaseline(ds dataset.Dataset, sub *region.Subdivision, capacity int, queries []shardQuery, cfg Config) (ShardPoint, error) {
-	start := time.Now()
-	var buildOpts []core.BuildOption
-	if cfg.BuildWorkers > 0 {
-		buildOpts = append(buildOpts, core.WithBuildWorkers(cfg.BuildWorkers))
-	}
-	tree, err := core.Build(sub, buildOpts...)
-	if err != nil {
-		return ShardPoint{}, err
-	}
-	params := wire.DTreeParams(capacity)
-	paged, err := tree.Page(params)
-	if err != nil {
-		return ShardPoint{}, err
-	}
-	fp := paged.Flatten()
-	buildSecs := time.Since(start).Seconds()
-
-	n := sub.N()
-	bucketPackets := params.DataBucketPackets()
-	dataPackets := n * bucketPackets
-	m := broadcast.OptimalM(fp.IndexPackets(), dataPackets)
-	sched, err := broadcast.NewSchedule(fp.IndexPackets(), n, bucketPackets, m)
-	if err != nil {
-		return ShardPoint{}, err
-	}
-	cycleLen := float64(sched.CycleLen())
-
-	costs := make([]shardCost, len(queries))
-	if err := forEachShard(cfg.Workers, len(queries), func(lo, hi int) error {
-		var buf []int
-		for i := lo; i < hi; i++ {
-			sq := &queries[i]
-			bucket, trace := fp.LocateInto(sq.p, buf)
-			buf = trace
-			if bucket < 0 {
-				return fmt.Errorf("query %v unresolved", sq.p)
-			}
-			c, err := sched.Access(sq.u*cycleLen, broadcast.SearchTrace{Bucket: bucket, IndexOffsets: trace})
-			if err != nil {
-				return err
-			}
-			costs[i] = shardCost{lat: c.Latency, tuneIdx: int32(c.TuneIndex), tune: int32(c.TotalTuning())}
-		}
-		return nil
-	}); err != nil {
-		return ShardPoint{}, err
-	}
-	pt := ShardPoint{
-		Dataset:      ds.Name,
-		Sites:        len(ds.Sites),
-		Capacity:     capacity,
-		Shards:       1,
-		Queries:      len(queries),
-		BuildSeconds: buildSecs,
-	}
-	reduceShardCosts(&pt, costs)
-	return pt, nil
-}
-
 // runShardCell compiles an S-channel fabric from the dataset's sites and
 // runs the hopping access protocol over the shared query stream with
 // deterministic random entry channels, verifying every answer against the
-// global ground truth.
+// global ground truth. S = 1 is the single channel: no directory, no hops.
 func runShardCell(ds dataset.Dataset, sub *region.Subdivision, capacity, S int, queries []shardQuery, cfg Config) (ShardPoint, error) {
 	start := time.Now()
 	f, err := fabric.Build(ds.Area, ds.Sites, S, capacity, fabric.Options{BuildWorkers: cfg.BuildWorkers})

@@ -3,6 +3,7 @@ package fabric
 import (
 	"fmt"
 
+	"airindex/internal/broadcast"
 	"airindex/internal/geom"
 )
 
@@ -36,8 +37,11 @@ func (c Cost) TotalTuning() int {
 // the owning shard when it differs — a fresh probe there, charged exactly
 // like the first — then run the D-tree descent against that shard's index
 // copy (offsets shifted past the directory prefix) and download the
-// bucket. trace is caller-owned scratch (zero-allocation inner loops in
-// the shard sweep); the grown buffer is returned for reuse.
+// bucket. Each channel's leg is one broadcast.Schedule.Access: without a
+// hop the directory packets are the first offsets of the entry channel's
+// descent; a hop starts the owning channel's leg when the entry channel's
+// directory read ends. trace is caller-owned scratch (zero-allocation inner
+// loops in the shard sweep); the grown buffer is returned for reuse.
 func (f *Fabric) AccessInto(p geom.Point, entry int, u float64, trace []int) (Cost, []int, error) {
 	if entry < 0 || entry >= len(f.Shards) {
 		return Cost{}, trace, fmt.Errorf("fabric: entry channel %d of %d", entry, len(f.Shards))
@@ -45,51 +49,48 @@ func (f *Fabric) AccessInto(p geom.Point, entry int, u float64, trace []int) (Co
 	if u < 0 || u >= 1 {
 		return Cost{}, trace, fmt.Errorf("fabric: u = %v outside [0, 1)", u)
 	}
+	d := f.DirPackets
 	es := f.Shards[entry]
 	t := u * float64(es.Prog.Sched.CycleLen())
-	cost := Cost{Shard: entry}
-
-	// Probe on the entry channel: the first full packet after t.
-	cur := float64(int(t) + 1)
-	cost.TuneProbe = 1
-
-	// The directory rides at the head of the next index copy.
-	idxStart := float64(es.Prog.Sched.NextIndexStart(cur))
-	cur = idxStart + float64(f.DirPackets)
-	cost.TuneDirectory = f.DirPackets
-
 	target := f.Dir.Route(p)
-	cost.Shard = target
 	ts := f.Shards[target]
-	if target != entry {
-		// Hop: retune and probe the owning channel, exactly like an epoch
-		// restart re-probes — the wasted directory read stays charged.
-		cost.Hops = 1
-		cur = float64(int(cur) + 1)
-		cost.TuneProbe++
-		idxStart = float64(ts.Prog.Sched.NextIndexStart(cur))
-	}
-
-	bucket, trace := ts.Flat.LocateInto(p, trace[:0])
+	bucket, trace := ts.Flat.LocateInto(p, trace)
 	if bucket < 0 {
-		return cost, trace, fmt.Errorf("fabric: point %v escapes shard %d", p, target)
+		return Cost{Shard: target}, trace, fmt.Errorf("fabric: point %v escapes shard %d", p, target)
 	}
-	for _, off := range trace {
-		at := idxStart + float64(f.DirPackets+off)
-		if at < cur {
-			// The offset already flew by: wait for the next copy, as the
-			// live client does via the NextIndex pointer.
-			idxStart = float64(ts.Prog.Sched.NextIndexStart(cur))
-			at = idxStart + float64(f.DirPackets+off)
+	cost := Cost{Shard: target, Bucket: bucket, Global: ts.IDs[bucket], TuneDirectory: d}
+	// The descent reads the owning shard's index copy behind its prefix.
+	for i := range trace {
+		trace[i] += d
+	}
+	if target == entry {
+		// The directory packets are the first reads of the same index copy.
+		for i := 0; i < d; i++ {
+			trace = append(trace, 0)
 		}
-		cur = at + 1
-		cost.TuneIndex++
+		copy(trace[d:], trace)
+		for i := 0; i < d; i++ {
+			trace[i] = i
+		}
+		c, err := ts.Prog.Sched.Access(t, broadcast.SearchTrace{Bucket: bucket, IndexOffsets: trace})
+		if err != nil {
+			return cost, trace, err
+		}
+		cost.TuneProbe, cost.TuneIndex, cost.TuneData = c.TuneProbe, c.TuneIndex-d, c.TuneData
+		cost.Latency = c.Latency
+		return cost, trace, nil
 	}
-	dataStart := float64(ts.Prog.Sched.NextBucketStart(bucket, cur))
-	bp := ts.Prog.Sched.BucketPackets
-	cost.TuneData = bp
-	cost.Latency = dataStart + float64(bp) - t
-	cost.Bucket = bucket
-	cost.Global = ts.IDs[bucket]
+	// Hop: the entry leg is a probe plus the directory at the head of the
+	// next index copy — the wasted read stays charged — and the owning
+	// channel's leg opens with a fresh probe when it ends.
+	hop := float64(es.Prog.Sched.NextIndexStart(float64(int(t)+1)) + d)
+	c, err := ts.Prog.Sched.Access(hop, broadcast.SearchTrace{Bucket: bucket, IndexOffsets: trace})
+	if err != nil {
+		return cost, trace, err
+	}
+	cost.Hops = 1
+	cost.TuneProbe, cost.TuneIndex, cost.TuneData = 1+c.TuneProbe, c.TuneIndex, c.TuneData
+	// hop and the leg's end are whole slots: this is the end minus t, exactly.
+	cost.Latency = c.Latency + hop - t
 	return cost, trace, nil
 }

@@ -52,7 +52,7 @@ type Client struct {
 type Result struct {
 	Shard  int // channel that answered
 	Bucket int // shard-local bucket id
-	Global int // global data-instance id (from the payload stamp)
+	Global int // global data-instance id (the payload stamp; the bucket on a lone channel)
 	Hops   int
 	Data   []byte
 
@@ -134,7 +134,9 @@ func (c *Client) client(ch int) (*stream.Client, error) {
 // next index copy, hop to the owning shard if it differs, then run the
 // standard access protocol against that shard's D-tree (whose offsets sit
 // right behind the directory prefix). The directory phase is retried from
-// a fresh probe when a hot swap lands under it.
+// a fresh probe when a hot swap lands under it. A lone channel carries no
+// directory: the descent starts at packet 0, exactly the single channel's
+// access protocol.
 func (c *Client) QueryFrom(p geom.Point, entry int) (Result, error) {
 	var fres Result
 	for attempt := 0; attempt < maxRouteAttempts; attempt++ {
@@ -147,35 +149,17 @@ func (c *Client) QueryFrom(p geom.Point, entry int) (Result, error) {
 			c.mergeLeg(&fres, &leg, 0)
 			return fres, err
 		}
-		// Directory: packet 0 announces the prefix length d; the rest of
-		// the prefix follows in the same copy.
-		pkts, err := sc.FetchIndexPackets(&leg, 0, 1)
-		if err == nil {
-			var d int
-			if d, err = DirectoryPacketCount(pkts[0]); err == nil && d > 1 {
-				var rest [][]byte
-				if rest, err = sc.FetchIndexPackets(&leg, 1, d); err == nil {
-					pkts = append(pkts, rest...)
+		d, dirTune, target := 0, 0, entry
+		if len(c.clients) > 1 {
+			dir, n, err := c.readDirectory(sc, &leg)
+			if err != nil {
+				if stale := c.retryRouting(&fres, &leg, leg.TuneIndex, err); stale {
+					continue
 				}
+				return fres, err
 			}
+			d, dirTune, target = n, leg.TuneIndex, dir.Route(p)
 		}
-		if err != nil {
-			if stale := c.retryRouting(&fres, &leg, err); stale {
-				continue
-			}
-			return fres, err
-		}
-		dir, err := DecodeDirectory(pkts)
-		if err == nil {
-			err = c.checkDirectory(dir)
-		}
-		if err != nil {
-			c.mergeLeg(&fres, &leg, leg.TuneIndex)
-			return fres, err
-		}
-		d := len(pkts)
-		dirTune := leg.TuneIndex
-		target := dir.Route(p)
 
 		// Adjacency fabrics: the shard leg discovers the per-channel
 		// appendix length from the wire every time (it changes across
@@ -209,7 +193,7 @@ func (c *Client) QueryFrom(p geom.Point, entry int) (Result, error) {
 				err = sc.QueryResume(p, d, &leg)
 			}
 			if err != nil && c.Adjacency {
-				if stale := c.retryRouting(&fres, &leg, err); stale {
+				if stale := c.retryRouting(&fres, &leg, dirTune, err); stale {
 					continue
 				}
 				return fres, err
@@ -240,7 +224,7 @@ func (c *Client) QueryFrom(p geom.Point, entry int) (Result, error) {
 					err = adjLeg(tc, &hop)
 				}
 				if err != nil {
-					if stale := c.retryRouting(&fres, &hop, err); stale {
+					if stale := c.retryRouting(&fres, &hop, 0, err); stale {
 						continue
 					}
 					return fres, err
@@ -262,13 +246,45 @@ func (c *Client) QueryFrom(p geom.Point, entry int) (Result, error) {
 		fres.Bucket = leg.Bucket
 		fres.Generation = leg.Generation
 		fres.Data = leg.Data
-		if fres.Global, err = GlobalIDFromData(leg.Data); err != nil {
-			return fres, err
+		// A lone channel stamps no global ids: its bucket is the id.
+		fres.Global = leg.Bucket
+		if len(c.clients) > 1 {
+			if fres.Global, err = GlobalIDFromData(leg.Data); err != nil {
+				return fres, err
+			}
 		}
 		c.entry = target
 		return fres, nil
 	}
 	return fres, fmt.Errorf("fabric: routing abandoned after %d directory restarts (fabric reconfiguring faster than queries complete)", maxRouteAttempts)
+}
+
+// readDirectory reads the channel directory from the head of the index
+// copy the probe on sc pinned, returning it with its packet count: packet 0
+// announces the prefix length, the rest of the prefix follows in the same
+// copy. A directory routing over a different channel count than the client
+// holds is refused.
+func (c *Client) readDirectory(sc *stream.Client, leg *stream.Result) (*Directory, int, error) {
+	pkts, err := sc.FetchIndexPackets(leg, 0, 1)
+	if err != nil {
+		return nil, 0, err
+	}
+	d, err := DirectoryPacketCount(pkts[0])
+	if err != nil {
+		return nil, 0, err
+	}
+	if d > 1 {
+		rest, err := sc.FetchIndexPackets(leg, 1, d)
+		if err != nil {
+			return nil, 0, err
+		}
+		pkts = append(pkts, rest...)
+	}
+	dir, err := DecodeDirectory(pkts)
+	if err == nil {
+		err = c.checkDirectory(dir)
+	}
+	return dir, len(pkts), err
 }
 
 // checkDirectory rejects a directory that routes over a different number
@@ -281,10 +297,11 @@ func (c *Client) checkDirectory(dir *Directory) error {
 	return nil
 }
 
-// retryRouting folds a failed directory phase into the accumulated result
-// and reports whether it is retryable (a hot swap revealed mid-read).
-func (c *Client) retryRouting(fres *Result, leg *stream.Result, err error) bool {
-	c.mergeLeg(fres, leg, leg.TuneIndex)
+// retryRouting folds a failed leg into the accumulated result, dirTune of
+// its index tuning spent on the directory, and reports whether it is
+// retryable (a hot swap revealed mid-read).
+func (c *Client) retryRouting(fres *Result, leg *stream.Result, dirTune int, err error) bool {
+	c.mergeLeg(fres, leg, dirTune)
 	if !errors.Is(err, stream.ErrStaleGeneration) {
 		return false
 	}

@@ -332,12 +332,10 @@ func (s *Continuous) stepOnce(p geom.Point, out *ContCycle) (int, error) {
 }
 
 // ensureDirectory reads the replicated channel directory once, off the
-// entry channel, as its own accounted leg. A lone channel may carry no
-// directory: when packet 0 of its index copy is not a directory head, the
-// route is a single leaf to channel 0, d is 0, and the leg just opened
-// becomes channel 0's own — its acquisition resumes from the packet already
-// read, so the single channel pays no extra probe. A client holding more
-// than one channel cannot route without a directory and gets the error.
+// entry channel, as its own accounted leg. A lone channel carries no
+// directory: the route is a single leaf to channel 0, d is 0, and the leg
+// just opened becomes channel 0's own — its acquisition resumes from
+// packet 0, already read, so the single channel pays no extra probe.
 func (s *Continuous) ensureDirectory(entry int, p geom.Point, out *ContCycle) error {
 	cli, err := s.fc.client(entry)
 	if err != nil {
@@ -348,13 +346,9 @@ func (s *Continuous) ensureDirectory(entry int, p geom.Point, out *ContCycle) er
 	if err := cli.Probe(&s.dirLeg); err != nil {
 		return err
 	}
-	pkts, err := cli.FetchIndexPackets(&s.dirLeg, 0, 1)
-	if err != nil {
-		return err
-	}
-	d, err := DirectoryPacketCount(pkts[0])
-	if err != nil {
-		if len(s.chans) != 1 {
+	if len(s.chans) == 1 {
+		head, err := cli.FetchIndexPackets(&s.dirLeg, 0, 1)
+		if err != nil {
 			return err
 		}
 		s.dir, s.d = &Directory{S: 1, Nodes: []DirNode{{Axis: axisLeaf}}}, 0
@@ -363,23 +357,13 @@ func (s *Continuous) ensureDirectory(entry int, p geom.Point, out *ContCycle) er
 		cc.refreshed, cc.crossed = false, false
 		s.dirStamp = 0 // the leg is folded as channel 0's, not twice
 		out.Gens[0] = cc.res.Generation
-		return s.acquireChan(0, cli, cc, p, pkts[0])
+		return s.acquireChan(0, cli, cc, p, head[0])
 	}
-	if d > 1 {
-		rest, err := cli.FetchIndexPackets(&s.dirLeg, 1, d)
-		if err != nil {
-			return err
-		}
-		pkts = append(pkts, rest...)
-	}
-	dir, err := DecodeDirectory(pkts)
+	dir, d, err := s.fc.readDirectory(cli, &s.dirLeg)
 	if err != nil {
 		return err
 	}
-	if err := s.fc.checkDirectory(dir); err != nil {
-		return err
-	}
-	s.dir, s.d = dir, len(pkts)
+	s.dir, s.d = dir, d
 	return nil
 }
 

@@ -40,11 +40,11 @@ func TestDirectoryChannelCountMismatch(t *testing.T) {
 
 	// Only a lone channel may go without a directory: a two-channel
 	// session tuned to plain single-channel broadcasts cannot route.
-	single, err := stream.NewSwapperWithAdjacency(ds.Area, ds.Sites, capacity, 0)
+	single, err := NewSwapper(ds.Area, ds.Sites, 1, capacity, Options{Adjacency: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := []*stream.Program{single.Program(), single.Program()}
+	plain := []*stream.Program{single.Programs()[0], single.Programs()[0]}
 	if _, err := NewContinuous(pipeAir(t, plain, capacity), stream.ModeIncremental, q).Step(ds.Area.Center()); err == nil {
 		t.Error("two-channel session stepped over broadcasts without a directory")
 	}

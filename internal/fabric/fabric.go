@@ -29,6 +29,26 @@ type clippedRegion struct {
 	poly geom.Polygon
 }
 
+// clipCell returns cell poly's piece inside rect, or nil when the piece is
+// empty or a sliver. b is the cell's bounding box. A cell whose box lies
+// inside rect is its own piece and comes back uncopied: every cell the
+// voronoi.Maintainer hands out is immutable, so a shard that covers its
+// cells whole (S = 1 covers them all) shares them instead of holding a
+// second copy.
+func clipCell(poly geom.Polygon, b, rect geom.Rect) geom.Polygon {
+	if !b.Intersects(rect) {
+		return nil
+	}
+	piece := poly
+	if !rect.ContainsRect(b) {
+		piece = geom.ClipRect(poly, rect)
+	}
+	if piece == nil || piece.Area() <= sliverArea {
+		return nil
+	}
+	return piece
+}
+
 // clipShard cuts the global cells (ids[i] owns polys[i]) down to one
 // shard rectangle, returning the surviving pieces in cell (global-id)
 // order. Cells straddling a shard boundary appear in every shard they
@@ -36,14 +56,9 @@ type clippedRegion struct {
 func clipShard(ids []int, polys []geom.Polygon, rect geom.Rect) []clippedRegion {
 	var out []clippedRegion
 	for i, poly := range polys {
-		if !poly.Bounds().Intersects(rect) {
-			continue
+		if piece := clipCell(poly, poly.Bounds(), rect); piece != nil {
+			out = append(out, clippedRegion{id: ids[i], poly: piece})
 		}
-		piece := geom.ClipRect(poly, rect)
-		if piece == nil || piece.Area() <= sliverArea {
-			continue
-		}
-		out = append(out, clippedRegion{id: ids[i], poly: piece})
 	}
 	return out
 }
@@ -67,7 +82,7 @@ func equalClips(a, b []clippedRegion) bool {
 
 // Shard is one channel's compiled broadcast: the clipped subdivision it
 // indexes, its flat D-tree arena, and the rendered-ready program whose
-// index copies carry the channel directory as a prefix.
+// index copies carry the channel directory as a prefix when S > 1.
 type Shard struct {
 	Channel int
 	Rect    geom.Rect
@@ -101,7 +116,7 @@ type Options struct {
 	// Adjacency attaches a region-adjacency table to every shard arena and
 	// splices its self-describing appendix between the directory and the
 	// tree in every index copy, making each channel a continuous-query
-	// medium (fabric.Continuous). The table carries the global
+	// medium (fabric.Continuous). With S > 1 the table carries the global
 	// data-instance ids, so hopping clients union per-shard answers and
 	// break kNN ties in the global numbering without bucket downloads.
 	Adjacency bool
@@ -122,24 +137,28 @@ func siteOfSlice(sites []geom.Point) siteOf {
 	}
 }
 
-// shardChannel describes channel ch to the stream compiler: its directory
-// copy, stamped with ch, leads every index copy, and the data packets and
-// the adjacency table carry global data-instance ids. sites resolves those
-// ids when the options ask for adjacency.
+// shardChannel describes channel ch to the stream compiler. With S > 1 its
+// directory copy, stamped with ch, leads every index copy, and the data
+// packets and the adjacency table carry global data-instance ids. A lone
+// channel is the plain single channel: no directory (there is nothing to
+// route) and no global ids (its buckets are the site ids), so its bytes are
+// exactly those stream.NewSwapper broadcasts. sites resolves ids when the
+// options ask for adjacency.
 func shardChannel(dir *Directory, ch int, rect geom.Rect, capacity int, opts Options, sites siteOf) (stream.Channel, error) {
 	if opts.Adjacency && sites == nil {
 		return stream.Channel{}, fmt.Errorf("fabric: Options.Adjacency needs the site locations")
 	}
-	prefix, err := dir.EncodePackets(capacity, ch)
-	if err != nil {
-		return stream.Channel{}, err
-	}
 	sc := stream.Channel{
 		Area:         rect,
 		Capacity:     capacity,
-		Prefix:       prefix,
-		GlobalIDs:    true,
 		BuildWorkers: opts.BuildWorkers,
+	}
+	if dir.S > 1 {
+		prefix, err := dir.EncodePackets(capacity, ch)
+		if err != nil {
+			return stream.Channel{}, err
+		}
+		sc.Prefix, sc.GlobalIDs = prefix, true
 	}
 	if opts.Adjacency {
 		sc.SiteOf = sites
@@ -147,11 +166,20 @@ func shardChannel(dir *Directory, ch int, rect geom.Rect, capacity int, opts Opt
 	return sc, nil
 }
 
+// prefixPackets is the directory prefix length of every index copy: zero
+// on a lone channel, which carries no directory.
+func prefixPackets(dir *Directory, capacity int) int {
+	if dir.S == 1 {
+		return 0
+	}
+	return dir.PacketCount(capacity)
+}
+
 // Build partitions the sites into S shards and compiles the whole fabric
 // from scratch: the sites' raw Voronoi cells, the kd partition, and one
 // D-tree program per shard, welded from that shard's clipped cells alone.
-// S = 1 degenerates to a single channel that still carries a one-leaf
-// directory.
+// S = 1 is the single channel, byte for byte: no directory prefix and no
+// global ids (TestFabricS1IsSingleChannel).
 func Build(area geom.Rect, sites []geom.Point, S, capacity int, opts Options) (*Fabric, error) {
 	cells, err := voronoi.Cells(area, sites)
 	if err != nil {
@@ -187,7 +215,7 @@ func fromCells(ids []int, polys []geom.Polygon, dir *Directory, rects []geom.Rec
 	f := &Fabric{
 		Area:       area,
 		Capacity:   capacity,
-		DirPackets: dir.PacketCount(capacity),
+		DirPackets: prefixPackets(dir, capacity),
 		Dir:        dir,
 		Rects:      rects,
 		Shards:     make([]*Shard, dir.S),

@@ -246,6 +246,17 @@ func TestFabricAccessAccounting(t *testing.T) {
 	if hops < 1500 {
 		t.Fatalf("only %d hops in 3000 random-entry accesses", hops)
 	}
+	// With the caller's trace buffer reused, an access allocates nothing,
+	// hop or no hop.
+	p := randomPoint(rng, ds.Area)
+	var buf []int
+	entry := 0
+	if allocs := testing.AllocsPerRun(100, func() {
+		entry = (entry + 1) % 4
+		_, buf, _ = f.AccessInto(p, entry, 0.5, buf)
+	}); allocs != 0 {
+		t.Fatalf("AccessInto allocates %.1f times per access with a reused trace", allocs)
+	}
 }
 
 // TestDataStampCarriesGlobalID pins the shard data stamp on the air: every

@@ -71,10 +71,8 @@ func patchClips(prev []clippedRegion, changes []*cellChange, rect geom.Rect) (cl
 	repls := make([]repl, 0, len(changes))
 	for _, cc := range changes {
 		var piece geom.Polygon
-		if cc.poly != nil && cc.nb.Intersects(rect) {
-			if p := geom.ClipRect(cc.poly, rect); p != nil && p.Area() > sliverArea {
-				piece = p
-			}
+		if cc.poly != nil {
+			piece = clipCell(cc.poly, cc.nb, rect)
 		}
 		repls = append(repls, repl{id: cc.id, piece: piece})
 	}

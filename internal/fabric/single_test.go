@@ -102,37 +102,126 @@ func oracleKNNRStar(t *testing.T, sub *region.Subdivision, sites []geom.Point, p
 	return out
 }
 
+// siteLedger is the kNN ground truth of the continuous suites: the test's
+// own mirror of the live site set, advanced by the ops every batch applied,
+// and recorded per generation in that generation's bucket order (Shard.IDs,
+// bucket -> site id). Each recorded site must lie in its bucket's region,
+// so a mis-numbered bucket fails here too. It never reads the adjacency
+// table the broadcast carries — that table is what the oracles check.
+type siteLedger struct {
+	mu     sync.Mutex
+	mirror map[int]geom.Point
+	gens   map[uint32][]geom.Point
+}
+
+// newSiteLedger mirrors the swapper's initial sites (ids 0..n-1) and
+// records its first generation.
+func newSiteLedger(sw *Swapper, sites []geom.Point) (*siteLedger, error) {
+	l := &siteLedger{mirror: make(map[int]geom.Point, len(sites)), gens: make(map[uint32][]geom.Point)}
+	for id, p := range sites {
+		l.mirror[id] = p
+	}
+	return l, l.record(sw.Current(0))
+}
+
+// apply drives one churn batch through the swapper, advances the mirror by
+// the ops that landed, and records the generation now on the air.
+func (l *siteLedger) apply(sw *Swapper, ops []stream.SiteOp) error {
+	gens, ids, err := sw.Apply(ops)
+	if err != nil {
+		return err
+	}
+	l.mu.Lock()
+	for i, id := range ids {
+		switch ops[i].Kind {
+		case stream.OpAdd, stream.OpMove:
+			l.mirror[id] = ops[i].P
+		case stream.OpRemove:
+			delete(l.mirror, id)
+		}
+	}
+	l.mu.Unlock()
+	return l.record(sw.Generation(0, gens[0]))
+}
+
+// record reads g's sites out of the mirror in bucket order.
+func (l *siteLedger) record(g *ShardGeneration) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if _, ok := l.gens[g.Gen]; ok {
+		return nil // a no-op batch left the generation on the air
+	}
+	if len(g.Shard.IDs) != len(l.mirror) {
+		return fmt.Errorf("generation %d: %d buckets, mirror holds %d live sites", g.Gen, len(g.Shard.IDs), len(l.mirror))
+	}
+	sites := make([]geom.Point, len(g.Shard.IDs))
+	for b, id := range g.Shard.IDs {
+		p, ok := l.mirror[id]
+		if !ok {
+			return fmt.Errorf("generation %d: bucket %d names site %d, not live in the mirror", g.Gen, b, id)
+		}
+		if !g.Shard.Sub.Regions[b].Poly.Contains(p) {
+			return fmt.Errorf("generation %d: site %d at %v lies outside bucket %d's region", g.Gen, id, p, b)
+		}
+		sites[b] = p
+	}
+	l.gens[g.Gen] = sites
+	return nil
+}
+
+// sites returns generation gen's recorded sites. A client may pin a
+// generation the moment it is published, before the churn goroutine's
+// Apply returns and records it, so a missing entry is waited for.
+func (l *siteLedger) sites(gen uint32) ([]geom.Point, error) {
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		l.mu.Lock()
+		sites, ok := l.gens[gen]
+		l.mu.Unlock()
+		if ok {
+			return sites, nil
+		}
+		if time.Now().After(deadline) {
+			return nil, fmt.Errorf("generation %d never recorded in the site ledger", gen)
+		}
+	}
+}
+
 // verifyOutcome scores one cycle against both oracles for its pinned
 // generation and checks the cached buckets are exactly the answer set with
 // verified payloads. Returns an error so concurrent steppers can report.
-func verifyOutcome(t *testing.T, sw *stream.Swapper, sess *Continuous, q stream.ContinuousQuery, p geom.Point, out ContCycle, capacity int) error {
-	g := sw.Generation(out.Res.Generation)
+func verifyOutcome(t *testing.T, sw *Swapper, truth *siteLedger, sess *Continuous, q stream.ContinuousQuery, p geom.Point, out ContCycle, capacity int) error {
+	g := sw.Generation(0, out.Res.Generation)
 	if g == nil {
 		return fmt.Errorf("cycle %d at %v: unknown generation %d", out.Cycle, p, out.Res.Generation)
 	}
-	reg := int(out.Region)
-	if reg < 0 || reg >= g.Sub.N() {
-		return fmt.Errorf("cycle %d at %v: region %d out of range (gen %d, %d regions)", out.Cycle, p, reg, out.Res.Generation, g.Sub.N())
+	sub := g.Shard.Sub
+	sites, err := truth.sites(out.Res.Generation)
+	if err != nil {
+		return fmt.Errorf("cycle %d at %v: %w", out.Cycle, p, err)
 	}
-	if want := g.Sub.Locate(p); reg != want && !g.Sub.Regions[reg].Poly.Contains(p) {
+	reg := int(out.Region)
+	if reg < 0 || reg >= sub.N() {
+		return fmt.Errorf("cycle %d at %v: region %d out of range (gen %d, %d regions)", out.Cycle, p, reg, out.Res.Generation, sub.N())
+	}
+	if want := sub.Locate(p); reg != want && !sub.Regions[reg].Poly.Contains(p) {
 		return fmt.Errorf("cycle %d at %v: region %d, want %d (gen %d)", out.Cycle, p, reg, want, out.Res.Generation)
 	}
 	if q.WindowW > 0 || q.WindowH > 0 {
 		w := q.Window(p)
-		brute := oracleWindow(g.Sub, w)
+		brute := oracleWindow(sub, w)
 		if !equalI32(out.Window, brute) {
 			return fmt.Errorf("cycle %d at %v (gen %d): window on air %v, brute oracle %v", out.Cycle, p, out.Res.Generation, out.Window, brute)
 		}
-		if rst := oracleWindowRStar(t, g.Sub, w); !equalI32(out.Window, rst) {
+		if rst := oracleWindowRStar(t, sub, w); !equalI32(out.Window, rst) {
 			return fmt.Errorf("cycle %d at %v (gen %d): window on air %v, rstar oracle %v", out.Cycle, p, out.Res.Generation, out.Window, rst)
 		}
 	}
 	if q.K > 0 {
-		brute := oracleKNN(g.Sites, p, q.K)
+		brute := oracleKNN(sites, p, q.K)
 		if !equalI32(out.KNN, brute) {
 			return fmt.Errorf("cycle %d at %v (gen %d): knn on air %v, brute oracle %v", out.Cycle, p, out.Res.Generation, out.KNN, brute)
 		}
-		if rst := oracleKNNRStar(t, g.Sub, g.Sites, p, q.K); !equalI32(out.KNN, rst) {
+		if rst := oracleKNNRStar(t, sub, sites, p, q.K); !equalI32(out.KNN, rst) {
 			return fmt.Errorf("cycle %d at %v (gen %d): knn on air %v, rstar oracle %v", out.Cycle, p, out.Res.Generation, out.KNN, rst)
 		}
 	}
@@ -167,11 +256,12 @@ var testArea = geom.Rect{MinX: 0, MinY: 0, MaxX: 10000, MaxY: 10000}
 // verifyAgainstGeneration checks a point query against the exact program
 // its generation stamp names: an answer may come from an older generation
 // still on the air, but never be wrong for the generation it claims.
-func verifyAgainstGeneration(sw *stream.Swapper, p geom.Point, res stream.Result, capacity int) error {
-	g := sw.Generation(res.Generation)
-	if g == nil {
+func verifyAgainstGeneration(sw *Swapper, p geom.Point, res stream.Result, capacity int) error {
+	gen := sw.Generation(0, res.Generation)
+	if gen == nil {
 		return fmt.Errorf("query %v: answered under unknown generation %d", p, res.Generation)
 	}
+	g := gen.Shard
 	if res.Bucket < 0 || res.Bucket >= g.Sub.N() {
 		return fmt.Errorf("query %v: bucket %d out of range for generation %d (%d regions)", p, res.Bucket, res.Generation, g.Sub.N())
 	}
@@ -184,12 +274,16 @@ func verifyAgainstGeneration(sw *stream.Swapper, p geom.Point, res stream.Result
 	return nil
 }
 
-// startContinuousServer wires an adjacency-carrying Swapper to a live
-// server.
-func startContinuousServer(t *testing.T, n, capacity int, seed int64) (*stream.Swapper, *stream.Server) {
+// startContinuousServer wires an adjacency-carrying one-channel Swapper to
+// a live server, with the site ledger its churn must go through.
+func startContinuousServer(t *testing.T, n, capacity int, seed int64) (*Swapper, *siteLedger, *stream.Server) {
 	t.Helper()
 	sites := testutil.RandomSites(testArea, n, seed)
-	sw, err := stream.NewSwapperWithAdjacency(testArea, sites, capacity, 0)
+	sw, err := NewSwapper(testArea, sites, 1, capacity, Options{Adjacency: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	truth, err := newSiteLedger(sw, sites)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,14 +291,14 @@ func startContinuousServer(t *testing.T, n, capacity int, seed int64) (*stream.S
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := stream.NewServer(ln, sw.Program())
+	srv, err := stream.NewServer(ln, sw.Programs()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw.Bind(srv)
+	sw.Bind(0, srv)
 	go srv.Serve() //nolint:errcheck
 	t.Cleanup(func() { srv.Close() })
-	return sw, srv
+	return sw, truth, srv
 }
 
 // dialContinuous opens a session of the given mode against the server.
@@ -223,7 +317,7 @@ func dialContinuous(t *testing.T, srv *stream.Server, capacity int, mode stream.
 // oracles for the generation it pinned.
 func TestContinuousOracleUnderChurn(t *testing.T) {
 	const capacity, n = 256, 50
-	sw, srv := startContinuousServer(t, n, capacity, 7001)
+	sw, truth, srv := startContinuousServer(t, n, capacity, 7001)
 	q := stream.ContinuousQuery{WindowW: 2500, WindowH: 2000, K: 4}
 
 	// Churn: move/add/remove sites in small batches while clients step.
@@ -246,7 +340,7 @@ func TestContinuousOracleUnderChurn(t *testing.T) {
 			} else if len(live) > n-5 {
 				ops = append(ops, stream.SiteOp{Kind: stream.OpRemove, ID: live[rng.Intn(len(live))]})
 			}
-			if _, _, err := sw.Apply(ops); err != nil {
+			if err := truth.apply(sw, ops); err != nil {
 				churnDone <- fmt.Errorf("churn batch %d: %w", i, err)
 				return
 			}
@@ -275,7 +369,7 @@ func TestContinuousOracleUnderChurn(t *testing.T) {
 					errs <- fmt.Errorf("client %d cycle %d: %v", ti, cycle, err)
 					return
 				}
-				if err := verifyOutcome(t, sw, sess, q, p, out, capacity); err != nil {
+				if err := verifyOutcome(t, sw, truth, sess, q, p, out, capacity); err != nil {
 					errs <- fmt.Errorf("client %d: %w", ti, err)
 					return
 				}
@@ -300,7 +394,7 @@ func TestContinuousOracleUnderChurn(t *testing.T) {
 // trajectory — while paying a fraction of the tuning.
 func TestContinuousRevalidationMatchesFresh(t *testing.T) {
 	const capacity, n = 256, 40
-	sw, srv := startContinuousServer(t, n, capacity, 7101)
+	sw, truth, srv := startContinuousServer(t, n, capacity, 7101)
 	q := stream.ContinuousQuery{WindowW: 2200, WindowH: 1800, K: 3}
 
 	incr := dialContinuous(t, srv, capacity, stream.ModeIncremental, q)
@@ -325,7 +419,7 @@ func TestContinuousRevalidationMatchesFresh(t *testing.T) {
 			t.Fatalf("cycle %d at %v: incremental answer (%d %v %v) != fresh answer (%d %v %v)",
 				cycle, p, a.Region, a.Window, a.KNN, b.Region, b.Window, b.KNN)
 		}
-		if err := verifyOutcome(t, sw, incr, q, p, a, capacity); err != nil {
+		if err := verifyOutcome(t, sw, truth, incr, q, p, a, capacity); err != nil {
 			t.Fatal(err)
 		}
 		if !b.Refreshed {
@@ -421,7 +515,7 @@ func TestContinuousLossy(t *testing.T) {
 // QueryShifted, and the appendix length is discoverable from packet 0.
 func TestContinuousPointQueryCoexistence(t *testing.T) {
 	const capacity, n = 256, 40
-	sw, srv := startContinuousServer(t, n, capacity, 7301)
+	sw, _, srv := startContinuousServer(t, n, capacity, 7301)
 	client, err := stream.Dial(srv.Addr().String(), capacity)
 	if err != nil {
 		t.Fatal(err)
@@ -460,13 +554,13 @@ func TestContinuousPointQueryCoexistence(t *testing.T) {
 // included — pays exactly one probe on static air.
 func TestSingleChannelOneProbePerCycle(t *testing.T) {
 	const capacity = 256
-	sw, err := stream.NewSwapperWithAdjacency(testArea, testutil.RandomSites(testArea, 40, 7401), capacity, 0)
+	sw, err := NewSwapper(testArea, testutil.RandomSites(testArea, 40, 7401), 1, capacity, Options{Adjacency: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := stream.ContinuousQuery{WindowW: 2000, WindowH: 2000, K: 3}
 	for _, mode := range []stream.ContinuousMode{stream.ModeIncremental, stream.ModeFresh} {
-		sess := NewContinuous(pipeAir(t, []*stream.Program{sw.Program()}, capacity), mode, q)
+		sess := NewContinuous(pipeAir(t, sw.Programs(), capacity), mode, q)
 		traj := dataset.RandomWaypoint(testArea, 12, 7402, 150, 450)
 		for cycle := 0; cycle < len(traj.Positions); cycle++ {
 			out, err := sess.Step(traj.At(cycle))

@@ -107,7 +107,7 @@ func RestoreSnapshotDir(area geom.Rect, sites []geom.Point, S int, dir string, o
 			return nil, fmt.Errorf("fabric: shard %d snapshot capacity %d, shard 0 has %d", sh.Channel, c, f.Capacity)
 		}
 	}
-	f.DirPackets = d.PacketCount(f.Capacity)
+	f.DirPackets = prefixPackets(d, f.Capacity)
 	return f, nil
 }
 

@@ -120,8 +120,8 @@ func NewSwapper(area geom.Rect, sites []geom.Point, S, capacity int, opts Option
 // Shards returns the channel count.
 func (sw *Swapper) Shards() int { return len(sw.cur) }
 
-// DirPackets returns the directory prefix length in packets.
-func (sw *Swapper) DirPackets() int { return sw.dir.PacketCount(sw.capacity) }
+// DirPackets returns the directory prefix length in packets (0 when S = 1).
+func (sw *Swapper) DirPackets() int { return prefixPackets(sw.dir, sw.capacity) }
 
 // Programs returns the current per-channel programs (for stream.NewServer).
 func (sw *Swapper) Programs() []*stream.Program {

@@ -1,7 +1,7 @@
 // Package ingest is the asynchronous update front-end of the broadcast
 // stack: it absorbs a continuous stream of site add/remove/move operations
 // from any number of producers, folds redundant operations per site,
-// and cuts generations through a stream.Swapper or fabric.Swapper at a
+// and cuts generations through a fabric.Swapper (or a stream.Swapper) at a
 // bounded, configurable pace — so a production-rate churn stream feeds the
 // incremental cut machinery without ever holding more than a fixed amount
 // of memory or wedging the serving path.

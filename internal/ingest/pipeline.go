@@ -11,10 +11,11 @@ import (
 )
 
 // Sink is the generation-cut backend the pipeline feeds — satisfied by
-// SwapperSink (single-channel stream.Swapper) and FabricSink (sharded
-// fabric.Swapper). The Pending/republish contract is load-bearing: after
-// a failed cut, Pending reports true and an empty Apply republishes the
-// already-applied state, so retries never re-apply operations.
+// FabricSink (a fabric.Swapper of any channel count) and SwapperSink (the
+// single-channel stream.Swapper perfbench drives). The Pending/republish
+// contract is load-bearing: after a failed cut, Pending reports true and an
+// empty Apply republishes the already-applied state, so retries never
+// re-apply operations.
 type Sink interface {
 	// ApplyBatch applies ops and cuts a generation. ids maps each applied
 	// batch position to its (new or touched) site id; a shortened ids with
@@ -37,7 +38,7 @@ func (s swapperSink) ApplyBatch(ops []stream.SiteOp) ([]int, error) {
 }
 func (s swapperSink) Pending() bool { return s.sw.Pending() }
 
-// FabricSink adapts a sharded fabric.Swapper.
+// FabricSink adapts a fabric.Swapper.
 func FabricSink(sw *fabric.Swapper) Sink { return fabricSink{sw} }
 
 type fabricSink struct{ sw *fabric.Swapper }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"airindex/internal/fabric"
 	"airindex/internal/geom"
 	"airindex/internal/obs"
 	"airindex/internal/stream"
@@ -318,7 +319,7 @@ func TestPipelineSwapperEquivalence(t *testing.T) {
 	const capacity = 256
 	seedSites := testutil.RandomSites(testArea, 30, 6001)
 
-	sw, err := stream.NewSwapper(testArea, seedSites, capacity, 0)
+	sw, err := fabric.NewSwapper(testArea, seedSites, 1, capacity, fabric.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +330,7 @@ func TestPipelineSwapperEquivalence(t *testing.T) {
 
 	cfg := fastConfig()
 	cfg.CutMaxOps = 8
-	p := Start(SwapperSink(sw), cfg)
+	p := Start(FabricSink(sw), cfg)
 
 	rng := rand.New(rand.NewSource(6002))
 	nextHandle := int64(-1)
@@ -408,7 +409,7 @@ func TestPipelineSwapperEquivalence(t *testing.T) {
 	// query point both swappers must answer with the same cell geometry.
 	// (Site ids can differ — coalescing legally elides add+remove pairs the
 	// oracle executes — so the comparison is geometric, not id-based.)
-	g1, g2 := sw.Current(), oracle.Current()
+	g1, g2 := sw.Current(0).Shard, oracle.Current()
 	for _, q := range testutil.QueryPoints(testArea, 300, 6003) {
 		r1, _ := g1.Flat.Locate(q)
 		r2, _ := g2.Flat.Locate(q)

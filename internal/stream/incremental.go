@@ -25,8 +25,9 @@ import (
 // fabric shard (keys are global data-instance ids of the clipped cells).
 
 // Channel describes one (1, m) broadcast channel: what every generation
-// compiled for it shares. A single channel leaves Prefix nil and GlobalIDs
-// unset; a fabric shard sets them to its directory and to true.
+// compiled for it shares. A single channel — a one-shard fabric included —
+// leaves Prefix nil and GlobalIDs unset; a shard of a fabric of S > 1
+// channels sets them to its directory and to true.
 type Channel struct {
 	// Area is the channel's service rectangle: the outer boundary of its
 	// tiling and the area of its adjacency table.

@@ -58,9 +58,6 @@ func NewMetricsIn(reg *obs.Registry, prefix string) *Metrics {
 	}
 }
 
-// Registry exposes the underlying registry (for /metrics and snapshots).
-func (m *Metrics) Registry() *obs.Registry { return m.reg }
-
 // Snapshot reads every server metric into a JSON-friendly map.
 func (m *Metrics) Snapshot() map[string]any { return m.reg.Snapshot() }
 

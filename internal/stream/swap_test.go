@@ -18,6 +18,15 @@ import (
 
 var testArea = geom.Rect{MinX: 0, MinY: 0, MaxX: 10000, MaxY: 10000}
 
+// LiveSiteIDs returns the ids of the live sites, for tests that compose
+// churn batches.
+func (sw *Swapper) LiveSiteIDs() []int {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	ids, _ := sw.maint.LiveSites()
+	return ids
+}
+
 // startSwapServer wires a Swapper to a live TCP server, applies configure
 // (which runs before any connection can exist — Server fields must not be
 // mutated once Serve is accepting), starts serving, and returns the channel

@@ -80,7 +80,9 @@ type Generation struct {
 }
 
 // Swapper drives live reconfiguration end to end. All methods are safe for
-// concurrent use; Apply batches serialize against each other.
+// concurrent use; Apply batches serialize against each other. The daemon
+// and the live figures run a one-shard fabric.Swapper instead, which
+// broadcasts the same bytes; this one remains for perfbench.
 type Swapper struct {
 	mu    sync.Mutex
 	maint *voronoi.Maintainer
@@ -100,30 +102,13 @@ type Swapper struct {
 // NewSwapper builds the initial program (generation 1) for the given sites.
 // m <= 0 picks the optimal number of index copies per cycle.
 func NewSwapper(area geom.Rect, sites []geom.Point, capacity, m int) (*Swapper, error) {
-	return newSwapper(area, sites, capacity, m, false)
-}
-
-// NewSwapperWithAdjacency is NewSwapper for a continuous-query broadcast:
-// every published generation's arena carries the region-adjacency table, so
-// each cycle leads with the self-describing appendix that moving clients
-// cache and revalidate against (fabric.Continuous). Point-query clients use
-// QueryShifted past the appendix.
-func NewSwapperWithAdjacency(area geom.Rect, sites []geom.Point, capacity, m int) (*Swapper, error) {
-	return newSwapper(area, sites, capacity, m, true)
-}
-
-func newSwapper(area geom.Rect, sites []geom.Point, capacity, m int, adjacency bool) (*Swapper, error) {
 	maint, err := voronoi.NewMaintainer(area, sites)
 	if err != nil {
 		return nil, err
 	}
-	ch := Channel{Area: maint.Area(), Capacity: capacity, M: m}
-	if adjacency {
-		ch.SiteOf = maint.Site
-	}
 	sw := &Swapper{
 		maint: maint,
-		comp:  NewCompiler(ch),
+		comp:  NewCompiler(Channel{Area: maint.Area(), Capacity: capacity, M: m}),
 		gens:  make(map[uint32]*Generation),
 	}
 	g, _, err := sw.buildLocked(1, nil, nil)
@@ -200,14 +185,6 @@ func (sw *Swapper) Len() int {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
 	return sw.maint.Len()
-}
-
-// LiveSiteIDs returns the ids of the live sites.
-func (sw *Swapper) LiveSiteIDs() []int {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	ids, _ := sw.maint.LiveSites()
-	return ids
 }
 
 // Pending reports whether a failed cut left the maintainer ahead of the

@@ -19,7 +19,7 @@ import (
 // clip sequence Cells uses, and per-cell build metadata (cellMeta) decides
 // exactly which cells an update can touch, so maintained cells are
 // bit-identical to a full rebuild of the live site set — the invariant the
-// live broadcast swap (stream.Swapper) relies on, pinned by
+// live broadcast swap (fabric.Swapper) relies on, pinned by
 // TestMaintainerBitIdenticalProperty.
 //
 // The maintainer additionally reports, per batch (BeginBatch/BatchDelta),
@@ -180,7 +180,7 @@ func (m *Maintainer) markDirty(j int) {
 
 // BeginBatch starts a new dirty-tracking window: BatchDelta will report the
 // cells changed and the sites removed from this point on. NewMaintainer
-// begins an initial batch, and stream.Swapper begins one per Apply.
+// begins an initial batch, and every swapper's Apply begins one.
 func (m *Maintainer) BeginBatch() {
 	m.dirtyEpoch++
 	m.dirtyList = m.dirtyList[:0]
