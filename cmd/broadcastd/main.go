@@ -472,7 +472,6 @@ func run(cfg config, ds dataset.Dataset) {
 func demo(cfg config, ds dataset.Dataset, addrs []string, live bool, cm *stream.ClientMetrics, traces *obs.TraceLog) {
 	client := fabric.NewClient(addrs, cfg.capacity)
 	defer client.Close()
-	client.Adjacency = cfg.adjacency
 	client.Metrics = cm
 	client.Traces = traces
 	qrng := rand.New(rand.NewSource(cfg.seed))

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -504,14 +505,19 @@ func (a *Adjacency) EncodePackets(capacity int) ([][]byte, error) {
 	return pkts, nil
 }
 
+// ErrNoAdjacencyMagic reports a packet that does not head an adjacency
+// appendix. It is static: every plain point query asks whether its first
+// index packet heads an appendix, and a root packet never does.
+var ErrNoAdjacencyMagic = errors.New("core: packet does not begin with the adjacency magic")
+
 // AdjacencyPacketCount parses the appendix length from its first packet, so
 // a client can fetch the rest (and a point-query client can skip past it).
 func AdjacencyPacketCount(pkt0 []byte) (int, error) {
+	if len(pkt0) < len(adjacencyMagic) || string(pkt0[0:2]) != adjacencyMagic {
+		return 0, ErrNoAdjacencyMagic
+	}
 	if len(pkt0) < adjHeaderSize {
 		return 0, fmt.Errorf("core: adjacency packet 0 is %d bytes, header needs %d", len(pkt0), adjHeaderSize)
-	}
-	if string(pkt0[0:2]) != adjacencyMagic {
-		return 0, fmt.Errorf("core: bad adjacency magic %q", pkt0[0:2])
 	}
 	if pkt0[2] != adjacencyVersion {
 		return 0, fmt.Errorf("core: adjacency version %d, want %d", pkt0[2], adjacencyVersion)

@@ -124,11 +124,41 @@ type builder struct {
 	keys  []int         // enabled subset slots, in option order
 	sem   chan struct{} // spawn tokens; nil = sequential build
 
+	// splice, when set, is asked for a finished subtree over a region set
+	// before any partition is searched (an incremental rebuild copying the
+	// previous generation's). Its state is not safe for concurrent use, so
+	// a builder with a splice hook builds sequentially.
+	splice func(ids []int32) (ChildRef, bool)
+
 	// free holds the scratch of finished tasks for later ones. It dies
 	// with the builder, so a finished build's scratch is garbage at the
 	// next collection; a sync.Pool would keep it through two.
 	mu   sync.Mutex
 	free []*buildScratch
+}
+
+// newBuilder prepares a build over sub: one span per region and the
+// enabled style keys, in option order. reuse, when non-nil, may supply a
+// region's span instead of computing it from the polygon.
+func newBuilder(sub *region.Subdivision, o buildOptions, reuse func(i int) (regionSpan, bool)) *builder {
+	b := &builder{sub: sub, opts: o, spans: make([]regionSpan, sub.N())}
+	for i := range b.spans {
+		if reuse != nil {
+			if sp, ok := reuse(i); ok {
+				b.spans[i] = sp
+				continue
+			}
+		}
+		b.spans[i] = newSpan(i, sub.Regions[i].Poly)
+	}
+	for _, dim := range o.dims {
+		for _, byMax := range o.sortKeys {
+			if k := keyIdx(dim, byMax); !containsInt(b.keys, k) {
+				b.keys = append(b.keys, k)
+			}
+		}
+	}
+	return b
 }
 
 // scratch hands a task the scratch a finished task released, or a new one.
@@ -179,18 +209,7 @@ func Build(sub *region.Subdivision, opts ...BuildOption) (*Tree, error) {
 			}
 		}
 	}
-	b := &builder{sub: sub, opts: o, spans: make([]regionSpan, sub.N())}
-	for i := range sub.Regions {
-		b.spans[i] = newSpan(i, sub.Regions[i].Poly)
-	}
-	for _, dim := range o.dims {
-		for _, byMax := range o.sortKeys {
-			if k := keyIdx(dim, byMax); !containsInt(b.keys, k) {
-				b.keys = append(b.keys, k)
-			}
-		}
-	}
-
+	b := newBuilder(sub, o, nil)
 	t := &Tree{Sub: sub, opts: o}
 	if sub.N() == 1 {
 		// Degenerate dataset: no partitions; Locate answers 0 directly.
@@ -246,13 +265,19 @@ func (b *builder) sortedIDs(n, k int) []int32 {
 }
 
 // split recursively partitions the region set and returns a reference to
-// the subtree (or a data pointer for a single region). Sibling subtrees may
-// build concurrently; nothing they compute depends on scheduling, so the
-// result is identical to the sequential recursion.
+// the subtree (or a data pointer for a single region), unless the splice
+// hook supplies the subtree whole. Sibling subtrees may build concurrently;
+// nothing they compute depends on scheduling, so the result is identical
+// to the sequential recursion.
 func (b *builder) split(sub subset, sc *buildScratch) (ChildRef, error) {
 	ids := sub[b.keys[0]]
 	if len(ids) == 1 {
 		return ChildRef{Data: int(ids[0])}, nil
+	}
+	if b.splice != nil {
+		if ref, ok := b.splice(ids); ok {
+			return ref, nil
+		}
 	}
 	cand, err := b.choosePartition(sub, sc)
 	if err != nil {

@@ -92,19 +92,9 @@ func (inc *Incremental) retain(t *Tree, sub *region.Subdivision) error {
 
 	// Root sort orders and spans, recomputed once per retained generation
 	// (Rebuild patches them forward instead when it can).
-	b := &builder{sub: sub, opts: t.opts, spans: make([]regionSpan, n)}
-	for i := range sub.Regions {
-		b.spans[i] = newSpan(i, sub.Regions[i].Poly)
-	}
+	b := newBuilder(sub, t.opts, nil)
 	inc.spans = b.spans
 	inc.opts = t.opts
-	for _, dim := range t.opts.dims {
-		for _, byMax := range t.opts.sortKeys {
-			if k := keyIdx(dim, byMax); !containsInt(b.keys, k) {
-				b.keys = append(b.keys, k)
-			}
-		}
-	}
 	inc.orders = subset{}
 	for _, k := range b.keys {
 		inc.orders[k] = b.sortedIDs(n, k)
@@ -182,24 +172,16 @@ func (inc *Incremental) Rebuild(sub *region.Subdivision, dirtyKeys []int) (*Tree
 
 	// New spans: clean regions copy the previous span (the bounds are a
 	// function of the unchanged polygon), dirty ones recompute.
-	b := &builder{sub: sub, opts: o, spans: make([]regionSpan, n)}
-	for _, dim := range o.dims {
-		for _, byMax := range o.sortKeys {
-			if k := keyIdx(dim, byMax); !containsInt(b.keys, k) {
-				b.keys = append(b.keys, k)
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
+	b := newBuilder(sub, o, func(i int) (regionSpan, bool) {
 		k := newKeyOf[i]
-		if oi := inc.lookupOld(k); oi >= 0 && !dirty[k] {
-			sp := inc.spans[oi]
-			sp.id = i
-			b.spans[i] = sp
-			continue
+		oi := inc.lookupOld(k)
+		if oi < 0 || dirty[k] {
+			return regionSpan{}, false
 		}
-		b.spans[i] = newSpan(i, sub.Regions[i].Poly)
-	}
+		sp := inc.spans[oi]
+		sp.id = i
+		return sp, true
+	})
 
 	// Merge-patch each root order: surviving clean ids keep their relative
 	// order under the monotone renumbering (keys ascending in both
@@ -254,13 +236,15 @@ func (inc *Incremental) Rebuild(sub *region.Subdivision, dirtyKeys []int) (*Tree
 		orders[k] = merged
 	}
 
+	// The builder has no spawn tokens, so the rebuild stays sequential, as
+	// the splice state requires.
 	r := &rebuilder{
-		inc: inc, b: b,
-		newKeyOf: newKeyOf, newIdxOf: newIdxOf, dirty: dirty,
+		inc: inc, newKeyOf: newKeyOf, newIdxOf: newIdxOf, dirty: dirty,
 		oldMark: make([]int32, maxKey+1),
 	}
+	b.splice = r.splice
 	sc := b.scratch()
-	ref, err := r.split(orders, sc)
+	ref, err := b.split(orders, sc)
 	b.release(sc)
 	if err != nil {
 		return nil, Delta{}, err
@@ -289,7 +273,6 @@ func (inc *Incremental) lookupOld(key int32) int32 {
 // rebuilder is the per-Rebuild recursion state.
 type rebuilder struct {
 	inc      *Incremental
-	b        *builder
 	newKeyOf []int32
 	newIdxOf []int32
 	dirty    []bool
@@ -299,53 +282,16 @@ type rebuilder struct {
 	spliced  int
 }
 
-// split mirrors builder.split but first tries to splice the subtree of the
-// previous generation covering exactly this (clean) region set; a node on a
-// dirty path runs the normal partition search over the merge-patched orders.
-func (r *rebuilder) split(sub subset, sc *buildScratch) (ChildRef, error) {
-	ids := sub[r.b.keys[0]]
-	if len(ids) == 1 {
-		return ChildRef{Data: int(ids[0])}, nil
-	}
-	if old := r.findSplice(ids); old != nil {
-		ref := r.copySubtree(ChildRef{Node: old})
-		return ref, nil
-	}
-	cand, err := r.b.choosePartition(sub, sc)
-	if err != nil {
-		return ChildRef{}, err
-	}
-	leftSub, rightSub := r.b.partitionSubset(sub, cand.sorted[:cand.k], sc)
-	left, err := r.split(leftSub, sc)
-	if err != nil {
-		return ChildRef{}, err
-	}
-	right, err := r.split(rightSub, sc)
-	if err != nil {
-		return ChildRef{}, err
-	}
-	return ChildRef{Node: &Node{
-		Dim:        cand.style.dim,
-		Polylines:  cand.polylines,
-		CutLo:      cand.cutLo,
-		CutHi:      cand.cutHi,
-		Left:       left,
-		Right:      right,
-		Pruned:     cand.pruned,
-		Truncated:  cand.truncated,
-		NumRegions: len(ids),
-		InterProb:  cand.interProb,
-	}}, nil
-}
-
-// findSplice returns the previous-generation node whose leaf set equals the
-// given (new) region ids with every member clean, or nil.
-func (r *rebuilder) findSplice(ids []int32) *Node {
+// splice is the builder's splice hook: a copy of the previous-generation
+// subtree whose leaf set equals the given (new) region ids with every
+// member clean, if there is one. A node on a dirty path gets none and runs
+// the normal partition search over the merge-patched orders.
+func (r *rebuilder) splice(ids []int32) (ChildRef, bool) {
 	inc := r.inc
 	for _, id := range ids {
 		k := r.newKeyOf[id]
 		if r.dirty[k] || int(k) >= len(inc.leafParent) || inc.leafParent[k] < 0 {
-			return nil
+			return ChildRef{}, false
 		}
 	}
 	// Walk up from the first key's old leaf to the ancestor of matching
@@ -355,20 +301,20 @@ func (r *rebuilder) findSplice(ids []int32) *Node {
 		nid = inc.parent[nid]
 	}
 	if nid < 0 {
-		return nil
+		return ChildRef{}, false
 	}
 	old := inc.tree.Nodes[nid]
 	if old.NumRegions != len(ids) {
-		return nil
+		return ChildRef{}, false
 	}
 	r.oldEpoch++
 	r.collectOld(ChildRef{Node: old})
 	for _, id := range ids {
 		if r.oldMark[r.newKeyOf[id]] != r.oldEpoch {
-			return nil
+			return ChildRef{}, false
 		}
 	}
-	return old
+	return r.copySubtree(ChildRef{Node: old}), true
 }
 
 func (r *rebuilder) collectOld(c ChildRef) {

@@ -11,6 +11,7 @@ import (
 	"airindex/internal/dataset"
 	"airindex/internal/fabric"
 	"airindex/internal/geom"
+	"airindex/internal/region"
 	"airindex/internal/stream"
 )
 
@@ -117,13 +118,23 @@ func checkAnswer(sw *fabric.Swapper, p geom.Point, res stream.Result, capacity i
 		return fmt.Errorf("unknown generation %d", res.Generation)
 	}
 	sub := g.Shard.Sub
-	if res.Bucket < 0 || res.Bucket >= sub.N() {
-		return fmt.Errorf("bucket %d outside generation %d's %d regions", res.Bucket, res.Generation, sub.N())
-	}
-	if want := sub.Locate(p); res.Bucket != want && !sub.Regions[res.Bucket].Poly.Contains(p) {
-		return fmt.Errorf("at %v: bucket %d, want %d (generation %d)", p, res.Bucket, want, res.Generation)
+	if err := checkRegion(sub, p, res.Bucket, sub.Locate(p)); err != nil {
+		return fmt.Errorf("generation %d: %w", res.Generation, err)
 	}
 	return stream.VerifyStampedData(res.Data, capacity, res.Bucket)
+}
+
+// checkRegion accepts got as the region answering p when it is the ground
+// truth want or a region whose polygon also holds p (a boundary tie). An id
+// outside sub's regions is an error, never an out-of-range index.
+func checkRegion(sub *region.Subdivision, p geom.Point, got, want int) error {
+	if got < 0 || got >= sub.N() {
+		return fmt.Errorf("at %v: region %d outside the %d regions", p, got, sub.N())
+	}
+	if got != want && !sub.Regions[got].Poly.Contains(p) {
+		return fmt.Errorf("at %v: region %d, want %d", p, got, want)
+	}
+	return nil
 }
 
 func dropID(ids []int, id int) []int {

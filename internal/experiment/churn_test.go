@@ -56,7 +56,8 @@ func TestChurnSweep(t *testing.T) {
 
 // TestCheckAnswerRangeChecksBucket: an answer naming a bucket outside its
 // generation's regions, or an unknown generation, is reported as an error,
-// not a panic; the right answer passes.
+// not a panic; the right answer passes. checkRegion, which every figure's
+// answer check shares, likewise refuses an out-of-range or wrong region.
 func TestCheckAnswerRangeChecksBucket(t *testing.T) {
 	ds := dataset.Uniform(40, 6200)
 	const capacity = 128
@@ -80,6 +81,20 @@ func TestCheckAnswerRangeChecksBucket(t *testing.T) {
 	} {
 		if err := checkAnswer(sw, p, bad, capacity); err == nil {
 			t.Errorf("generation %d bucket %d accepted", bad.Generation, bad.Bucket)
+		}
+	}
+	sub := g.Shard.Sub
+	if err := checkRegion(sub, p, bucket, bucket); err != nil {
+		t.Fatalf("right region refused: %v", err)
+	}
+	for _, got := range []int{sub.N(), -1, sub.N() + 1000} {
+		if err := checkRegion(sub, p, got, bucket); err == nil {
+			t.Errorf("region %d of %d accepted", got, sub.N())
+		}
+	}
+	if other := (bucket + 1) % sub.N(); !sub.Regions[other].Poly.Contains(p) {
+		if err := checkRegion(sub, p, other, bucket); err == nil {
+			t.Errorf("region %d, which does not hold %v, accepted", other, p)
 		}
 	}
 }

@@ -47,17 +47,14 @@ func RunDistributed(ds dataset.Dataset, cfg Config) ([]Measurement, error) {
 				sq := &streams.base[i]
 				tm := sq.u * float64(dataPackets)
 				c := broadcast.NoIndexAccess(tm, sub.N(), bp, int(sq.want))
-				costs[i] = accessCost{tuneTotal: int32(c.TotalTuning())}
+				costs[i] = accessCost{lat: c.Latency, tuneTotal: int32(c.TotalTuning())}
 			}
 			return nil
 		}); err != nil {
 			return nil, err
 		}
-		var noIdxTune float64
-		for i := range costs {
-			noIdxTune += float64(costs[i].tuneTotal)
-		}
-		noIdxTune /= qf
+		noIdxLat, _, noIdxTune := reduceCosts(costs)
+		noIdxLat, noIdxTune = noIdxLat/qf, noIdxTune/qf
 
 		// (1, m).
 		paged, err := tree.Page(params)
@@ -91,7 +88,7 @@ func RunDistributed(ds dataset.Dataset, cfg Config) ([]Measurement, error) {
 		lat, tuneIdx, tuneTotal := reduceCosts(costs)
 		out = append(out, distMeasurement(ds.Name, "D-tree (1,m)", capacity,
 			m*fp.IndexPackets(), dataPackets, m,
-			lat/qf, tuneIdx/qf, tuneTotal/qf, optLatency, noIdxTune))
+			lat/qf, tuneIdx/qf, tuneTotal/qf, optLatency, noIdxLat, noIdxTune))
 
 		// Distributed indexing.
 		dist, err := distidx.New(tree, params)
@@ -115,7 +112,7 @@ func RunDistributed(ds dataset.Dataset, cfg Config) ([]Measurement, error) {
 		lat, tuneIdx, tuneTotal = reduceCosts(costs)
 		out = append(out, distMeasurement(ds.Name, "D-tree (dist)", capacity,
 			dist.TotalIndexPackets(), dataPackets, dist.Segments(),
-			lat/qf, tuneIdx/qf, tuneTotal/qf, optLatency, noIdxTune))
+			lat/qf, tuneIdx/qf, tuneTotal/qf, optLatency, noIdxLat, noIdxTune))
 	}
 	return out, nil
 }
@@ -132,7 +129,7 @@ func reduceCosts(costs []accessCost) (lat, tuneIdx, tuneTotal float64) {
 }
 
 func distMeasurement(dsName, idxName string, capacity, idxPackets, dataPackets, m int,
-	lat, tuneIdx, tuneTotal, optLatency, noIdxTune float64) Measurement {
+	lat, tuneIdx, tuneTotal, optLatency, noIdxLat, noIdxTune float64) Measurement {
 	eff := 0.0
 	if overhead := lat - optLatency; overhead > 0 {
 		eff = (noIdxTune - tuneTotal) / overhead
@@ -142,8 +139,9 @@ func distMeasurement(dsName, idxName string, capacity, idxPackets, dataPackets, 
 		IndexPackets: idxPackets, DataPackets: dataPackets, M: m,
 		AvgLatency: lat, NormLatency: lat / optLatency,
 		AvgTuneIndex: tuneIdx, AvgTuneTotal: tuneTotal,
-		NormIndexSize: float64(idxPackets) / float64(dataPackets),
-		Efficiency:    eff,
-		NoIndexTuning: noIdxTune,
+		NormIndexSize:  float64(idxPackets) / float64(dataPackets),
+		Efficiency:     eff,
+		NoIndexLatency: noIdxLat,
+		NoIndexTuning:  noIdxTune,
 	}
 }

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"encoding/csv"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -141,13 +142,21 @@ func TestTablesAndCSV(t *testing.T) {
 			t.Errorf("figure table missing %q:\n%s", want, table)
 		}
 	}
-	csv := CSV(ms)
-	lines := strings.Split(strings.TrimSpace(csv), "\n")
+	lines := strings.Split(strings.TrimSpace(CSV(ms)), "\n")
 	if len(lines) != 1+4 {
 		t.Errorf("CSV rows = %d, want header + 4", len(lines))
 	}
 	if !strings.HasPrefix(lines[0], "dataset,index,packet") {
 		t.Errorf("CSV header: %s", lines[0])
+	}
+	// A name holding a comma is quoted, so every row parses to the
+	// header's width.
+	rows, err := csv.NewReader(strings.NewReader(CSV(append(ms, Measurement{Dataset: "d", Index: "D-tree (1,m)"})))).ReadAll()
+	if err != nil {
+		t.Fatalf("CSV does not parse: %v", err)
+	}
+	if last := rows[len(rows)-1]; last[1] != "D-tree (1,m)" {
+		t.Errorf("quoted index name read back as %q", last[1])
 	}
 	if got := Packets(ms); len(got) != 1 || got[0] != 256 {
 		t.Errorf("Packets = %v", got)

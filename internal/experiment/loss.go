@@ -116,8 +116,8 @@ func runLossCell(name string, sub *region.Subdivision, prog *stream.Program, sam
 		if err != nil {
 			return pt, fmt.Errorf("query %d at %v: %w", q, p, err)
 		}
-		if res.Bucket != want && !sub.Regions[res.Bucket].Poly.Contains(p) {
-			return pt, fmt.Errorf("query %d at %v: bucket %d, want %d", q, p, res.Bucket, want)
+		if err := checkRegion(sub, p, res.Bucket, want); err != nil {
+			return pt, fmt.Errorf("query %d: %w", q, err)
 		}
 		if err := stream.VerifyStampedData(res.Data, capacity, res.Bucket); err != nil {
 			return pt, fmt.Errorf("query %d: %w", q, err)

@@ -146,9 +146,8 @@ func runShardCell(ds dataset.Dataset, sub *region.Subdivision, capacity, S int, 
 				return err
 			}
 			buf = trace
-			if c.Global != sq.want && !sub.Regions[c.Global].Poly.Contains(sq.p) {
-				return fmt.Errorf("query %v -> global %d via shard %d, single channel says %d",
-					sq.p, c.Global, c.Shard, sq.want)
+			if err := checkRegion(sub, sq.p, c.Global, sq.want); err != nil {
+				return fmt.Errorf("via shard %d: %w", c.Shard, err)
 			}
 			costs[i] = shardCost{
 				lat:     c.Latency,

@@ -1,8 +1,10 @@
 package experiment
 
 import (
+	"encoding/csv"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -126,17 +128,19 @@ func Figure(ms []Measurement, metric Metric) string {
 }
 
 // CSV renders every measurement as comma-separated rows for external
-// plotting.
+// plotting, quoting a field where it needs it ("D-tree (1,m)").
 func CSV(ms []Measurement) string {
-	var b strings.Builder
-	b.WriteString("dataset,index,packet,index_packets,index_bytes,data_packets,m," +
-		"avg_latency,norm_latency,tune_index,tune_total,norm_index_size,efficiency," +
-		"noindex_latency,noindex_tuning\n")
+	rows := [][]string{{"dataset", "index", "packet", "index_packets", "index_bytes", "data_packets", "m",
+		"avg_latency", "norm_latency", "tune_index", "tune_total", "norm_index_size", "efficiency",
+		"noindex_latency", "noindex_tuning"}}
+	f := func(v float64, prec int) string { return strconv.FormatFloat(v, 'f', prec, 64) }
 	for _, m := range ms {
-		fmt.Fprintf(&b, "%s,%s,%d,%d,%d,%d,%d,%.4f,%.4f,%.4f,%.4f,%.6f,%.4f,%.4f,%.4f\n",
-			m.Dataset, m.Index, m.Packet, m.IndexPackets, m.IndexBytes, m.DataPackets, m.M,
-			m.AvgLatency, m.NormLatency, m.AvgTuneIndex, m.AvgTuneTotal, m.NormIndexSize,
-			m.Efficiency, m.NoIndexLatency, m.NoIndexTuning)
+		rows = append(rows, []string{m.Dataset, m.Index, strconv.Itoa(m.Packet), strconv.Itoa(m.IndexPackets),
+			strconv.Itoa(m.IndexBytes), strconv.Itoa(m.DataPackets), strconv.Itoa(m.M),
+			f(m.AvgLatency, 4), f(m.NormLatency, 4), f(m.AvgTuneIndex, 4), f(m.AvgTuneTotal, 4), f(m.NormIndexSize, 6),
+			f(m.Efficiency, 4), f(m.NoIndexLatency, 4), f(m.NoIndexTuning, 4)})
 	}
+	var b strings.Builder
+	csv.NewWriter(&b).WriteAll(rows) //nolint:errcheck // a strings.Builder never fails a write
 	return b.String()
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"airindex/internal/core"
 	"airindex/internal/geom"
 	"airindex/internal/obs"
 	"airindex/internal/stream"
@@ -27,13 +26,10 @@ type Client struct {
 	clients  []*stream.Client
 	entry    int
 
-	// Adjacency declares that the fabric's index copies carry a region-
-	// adjacency appendix between the directory and each shard tree
-	// (Options.Adjacency). Like the packet capacity, it is a broadcast
-	// format parameter the receiver is configured with: when set, queries
-	// read the appendix head to learn the per-channel prefix length before
-	// descending. The appendix itself stays self-describing, so the length
-	// is rediscovered from the air on every query and every epoch restart.
+	// Adjacency is read by nothing: receivers step over a region-adjacency
+	// appendix on their own (stream.Client.LocateShifted). It stays only
+	// because the perfbench harness still assigns it, and goes when that
+	// assignment does (ROADMAP item 3).
 	Adjacency bool
 
 	// Metrics and Traces, when set before the first query, are attached to
@@ -133,7 +129,8 @@ func (c *Client) client(ch int) (*stream.Client, error) {
 // channel: probe, read the replicated channel directory at the head of the
 // next index copy, hop to the owning shard if it differs, then run the
 // standard access protocol against that shard's D-tree (whose offsets sit
-// right behind the directory prefix). The directory phase is retried from
+// right behind the directory prefix and any adjacency appendix, which the
+// stream client steps over itself). The directory phase is retried from
 // a fresh probe when a hot swap lands under it. A lone channel carries no
 // directory: the descent starts at packet 0, exactly the single channel's
 // access protocol.
@@ -161,52 +158,14 @@ func (c *Client) QueryFrom(p geom.Point, entry int) (Result, error) {
 			d, dirTune, target = n, leg.TuneIndex, dir.Route(p)
 		}
 
-		// Adjacency fabrics: the shard leg discovers the per-channel
-		// appendix length from the wire every time (it changes across
-		// generations), so the whole leg — discovery, descent, download —
-		// restarts from a fresh probe when a swap lands under any phase.
-		adjLeg := func(cli *stream.Client, res *stream.Result) error {
-			head, err := cli.FetchIndexPackets(res, d, d+1)
-			if err != nil {
-				return err
-			}
-			a, err := core.AdjacencyPacketCount(head[0])
-			if err != nil {
-				return fmt.Errorf("fabric: no adjacency appendix behind the directory: %w", err)
-			}
-			bucket, err := cli.LocateShifted(p, d+a, res)
-			if err != nil {
-				return err
-			}
-			res.Bucket = bucket
-			_, err = cli.FetchBucket(bucket, res)
-			return err
-		}
-
 		if target == entry {
 			// The entry channel owns the point: continue the descent in the
 			// same index copy, right behind the directory.
-			var err error
-			if c.Adjacency {
-				err = adjLeg(sc, &leg)
-			} else {
-				err = sc.QueryResume(p, d, &leg)
-			}
-			if err != nil && c.Adjacency {
-				if stale := c.retryRouting(&fres, &leg, dirTune, err); stale {
-					continue
-				}
-				return fres, err
-			}
+			err := sc.QueryResume(p, d, &leg)
 			c.mergeLeg(&fres, &leg, dirTune)
 			fres.Latency += leg.Latency
 			if err != nil {
 				return fres, err
-			}
-			if c.Adjacency {
-				// The hand-driven leg never passes through Query's finish,
-				// so fold it into the metrics here.
-				c.Metrics.Observe(&leg)
 			}
 		} else {
 			// Hop: close out the entry leg (its probe and directory read
@@ -219,26 +178,11 @@ func (c *Client) QueryFrom(p geom.Point, entry int) (Result, error) {
 				return fres, err
 			}
 			var hop stream.Result
-			if c.Adjacency {
-				if err = tc.Probe(&hop); err == nil {
-					err = adjLeg(tc, &hop)
-				}
-				if err != nil {
-					if stale := c.retryRouting(&fres, &hop, 0, err); stale {
-						continue
-					}
-					return fres, err
-				}
-				c.mergeLeg(&fres, &hop, 0)
-				fres.Latency += hop.Latency
-				c.Metrics.Observe(&hop)
-			} else {
-				err = tc.QueryShifted(p, d, &hop)
-				c.mergeLeg(&fres, &hop, 0)
-				fres.Latency += hop.Latency
-				if err != nil {
-					return fres, err
-				}
+			err = tc.QueryShifted(p, d, &hop)
+			c.mergeLeg(&fres, &hop, 0)
+			fres.Latency += hop.Latency
+			if err != nil {
+				return fres, err
 			}
 			leg = hop
 		}

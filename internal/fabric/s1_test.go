@@ -2,10 +2,13 @@ package fabric
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"airindex/internal/core"
 	"airindex/internal/dataset"
@@ -230,7 +233,6 @@ func TestClientLoneChannelIsSingleChannel(t *testing.T) {
 			t.Fatal(err)
 		}
 		fc := pipeAir(t, f.Programs(), capacity)
-		fc.Adjacency = adjacency
 		ref := pipeAir(t, f.Programs(), capacity)
 		sc, err := ref.client(0)
 		if err != nil {
@@ -256,6 +258,151 @@ func TestClientLoneChannelIsSingleChannel(t *testing.T) {
 			if w := f.Shards[0].Sub.Locate(p); got.Bucket != w && !f.Shards[0].Sub.Regions[got.Bucket].Poly.Contains(p) {
 				t.Fatalf("adjacency %v query %d at %v: bucket %d, ground truth %d", adjacency, i, p, got.Bucket, w)
 			}
+		}
+	}
+}
+
+// TestStreamClientStepsOverAppendix: a plain stream.Client queried on a
+// one-shard broadcast that carries the adjacency appendix steps over it on
+// its own, with no side information — the same bucket, data, latency,
+// tuning and dozing (the whole Result) as the hand-driven reference that
+// reads the appendix head and skips the length it names.
+func TestStreamClientStepsOverAppendix(t *testing.T) {
+	type input struct {
+		ds      dataset.Dataset
+		queries []geom.Point
+	}
+	uni := dataset.Uniform(300, 3001)
+	rng := rand.New(rand.NewSource(3002))
+	in := []input{{uni, nil}}
+	for i := 0; i < 24; i++ {
+		in[0].queries = append(in[0].queries, randomPoint(rng, uni.Area))
+	}
+	for seed := int64(0); seed < 2; seed++ {
+		ds := dataset.Dataset{Name: fmt.Sprintf("degenerate-%d", seed), Area: testutil.BigArea, Sites: testutil.DegenerateSites(80, seed)}
+		in = append(in, input{ds, testutil.DegenerateQueries(24, seed+3003)})
+	}
+	for _, c := range in {
+		for _, capacity := range []int{64, 128, 512} {
+			label := fmt.Sprintf("%s at %d B", c.ds.Name, capacity)
+			f, err := Build(c.ds.Area, c.ds.Sites, 1, capacity, Options{Adjacency: true})
+			if err != nil {
+				t.Fatalf("%s: build: %v", label, err)
+			}
+			sc, err := pipeAir(t, f.Programs(), capacity).client(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rc, err := pipeAir(t, f.Programs(), capacity).client(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range c.queries {
+				got, err := sc.Query(p)
+				if err != nil {
+					t.Fatalf("%s query %d at %v: %v", label, i, p, err)
+				}
+				want, err := singleChannelQuery(rc, p, true)
+				if err != nil {
+					t.Fatalf("%s query %d at %v (reference): %v", label, i, p, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s query %d at %v: plain client %+v, hand-driven %+v", label, i, p, got, want)
+				}
+				// The arena descends at wire precision, so it answers every
+				// point alike, area-edge and lattice ties included.
+				if w, _ := f.Shards[0].Flat.LocateInto(p, nil); got.Bucket != w {
+					t.Fatalf("%s query %d at %v: bucket %d, arena %d", label, i, p, got.Bucket, w)
+				}
+			}
+		}
+	}
+}
+
+// TestQueryShiftedOnAdjacencyShard: on one channel of a four-shard fabric
+// with the appendix, QueryShifted past the directory resolves the points
+// that shard owns exactly as the hopping fabric client does.
+func TestQueryShiftedOnAdjacencyShard(t *testing.T) {
+	ds := dataset.Uniform(400, 3101)
+	const capacity = 128
+	f, err := Build(ds.Area, ds.Sites, 4, capacity, Options{Adjacency: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc := pipeAir(t, f.Programs(), capacity)
+	direct := pipeAir(t, f.Programs(), capacity)
+	rng := rand.New(rand.NewSource(3102))
+	owned := make([]int, 4)
+	for i := 0; i < 48; i++ {
+		p := randomPoint(rng, ds.Area)
+		want, err := fc.QueryFrom(p, rng.Intn(4))
+		if err != nil {
+			t.Fatalf("query %d at %v: %v", i, p, err)
+		}
+		sc, err := direct.client(want.Shard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got stream.Result
+		if err := sc.QueryShifted(p, f.DirPackets, &got); err != nil {
+			t.Fatalf("query %d at %v on shard %d: %v", i, p, want.Shard, err)
+		}
+		if got.Bucket != want.Bucket || !bytes.Equal(got.Data, want.Data) || got.Generation != want.Generation {
+			t.Fatalf("query %d at %v on shard %d: QueryShifted bucket %d, QueryFrom bucket %d",
+				i, p, want.Shard, got.Bucket, want.Bucket)
+		}
+		owned[want.Shard]++
+	}
+	for s, n := range owned {
+		if n == 0 {
+			t.Errorf("no query landed on shard %d", s)
+		}
+	}
+}
+
+// TestDamagedAppendixHeadFails: a query over a damaged appendix head ends
+// in a bounded error, never a hang or an answer. A head naming more packets
+// than the index copy holds sends the descent past the copy's end, into the
+// "unreachable" error; a head that carries the magic but does not parse is
+// refused, not decoded as the root.
+func TestDamagedAppendixHeadFails(t *testing.T) {
+	ds := dataset.Uniform(60, 3201)
+	const capacity = 128
+	f, err := Build(ds.Area, ds.Sites, 1, capacity, Options{Adjacency: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := f.Shards[0].Prog
+	for _, c := range []struct {
+		name   string
+		damage func(head []byte)
+		want   string
+	}{
+		{"length past the copy", func(head []byte) {
+			binary.LittleEndian.PutUint16(head[3:], uint16(len(prog.IndexPackets)+3)) // the appendix length field
+		}, "unreachable"},
+		{"unknown version", func(head []byte) { head[2] = 99 }, "adjacency version"},
+	} {
+		pkts := append([][]byte(nil), prog.IndexPackets...)
+		pkts[0] = append([]byte(nil), pkts[0]...)
+		c.damage(pkts[0])
+		bad := &stream.Program{Capacity: prog.Capacity, IndexPackets: pkts, Sched: prog.Sched}
+		sc, err := pipeAir(t, []*stream.Program{bad}, capacity).client(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := sc.Query(randomPoint(rand.New(rand.NewSource(3202)), ds.Area))
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("%s: query ended with %v, want an error containing %q", c.name, err, c.want)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s: query did not end", c.name)
 		}
 	}
 }

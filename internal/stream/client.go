@@ -572,7 +572,11 @@ func (c *Client) queryOnce(p geom.Point, res *Result, restart, skip int, resume 
 // LocateShifted runs the index-search phase only — the D-tree descent for p
 // over the live stream, with the first skip packets of every index copy
 // treated as foreign — returning the located data bucket without
-// downloading it. The session must be pinned by a preceding Probe; a hot
+// downloading it. The first packet after skip tells the descent where the
+// tree starts: a region-adjacency appendix head (magic "AJ") names its own
+// length, which is skipped too; any packet without the magic is the root,
+// whose bid 0 can never read as it. So a receiver steps over the appendix
+// with no side information. The session must be pinned by a preceding Probe; a hot
 // swap surfaces as ErrStaleGeneration. Continuous clients use it to
 // re-descend after a boundary crossing without re-downloading answer
 // buckets they already hold.
@@ -587,6 +591,18 @@ func (c *Client) LocateShifted(p geom.Point, skip int, res *Result) (int, error)
 		c.idxCache = make(map[int][]byte, 8)
 	} else {
 		clear(c.idxCache)
+	}
+	head, err := c.fetchIndexPacket(res, skip)
+	if err != nil {
+		return 0, err
+	}
+	switch n, err := core.AdjacencyPacketCount(head); {
+	case err == nil:
+		skip += n
+	case errors.Is(err, core.ErrNoAdjacencyMagic):
+		c.idxCache[0] = head
+	default:
+		return 0, err // an appendix head that does not parse
 	}
 	get := func(k int) ([]byte, error) {
 		if pkt, ok := c.idxCache[k]; ok {

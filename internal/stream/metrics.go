@@ -100,18 +100,8 @@ func NewClientMetrics() *ClientMetrics {
 // Snapshot reads every client metric into a JSON-friendly map.
 func (m *ClientMetrics) Snapshot() map[string]any { return m.reg.Snapshot() }
 
-// Observe folds one completed query result into the metrics — for callers
-// that drive the access protocol by hand (Probe/Fetch/Locate, like the
-// fabric's adjacency leg) instead of through Query, which records
-// automatically.
-func (m *ClientMetrics) Observe(res *Result) { m.observe(res) }
-
-// observe folds one completed query result into the metrics; no-op on a
-// nil receiver so untracked clients pay only a nil check.
+// observe folds one completed query result into the metrics.
 func (m *ClientMetrics) observe(res *Result) {
-	if m == nil {
-		return
-	}
 	m.Queries.Inc()
 	m.LatencySlots.Observe(int64(res.Latency))
 	m.TuningPackets.Observe(int64(res.TotalTuning()))

@@ -44,10 +44,10 @@ func ProgramFromFlat(fp *core.FlatPaged, m int) (*Program, error) {
 // the caller carries ahead of the index (a fabric channel's directory; nil
 // on a single channel), and the appendix is present when the arena carries
 // a region-adjacency table — its packet 0 names the appendix length and the
-// tree root follows right behind, so a point-query client skips it with
-// QueryShifted. ids, when set, are the buckets' global data-instance ids
-// the data packets carry (Program.IDs). m <= 0 picks the optimal number of
-// index copies per cycle.
+// tree root follows right behind, so a point-query client steps over it on
+// its own (Client.LocateShifted). ids, when set, are the buckets' global
+// data-instance ids the data packets carry (Program.IDs). m <= 0 picks the
+// optimal number of index copies per cycle.
 func Assemble(prefix [][]byte, fp *core.FlatPaged, m int, ids []int) (*Program, error) {
 	tree, err := fp.EncodePackets()
 	if err != nil {
