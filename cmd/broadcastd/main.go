@@ -13,19 +13,16 @@
 // streamed access protocol, and reports latency, tuning and recovery
 // counts.
 //
-// With -snapshot the daemon restores its index from a snapshot — the
-// broadcast's own index packets — written by `dtreectl snapshot` (or a
-// previous server's Swapper generation) instead of rebuilding the D-tree
-// from the dataset: it decodes the packets back into the serving arena, and
-// the restored program broadcasts cycles byte-identical to the writer's, so
-// a restart serves the same air index without paying construction.
-//
-// With -snapshot-dir the sharded daemon gets the same zero-parse restart:
-// if the directory holds one `shardN.dtsnap` per shard the fabric is
-// restored from the snapshots (no D-tree is built — only the cheap geometry
-// is recomputed to validate the snapshots and pin the global numbering), and
-// otherwise the daemon builds from -dataset and writes the per-shard
-// snapshots there for the next start.
+// With -snapshot-dir the daemon restarts without building a D-tree, at
+// every -shards S: if the directory holds one `shardN.dtsnap` per shard —
+// the broadcast's own index packets, written by a previous run or by
+// `dtreectl snapshot` — every shard's arena is loaded from its file instead
+// of built (only the cheap geometry is recomputed, to check the snapshots
+// and pin the global numbering), and the restored programs broadcast cycles
+// byte-identical to a fresh build. A snapshot taken over another dataset or
+// -capacity, or one that stores the adjacency appendix without -adjacency,
+// is refused. Otherwise the daemon builds from -dataset and writes the
+// per-shard snapshots there for the next start.
 //
 // Every run serves a fabric (internal/fabric) of -shards S channels; S = 1
 // is the single channel, byte for byte. With S > 1 the service area is
@@ -39,7 +36,7 @@
 // Usage:
 //
 //	broadcastd [-addr :7343] [-dataset hospital] [-capacity 256]
-//	           [-snapshot index.dtsnap] [-snapshot-dir ""] [-shards 1]
+//	           [-snapshot-dir ""] [-shards 1]
 //	           [-adjacency] [-slot-duration 0] [-seed 1]
 //	           [-loss 0] [-burst 1] [-corrupt 0]
 //	           [-churn 0] [-churn-ops 4] [-write-timeout 30s]
@@ -55,17 +52,17 @@
 // generations at the -cut-max-ops / -cut-interval pace. Negative ids are
 // client-chosen provisional handles for sites added in the same stream;
 // SIGINT/SIGTERM drain the queue through final cuts before the broadcast
-// stops. Requires a maintainable index, so it rejects -snapshot and
-// -snapshot-dir, and like -churn it requires an explicit -seed.
+// stops. Requires a maintainable index, so it rejects -snapshot-dir, and
+// like -churn it requires an explicit -seed.
 //
 // With -adjacency every index copy is prefixed with the self-describing
 // region-adjacency appendix (neighbor lists + site coordinates), the wire
 // substrate for continuous queries: a moving client caches the appendix
 // once and answers standing window and kNN queries radio-free each cycle,
 // revalidating instead of re-descending. Point-query demos skip the
-// appendix via the length named in packet 0. Works with -churn and -shards;
-// snapshots pin their own layout, so -snapshot/-snapshot-dir reject it
-// (a snapshot that stores the appendix restores it automatically).
+// appendix via the length named in packet 0. Works with -churn, -shards and
+// -snapshot-dir (a snapshot that stores the appendix restores it; one that
+// does not gets the appendix built).
 //
 // With -debug-addr the daemon also serves an HTTP debug endpoint:
 // /metrics (the counters and histograms of every shard as JSON), /healthz
@@ -109,7 +106,6 @@ type config struct {
 	dataset   string
 	n         int
 	capacity  int
-	snapshot  string
 	snapDir   string
 	shards    int
 	slotDur   time.Duration
@@ -166,26 +162,8 @@ func validateConfig(c config) error {
 	if c.churn > 0 && !c.seedSet {
 		return fmt.Errorf("-churn %v without an explicit -seed: churned runs must be reproducible, pass -seed", c.churn)
 	}
-	if c.snapshot != "" && c.churn > 0 {
-		return fmt.Errorf("-snapshot with -churn: a restored arena has no site maintainer to churn; rebuild from -dataset instead")
-	}
-	if c.snapshot != "" && c.shards > 1 {
-		return fmt.Errorf("-snapshot with -shards %d: snapshots restore a single channel's index; use -snapshot-dir for per-shard restore", c.shards)
-	}
-	if c.snapDir != "" && c.shards <= 1 {
-		return fmt.Errorf("-snapshot-dir with -shards %d: per-shard snapshots need a sharded fabric; use -snapshot for a single channel", c.shards)
-	}
 	if c.snapDir != "" && c.churn > 0 {
 		return fmt.Errorf("-snapshot-dir with -churn: a restored arena has no site maintainer to churn; rebuild from -dataset instead")
-	}
-	if c.snapDir != "" && c.snapshot != "" {
-		return fmt.Errorf("-snapshot and -snapshot-dir are mutually exclusive")
-	}
-	if c.adjacency && c.snapshot != "" {
-		return fmt.Errorf("-adjacency with -snapshot: the snapshot pins whether the broadcast carries the appendix (a snapshot that stores the appendix restores it); rebuild from -dataset to change it")
-	}
-	if c.adjacency && c.snapDir != "" {
-		return fmt.Errorf("-adjacency with -snapshot-dir: the snapshots pin whether the broadcast carries the appendix (a snapshot that stores the appendix restores it); rebuild from -dataset to change it")
 	}
 	if c.churnOps < 1 {
 		return fmt.Errorf("-churn-ops %d: a churn batch needs at least one site operation", c.churnOps)
@@ -200,9 +178,6 @@ func validateConfig(c config) error {
 		return fmt.Errorf("-drain-timeout %v: must be positive", c.drainTO)
 	}
 	if c.ingestAddr != "" {
-		if c.snapshot != "" {
-			return fmt.Errorf("-ingest-addr with -snapshot: a restored arena has no site maintainer to ingest into; rebuild from -dataset instead")
-		}
 		if c.snapDir != "" {
 			return fmt.Errorf("-ingest-addr with -snapshot-dir: a restored arena has no site maintainer to ingest into; rebuild from -dataset instead")
 		}
@@ -233,8 +208,7 @@ func main() {
 	flag.StringVar(&cfg.dataset, "dataset", "hospital", "uniform, hospital or park")
 	flag.IntVar(&cfg.n, "n", 1000, "site count (uniform only)")
 	flag.IntVar(&cfg.capacity, "capacity", 256, "packet capacity in bytes")
-	flag.StringVar(&cfg.snapshot, "snapshot", "", "restore the index from this snapshot file of index packets instead of building it (see dtreectl snapshot)")
-	flag.StringVar(&cfg.snapDir, "snapshot-dir", "", "with -shards S > 1: restore every shard from DIR/shardN.dtsnap when present, else build and write the per-shard snapshots there")
+	flag.StringVar(&cfg.snapDir, "snapshot-dir", "", "restore every shard from DIR/shardN.dtsnap when present (same -dataset and -capacity), else build and write the per-shard snapshots there")
 	flag.IntVar(&cfg.shards, "shards", 1, "broadcast channels; > 1 serves the sharded fabric with a replicated channel directory")
 	flag.DurationVar(&cfg.slotDur, "slot-duration", 0, "real-time pacing per slot (0 = full speed)")
 	flag.Int64Var(&cfg.seed, "seed", 1, "seed for start slots, demo queries, churn and fault models (reproducible runs)")
@@ -295,7 +269,6 @@ func run(cfg config, ds dataset.Dataset) {
 	var sw *fabric.Swapper
 	var progs []*stream.Program
 	dirPackets := 0
-	srcName, instances := ds.Name, ds.N()
 	switch {
 	case cfg.churn > 0 || cfg.ingestAddr != "":
 		var err error
@@ -303,32 +276,24 @@ func run(cfg config, ds dataset.Dataset) {
 			fatal(err)
 		}
 		progs, dirPackets = sw.Programs(), sw.DirPackets()
-	case cfg.snapshot != "":
-		prog, fp, err := stream.ProgramFromSnapshotFile(cfg.snapshot)
-		if err != nil {
-			fatal(err)
-		}
-		// The snapshot pins the packet geometry; the restored capacity
-		// overrides -capacity so the demo client frames line up.
-		cfg.capacity = fp.Params.PacketCapacity
-		progs = []*stream.Program{prog}
-		srcName, instances = fmt.Sprintf("snapshot %s", cfg.snapshot), fp.Flat.N
-		fmt.Printf("broadcastd: restored index from %s: %d regions, no rebuild\n", cfg.snapshot, fp.Flat.N)
-	case cfg.snapDir != "" && fileExists(fabric.SnapshotPath(cfg.snapDir, 0)):
-		f, err := fabric.RestoreSnapshotDir(ds.Area, ds.Sites, S, cfg.snapDir, opts)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.capacity = f.Capacity
-		progs, dirPackets = f.Programs(), f.DirPackets
-		fmt.Printf("broadcastd: restored %d shards from %s, no rebuild\n", S, cfg.snapDir)
 	default:
-		f, err := fabric.Build(ds.Area, ds.Sites, S, cfg.capacity, opts)
+		// -snapshot-dir restores when the directory holds the snapshots.
+		_, err := os.Stat(fabric.SnapshotPath(cfg.snapDir, 0))
+		restore := cfg.snapDir != "" && err == nil
+		var f *fabric.Fabric
+		if restore {
+			f, err = fabric.RestoreSnapshotDir(ds.Area, ds.Sites, S, cfg.capacity, cfg.snapDir, opts)
+		} else {
+			f, err = fabric.Build(ds.Area, ds.Sites, S, cfg.capacity, opts)
+		}
 		if err != nil {
 			fatal(err)
 		}
 		progs, dirPackets = f.Programs(), f.DirPackets
-		if cfg.snapDir != "" {
+		switch {
+		case restore:
+			fmt.Printf("broadcastd: restored %d shards from %s, no rebuild\n", S, cfg.snapDir)
+		case cfg.snapDir != "":
 			if err := f.WriteSnapshotDir(cfg.snapDir); err != nil {
 				fatal(err)
 			}
@@ -399,10 +364,10 @@ func run(cfg config, ds dataset.Dataset) {
 	if S == 1 {
 		prog := progs[0]
 		fmt.Printf("broadcastd: %s, %d instances, %d B packets, index %d packets, m=%d, cycle %d slots, listening on %s\n",
-			srcName, instances, cfg.capacity, len(prog.IndexPackets), prog.Sched.M, prog.Sched.CycleLen(), srvs[0].Addr())
+			ds.Name, ds.N(), cfg.capacity, len(prog.IndexPackets), prog.Sched.M, prog.Sched.CycleLen(), srvs[0].Addr())
 	} else {
 		fmt.Printf("broadcastd: %s, %d instances, %d B packets, %d shards, directory %d packet(s) replicated on every channel\n",
-			srcName, instances, cfg.capacity, S, dirPackets)
+			ds.Name, ds.N(), cfg.capacity, S, dirPackets)
 		for ch, srv := range srvs {
 			prog := progs[ch]
 			fmt.Printf("broadcastd: shard %d on %s: index %d packets, m=%d, cycle %d slots\n",
@@ -674,13 +639,6 @@ func tuneIn(mu *sync.Mutex, rng *rand.Rand, cycle int) func() int {
 		next = rng.Intn(cycle)
 		return start
 	}
-}
-
-// fileExists reports whether path names an existing file, deciding between
-// the restore and build-then-write paths of -snapshot-dir.
-func fileExists(path string) bool {
-	_, err := os.Stat(path)
-	return err == nil
 }
 
 func fatal(err error) {

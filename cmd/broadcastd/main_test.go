@@ -181,13 +181,9 @@ func TestValidateConfig(t *testing.T) {
 		{"sharded", func(c *config) { c.shards = 4 }, true},
 		{"churn with seed", func(c *config) { c.churn = time.Second; c.seedSet = true }, true},
 		{"lossy", func(c *config) { c.loss = 0.2; c.burst = 3; c.corrupt = 0.01 }, true},
-		{"snapshot restore", func(c *config) { c.snapshot = "index.dtsnap" }, true},
-		{"snapshot with churn", func(c *config) { c.snapshot = "index.dtsnap"; c.churn = time.Second; c.seedSet = true }, false},
-		{"snapshot with shards", func(c *config) { c.snapshot = "index.dtsnap"; c.shards = 3 }, false},
 		{"snapshot dir sharded", func(c *config) { c.snapDir = "snaps"; c.shards = 3 }, true},
-		{"snapshot dir single channel", func(c *config) { c.snapDir = "snaps" }, false},
+		{"snapshot dir single channel", func(c *config) { c.snapDir = "snaps" }, true},
 		{"snapshot dir with churn", func(c *config) { c.snapDir = "snaps"; c.shards = 3; c.churn = time.Second; c.seedSet = true }, false},
-		{"snapshot dir with snapshot", func(c *config) { c.snapDir = "snaps"; c.snapshot = "index.dtsnap"; c.shards = 3 }, false},
 		{"zero shards", func(c *config) { c.shards = 0 }, false},
 		{"negative shards", func(c *config) { c.shards = -2 }, false},
 		{"churn without seed", func(c *config) { c.churn = time.Second }, false},
@@ -211,7 +207,6 @@ func TestValidateConfig(t *testing.T) {
 			c.ingestPolicy = "drop-move"
 			c.ingestTuned = []string{"ingest-policy"}
 		}, true},
-		{"ingest with snapshot", func(c *config) { c.ingestAddr = "127.0.0.1:0"; c.seedSet = true; c.snapshot = "index.dtsnap" }, false},
 		{"ingest with snapshot dir", func(c *config) {
 			c.ingestAddr = "127.0.0.1:0"
 			c.seedSet = true
@@ -227,8 +222,7 @@ func TestValidateConfig(t *testing.T) {
 		{"adjacency", func(c *config) { c.adjacency = true }, true},
 		{"adjacency with churn", func(c *config) { c.adjacency = true; c.churn = time.Second; c.seedSet = true }, true},
 		{"adjacency sharded", func(c *config) { c.adjacency = true; c.shards = 3 }, true},
-		{"adjacency with snapshot", func(c *config) { c.adjacency = true; c.snapshot = "index.dtsnap" }, false},
-		{"adjacency with snapshot dir", func(c *config) { c.adjacency = true; c.snapDir = "snaps"; c.shards = 3 }, false},
+		{"adjacency with snapshot dir", func(c *config) { c.adjacency = true; c.snapDir = "snaps"; c.shards = 3 }, true},
 	}
 	for _, tc := range cases {
 		cfg := baseConfig()
@@ -345,18 +339,31 @@ func TestAdjacencyDemoEndToEnd(t *testing.T) {
 
 // TestShardedSnapshotRestartEndToEnd runs the daemon twice with
 // -snapshot-dir: the first run builds the fabric and writes one snapshot
-// per shard, the second restores from them zero-parse. Both runs must
-// resolve the same demo queries, proving the restored shards broadcast the
-// same index.
+// per shard, the second restores from them without building a D-tree. Both
+// runs must resolve the same demo queries, proving the restored shards
+// broadcast the same index. It runs on the single channel, on a sharded
+// fabric and on a sharded fabric carrying the adjacency appendix.
 func TestShardedSnapshotRestartEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the daemon binary")
 	}
 	bin := buildDaemon(t)
+	for _, tc := range []struct {
+		S         int
+		adjacency bool
+	}{{1, false}, {2, false}, {2, true}} {
+		t.Run(fmt.Sprintf("S=%d/adjacency=%v", tc.S, tc.adjacency), func(t *testing.T) {
+			snapshotRestart(t, bin, tc.S, tc.adjacency)
+		})
+	}
+}
+
+func snapshotRestart(t *testing.T, bin string, S int, adjacency bool) {
 	snapDir := filepath.Join(t.TempDir(), "snaps")
 	run := func() string {
 		out, err := exec.Command(bin,
-			"-demo", "-shards", "2", "-dataset", "uniform", "-n", "80", "-capacity", "128",
+			"-demo", "-shards", fmt.Sprint(S), fmt.Sprintf("-adjacency=%v", adjacency),
+			"-dataset", "uniform", "-n", "80", "-capacity", "128",
 			"-snapshot-dir", snapDir, "-addr", "127.0.0.1:0").CombinedOutput()
 		if err != nil {
 			t.Fatalf("daemon: %v\n%s", err, out)
@@ -365,17 +372,17 @@ func TestShardedSnapshotRestartEndToEnd(t *testing.T) {
 	}
 
 	first := run()
-	if !strings.Contains(first, "wrote 2 shard snapshots to "+snapDir) {
+	if !strings.Contains(first, fmt.Sprintf("wrote %d shard snapshots to %s", S, snapDir)) {
 		t.Fatalf("first run did not write snapshots:\n%s", first)
 	}
-	for ch := 0; ch < 2; ch++ {
+	for ch := 0; ch < S; ch++ {
 		if _, err := os.Stat(filepath.Join(snapDir, fmt.Sprintf("shard%d.dtsnap", ch))); err != nil {
 			t.Fatalf("shard %d snapshot missing after first run: %v", ch, err)
 		}
 	}
 
 	second := run()
-	if !strings.Contains(second, "restored 2 shards from "+snapDir) {
+	if !strings.Contains(second, fmt.Sprintf("restored %d shards from %s", S, snapDir)) {
 		t.Fatalf("second run did not restore from snapshots:\n%s", second)
 	}
 	// Same seed, same dataset: the demo queries and their answers must

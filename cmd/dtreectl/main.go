@@ -1,16 +1,17 @@
 // Command dtreectl builds a D-tree over a dataset and inspects it: summary
 // statistics, a per-level profile, the packet layout for a given capacity,
 // and interactive point queries. Two subcommands manage index snapshots:
-// `snapshot` builds the index and writes its broadcast packets to the file
-// broadcastd restarts from, and `restore` decodes a file back into the
+// `snapshot` builds the one-channel broadcast and writes its index packets
+// into the snapshot directory `broadcastd -snapshot-dir` restarts from
+// (DIR/shard0.dtsnap), and `restore` decodes a snapshot file back into the
 // serving arena, verifies it, and answers point queries from it — proving
 // the file serves without a rebuild.
 //
 // Usage:
 //
 //	dtreectl -dataset uniform [-n 1000] [-capacity 512] [-levels] [-query x,y]...
-//	dtreectl snapshot -out index.dtsnap [-dataset uniform] [-n 1000] [-capacity 512]
-//	dtreectl restore -in index.dtsnap [-query x,y]...
+//	dtreectl snapshot -out DIR [-dataset uniform] [-n 1000] [-capacity 512]
+//	dtreectl restore -in DIR/shard0.dtsnap [-query x,y]...
 package main
 
 import (
@@ -22,6 +23,7 @@ import (
 
 	"airindex/internal/core"
 	"airindex/internal/dataset"
+	"airindex/internal/fabric"
 	"airindex/internal/geom"
 	"airindex/internal/wire"
 )
@@ -126,7 +128,8 @@ func runInspect(args []string) {
 	}
 }
 
-// runSnapshot builds the index and writes its snapshot: the index packets.
+// runSnapshot builds the one-channel broadcast and writes its snapshot
+// directory: exactly what broadcastd -snapshot-dir writes and restores.
 func runSnapshot(args []string) {
 	fs := flag.NewFlagSet("dtreectl snapshot", flag.ExitOnError)
 	var (
@@ -134,25 +137,30 @@ func runSnapshot(args []string) {
 		n        = fs.Int("n", 1000, "site count (uniform only)")
 		seed     = fs.Int64("seed", 1000, "seed (uniform only)")
 		capacity = fs.Int("capacity", 512, "packet capacity in bytes")
-		out      = fs.String("out", "", "snapshot file to write (required)")
+		out      = fs.String("out", "", "snapshot directory to write (required)")
 	)
 	fs.Parse(args)
 	if *out == "" {
 		fatal(fmt.Errorf("snapshot: -out is required"))
 	}
 	ds := pickDataset(*name, *n, *seed)
-	_, _, fp := buildFlat(ds, *capacity)
-	if err := fp.WriteSnapshotFile(*out); err != nil {
-		fatal(err)
-	}
-	st, err := os.Stat(*out)
+	f, err := fabric.Build(ds.Area, ds.Sites, 1, *capacity, fabric.Options{})
 	if err != nil {
 		fatal(err)
 	}
+	if err := f.WriteSnapshotDir(*out); err != nil {
+		fatal(err)
+	}
+	path := fabric.SnapshotPath(*out, 0)
+	st, err := os.Stat(path)
+	if err != nil {
+		fatal(err)
+	}
+	fp := f.Shards[0].Flat
 	fmt.Printf("%s: %d regions, %d B packets, index %d packets\n",
 		ds.Name, fp.Flat.N, *capacity, fp.IndexPackets())
 	fmt.Printf("snapshot written to %s: %d bytes (the %d index packets plus header and CRC; %d B occupied)\n",
-		*out, st.Size(), fp.IndexPackets(), fp.SizeBytes())
+		path, st.Size(), fp.IndexPackets(), fp.SizeBytes())
 }
 
 // runRestore loads a snapshot — decoding its packets into the serving

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"path/filepath"
 	"slices"
 
 	"airindex/internal/wire"
@@ -258,14 +259,37 @@ func decodeIndex(pkts [][]byte, params wire.Params, regions int) (*FlatPaged, er
 	return fp, nil
 }
 
-// WriteSnapshotFile atomically writes the snapshot (Snapshot) next to the
-// target path.
+// WriteSnapshotFile durably and atomically replaces path with the snapshot
+// (Snapshot): it writes and syncs a temporary file next to path, renames it
+// over path and syncs the directory, so a crash leaves the old file or the
+// whole new one, never a partial one. The temporary file is removed on any
+// error.
 func (fp *FlatPaged) WriteSnapshotFile(path string) error {
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, fp.Snapshot(), 0o644); err != nil {
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	_, err = f.Write(fp.Snapshot())
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	defer dir.Close()
+	return dir.Sync()
 }
 
 // LoadSnapshotFile reads and validates a snapshot file.

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -91,6 +93,23 @@ func TestSnapshotFile(t *testing.T) {
 	}
 	if _, err := LoadSnapshotFile(path + ".missing"); err == nil {
 		t.Error("loading a missing file should fail")
+	}
+}
+
+// TestSnapshotFileFailedWriteLeavesNoTemp makes the rename fail — the
+// target is a non-empty directory — and requires the error and no
+// temporary file left behind.
+func TestSnapshotFileFailedWriteLeavesNoTemp(t *testing.T) {
+	_, fp := buildFlatPaged(t, 40, 256, 7)
+	path := filepath.Join(t.TempDir(), "dtree.snap")
+	if err := os.MkdirAll(filepath.Join(path, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := fp.WriteSnapshotFile(path); err == nil {
+		t.Fatal("writing over a non-empty directory succeeded")
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("temporary file left behind after the failed write (stat: %v)", err)
 	}
 }
 

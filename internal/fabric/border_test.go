@@ -29,9 +29,7 @@ func pipeAir(t *testing.T, progs []*stream.Program, capacity int) *Client {
 		})
 		clients[ch] = stream.NewClient(pr, capacity)
 	}
-	fc := NewClientFunc(len(progs), capacity, func(ch int) (*stream.Client, error) { return clients[ch], nil })
-	fc.Adjacency = true
-	return fc
+	return NewClientFunc(len(progs), capacity, func(ch int) (*stream.Client, error) { return clients[ch], nil })
 }
 
 // churnBatch draws one batch of the mixed churn the live benchmark's

@@ -387,7 +387,6 @@ func TestFabricAdjacencyOneShot(t *testing.T) {
 		srv.StartSlot = func() int { return 0 }
 	})
 	c := NewClient(fabricAddrs(srvs), capacity)
-	c.Adjacency = true
 	defer c.Close()
 
 	rng := rand.New(rand.NewSource(62))
@@ -451,7 +450,6 @@ func TestFabricContinuousOracleUnderChurn(t *testing.T) {
 	q := stream.ContinuousQuery{WindowW: 2600, WindowH: 1800, K: 4}
 	newSession := func(mode stream.ContinuousMode) *Continuous {
 		fc := NewClient(fabricAddrs(srvs), capacity)
-		fc.Adjacency = true
 		t.Cleanup(func() { fc.Close() }) //nolint:errcheck
 		sess := NewContinuous(fc, mode, q)
 		sess.Metrics = stream.NewContinuousMetrics()

@@ -1,7 +1,6 @@
 package fabric
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -77,8 +76,8 @@ func requireAnswersInRegion(t *testing.T, label string, shard func(ch int) *Shar
 }
 
 // TestFabricDegenerateSplitLines drives the fabric on lattice and diagonal
-// sites at several shard counts: the from-scratch build, a snapshot round
-// trip, and a swapper through 20 churn batches, each compared with the
+// sites at several shard counts, the single channel (S = 1) included: the
+// from-scratch build, a snapshot round trip, and a swapper through 20 churn batches, each compared with the
 // raw-cell from-scratch build. Every sampled answer must name a cell that
 // contains the query, and the only refusal allowed is the maintainer's
 // "duplicate of live site" error (it has no sentinel, so it is matched by
@@ -89,7 +88,7 @@ func TestFabricDegenerateSplitLines(t *testing.T) {
 	area := geom.Rect{MinX: 0, MinY: 0, MaxX: 10000, MaxY: 10000}
 	const capacity = 128
 	for fi, fam := range degenerateFamilies {
-		for _, S := range []int{2, 3, 4, 8} {
+		for _, S := range []int{1, 2, 3, 4, 8} {
 			t.Run(fmt.Sprintf("%s/S=%d", fam.name, S), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(1000*fi + S)))
 				sites := distinctSites(rng, 40, fam.site)
@@ -109,17 +108,11 @@ func TestFabricDegenerateSplitLines(t *testing.T) {
 				if err := f.WriteSnapshotDir(dir); err != nil {
 					t.Fatal(err)
 				}
-				got, err := RestoreSnapshotDir(area, sites, S, dir, Options{})
+				got, err := RestoreSnapshotDir(area, sites, S, capacity, dir, Options{})
 				if err != nil {
 					t.Fatalf("restore: %v", err)
 				}
-				for ch, want := range f.Shards {
-					sh := got.Shards[ch]
-					if len(sh.IDs) != len(want.IDs) || !bytes.Equal(sh.Flat.Snapshot(), want.Flat.Snapshot()) ||
-						!bytes.Equal(cycleBytes(t, sh.Prog), cycleBytes(t, want.Prog)) {
-						t.Fatalf("shard %d differs after the snapshot round trip", ch)
-					}
-				}
+				requireSameFabric(t, got, f)
 
 				sw, err := NewSwapper(area, sites, S, capacity, Options{})
 				if err != nil {

@@ -101,7 +101,6 @@ type Shard struct {
 // the directory they all replicate.
 type Fabric struct {
 	Area       geom.Rect
-	Capacity   int
 	DirPackets int
 	Dir        *Directory
 	Rects      []geom.Rect
@@ -181,6 +180,12 @@ func prefixPackets(dir *Directory, capacity int) int {
 // S = 1 is the single channel, byte for byte: no directory prefix and no
 // global ids (TestFabricS1IsSingleChannel).
 func Build(area geom.Rect, sites []geom.Point, S, capacity int, opts Options) (*Fabric, error) {
+	return build(area, sites, S, capacity, opts, "")
+}
+
+// build is Build, loading every shard's arena from its snapshot in snapDir
+// when that is set (RestoreSnapshotDir).
+func build(area geom.Rect, sites []geom.Point, S, capacity int, opts Options, snapDir string) (*Fabric, error) {
 	cells, err := voronoi.Cells(area, sites)
 	if err != nil {
 		return nil, err
@@ -189,7 +194,7 @@ func Build(area geom.Rect, sites []geom.Point, S, capacity int, opts Options) (*
 	if err != nil {
 		return nil, err
 	}
-	return fromCells(siteIDs(len(sites)), cells, dir, rects, capacity, opts, siteOfSlice(sites))
+	return fromCells(siteIDs(len(sites)), cells, dir, rects, capacity, opts, siteOfSlice(sites), snapDir)
 }
 
 // siteIDs is the identity numbering of n sites: cell i is site i's.
@@ -203,8 +208,8 @@ func siteIDs(n int) []int {
 
 // fromCells compiles a fabric from raw Voronoi cells (ids[i] owns
 // polys[i], ids ascending): every shard clips the cells to its rectangle
-// and welds its pieces once, in its own compile.
-func fromCells(ids []int, polys []geom.Polygon, dir *Directory, rects []geom.Rect, capacity int, opts Options, sites siteOf) (*Fabric, error) {
+// and welds its pieces once, in its own compile (compileShard).
+func fromCells(ids []int, polys []geom.Polygon, dir *Directory, rects []geom.Rect, capacity int, opts Options, sites siteOf, snapDir string) (*Fabric, error) {
 	if len(rects) != dir.S {
 		return nil, fmt.Errorf("fabric: %d rects for %d channels", len(rects), dir.S)
 	}
@@ -214,7 +219,6 @@ func fromCells(ids []int, polys []geom.Polygon, dir *Directory, rects []geom.Rec
 	}
 	f := &Fabric{
 		Area:       area,
-		Capacity:   capacity,
 		DirPackets: prefixPackets(dir, capacity),
 		Dir:        dir,
 		Rects:      rects,
@@ -226,7 +230,7 @@ func fromCells(ids []int, polys []geom.Polygon, dir *Directory, rects []geom.Rec
 		wg.Add(1)
 		go func(ch int) {
 			defer wg.Done()
-			f.Shards[ch], errs[ch] = compileShard(dir, ch, rects[ch], clipShard(ids, polys, rects[ch]), capacity, opts, sites)
+			f.Shards[ch], errs[ch] = compileShard(dir, ch, rects[ch], clipShard(ids, polys, rects[ch]), capacity, opts, sites, snapDir)
 		}(ch)
 	}
 	wg.Wait()
@@ -248,37 +252,32 @@ func splitClips(clips []clippedRegion) (ids []int, polys []geom.Polygon) {
 	return ids, polys
 }
 
-// weldClips welds a shard's clipped pieces into its local subdivision and
-// extracts the bucket -> global-id mapping, shared by the from-scratch
-// compile and the snapshot restore.
-func weldClips(ch int, rect geom.Rect, clips []clippedRegion) (*region.Subdivision, []int, error) {
-	if len(clips) == 0 {
-		return nil, nil, fmt.Errorf("fabric: shard %d covers no regions", ch)
-	}
-	ids, polys := splitClips(clips)
-	sub, err := region.New(rect, polys)
-	if err != nil {
-		return nil, nil, fmt.Errorf("fabric: shard %d subdivision: %w", ch, err)
-	}
-	if err := sub.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("fabric: shard %d subdivision invalid: %w", ch, err)
-	}
-	return sub, ids, nil
-}
-
-// compileShard builds one channel's program from scratch: weld the clipped
-// pieces into a shard-local subdivision and compile it as a stream channel
-// led by the directory.
-func compileShard(dir *Directory, ch int, rect geom.Rect, clips []clippedRegion, capacity int, opts Options, sites siteOf) (*Shard, error) {
+// compileShard compiles one channel's program: weld the clipped pieces
+// into a shard-local subdivision and compile it as a stream channel led by
+// the directory, building the arena from scratch or, with snapDir set,
+// loading it from the shard's snapshot there.
+func compileShard(dir *Directory, ch int, rect geom.Rect, clips []clippedRegion, capacity int, opts Options, sites siteOf, snapDir string) (*Shard, error) {
 	sc, err := shardChannel(dir, ch, rect, capacity, opts, sites)
 	if err != nil {
 		return nil, err
 	}
-	sub, ids, err := weldClips(ch, rect, clips)
-	if err != nil {
-		return nil, err
+	if len(clips) == 0 {
+		return nil, fmt.Errorf("fabric: shard %d covers no regions", ch)
 	}
-	cut, err := sc.Build(sub, ids)
+	ids, polys := splitClips(clips)
+	sub, err := region.New(rect, polys)
+	if err != nil {
+		return nil, fmt.Errorf("fabric: shard %d subdivision: %w", ch, err)
+	}
+	if err := sub.Validate(); err != nil {
+		return nil, fmt.Errorf("fabric: shard %d subdivision invalid: %w", ch, err)
+	}
+	var cut *stream.Cut
+	if snapDir == "" {
+		cut, err = sc.Build(sub, ids)
+	} else {
+		cut, err = loadCut(sc, sub, ids, SnapshotPath(snapDir, ch), clipSum(clips))
+	}
 	if err != nil {
 		return nil, fmt.Errorf("fabric: shard %d: %w", ch, err)
 	}

@@ -45,7 +45,7 @@ func siteBatch(rng *rand.Rand, sw *Swapper, batch int, point func() geom.Point) 
 func requireShardsMatchFresh(t *testing.T, label string, sw *Swapper) {
 	t.Helper()
 	ids, polys := sw.maint.LiveCells()
-	fresh, err := fromCells(ids, polys, sw.dir, sw.rects, sw.capacity, sw.opts, sw.maint.Site)
+	fresh, err := fromCells(ids, polys, sw.dir, sw.rects, sw.capacity, sw.opts, sw.maint.Site, "")
 	if err != nil {
 		t.Fatalf("%s: fresh build: %v", label, err)
 	}

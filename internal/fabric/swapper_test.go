@@ -102,7 +102,7 @@ func TestSwapperMatchesFreshBuild(t *testing.T) {
 		}
 	}
 	ids, polys := sw.maint.LiveCells()
-	fresh, err := fromCells(ids, polys, sw.dir, sw.rects, capacity, sw.opts, sw.maint.Site)
+	fresh, err := fromCells(ids, polys, sw.dir, sw.rects, capacity, sw.opts, sw.maint.Site, "")
 	if err != nil {
 		t.Fatal(err)
 	}

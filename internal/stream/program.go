@@ -13,7 +13,7 @@ import (
 // subdivision, returning the broadcast program together with the flat arena
 // it was rendered from. The arena is the serving representation: queries run
 // over it allocation-free, and its snapshot restores the identical program
-// without re-running construction (ProgramFromSnapshotFile).
+// without re-running construction (core.LoadSnapshot, ProgramFromFlat).
 func CompileDTree(sub *region.Subdivision, capacity, m int) (*Program, *core.FlatPaged, error) {
 	cut, err := (&Channel{Area: sub.Area, Capacity: capacity, M: m}).Build(sub, nil)
 	if err != nil {
@@ -88,23 +88,6 @@ func Assemble(prefix [][]byte, fp *core.FlatPaged, m int, ids []int) (*Program, 
 		return nil, err
 	}
 	return prog, nil
-}
-
-// ProgramFromSnapshotFile restores a broadcast program from an index
-// snapshot file (core.Snapshot), skipping tree construction and paging
-// entirely, with the optimal number of index copies per cycle. The restored
-// program broadcasts cycles byte-identical to those of the server that
-// wrote the snapshot.
-func ProgramFromSnapshotFile(path string) (*Program, *core.FlatPaged, error) {
-	fp, err := core.LoadSnapshotFile(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	prog, err := ProgramFromFlat(fp, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	return prog, fp, nil
 }
 
 // putData fills data packet pkt of bucket into dst, which holds zeros:

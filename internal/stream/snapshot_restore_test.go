@@ -2,7 +2,6 @@ package stream
 
 import (
 	"bytes"
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -32,9 +31,9 @@ func sameRendered(t *testing.T, a, b *renderedCycle) {
 }
 
 // TestSnapshotRestoreByteIdenticalCycle pins the restart contract: a
-// program restored from a flat-arena snapshot (in memory and through a
-// file) puts the exact bytes of the original compile on the air, so a
-// broadcastd restart via -snapshot is invisible to listening clients.
+// program restored from a flat-arena snapshot puts the exact bytes of the
+// original compile on the air. The file path, broadcastd's -snapshot-dir,
+// is fabric.RestoreSnapshotDir's (TestSnapshotDirRoundTrip, S = 1 included).
 func TestSnapshotRestoreByteIdenticalCycle(t *testing.T) {
 	const capacity = 256
 	sub, _ := testutil.RandomVoronoi(t, 90, 9301)
@@ -63,20 +62,6 @@ func TestSnapshotRestoreByteIdenticalCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameRendered(t, want, got)
-
-	path := filepath.Join(t.TempDir(), "index.dtsnap")
-	if err := fp.WriteSnapshotFile(path); err != nil {
-		t.Fatal(err)
-	}
-	fromFile, _, err := ProgramFromSnapshotFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotFile, err := fromFile.Rendered()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameRendered(t, want, gotFile)
 }
 
 // TestSwapperGenerationsFlatMatchesPointer drives the swapper through a
